@@ -62,12 +62,12 @@ def main():
         for name in screens:
             header += f" {name + ' [lo, up]':>22}"
         print(header)
-        for spec in family:
+        for member, spec in enumerate(family):
             sep = next(
-                r for r in report.sep_rows if r["n"] == spec.n and r["kappa"] == kappa
+                r for r in report.sep_rows if r["member"] == member and r["kappa"] == kappa
             )
             sup = next(
-                r for r in report.suprema if r["n"] == spec.n and r["kappa"] == kappa
+                r for r in report.suprema if r["member"] == member and r["kappa"] == kappa
             )
             sep_txt = f"{sep['sep_value']:.4f}" if sep["sep_is_exact"] else f">={sep['sep_lower']:.4f}"
             line = f"{spec.n:>3} {sep_txt:>10} {sup['roster_sup']:>11.4f}"
@@ -75,7 +75,7 @@ def main():
                 cell = next(
                     c
                     for c in report.cells
-                    if c["n"] == spec.n and c["screen"] == name and c["kappa"] == kappa
+                    if c["member"] == member and c["screen"] == name and c["kappa"] == kappa
                 )
                 bracket = f"[{cell['obsdiam_lower']:.4f}, {cell['obsdiam_upper']:.4f}]"
                 line += f" {bracket:>22}"

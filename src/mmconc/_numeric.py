@@ -12,7 +12,6 @@ a relative ~1e-13 of the intended rational targets.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
@@ -96,10 +95,3 @@ def stable_seed(*parts) -> int:
 def rng_for(*parts) -> np.random.Generator:
     return np.random.default_rng(stable_seed(*parts))
 
-
-def float_repr(x: float) -> float | str:
-    """JSON-safe float: infinities become strings, everything else is
-    emitted as-is (json round-trips float64 exactly)."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x

@@ -9,7 +9,6 @@ precondition fails).  Reports go to stdout or --out as canonical JSON
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,6 +16,7 @@ from .doubling import color_net, doubling_profile
 from .families import FamilySpec, default_screen_roster, run_levy_experiment
 from .formats import (
     SpaceFileError,
+    _load,
     parse_real_measure,
     parse_space,
     report_csv,
@@ -217,7 +217,7 @@ def _run(args) -> dict:
         }
 
     if args.command == "partial-diam":
-        doc = _load_any(args.space)
+        doc = _load(args.space)
         if "atoms" in doc:
             nu = parse_real_measure(doc)
             value = partial_diameter_real(nu, args.target_mass)
@@ -247,9 +247,7 @@ def _run(args) -> dict:
         }
         if args.screen:
             screen = parse_space(args.screen)
-            bracket = obsdiam_screen_estimate(
-                space, screen, kappa, seed=args.seed, budget=args.budget
-            )
+            bracket = obsdiam_screen_estimate(space, screen, kappa, seed=args.seed)
             witness = dict(bracket.witness)
             witness["values"] = _labels(screen, witness["values"])
             report["screen"] = args.screen
@@ -322,17 +320,6 @@ def _run(args) -> dict:
         return report
 
     raise AssertionError(f"unhandled command {args.command}")
-
-
-def _load_any(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise SpaceFileError("/", f"cannot read {path}: {err}") from err
-    if not isinstance(doc, dict):
-        raise SpaceFileError("/", "top level must be an object")
-    return doc
 
 
 def main(argv=None) -> int:

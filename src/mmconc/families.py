@@ -263,7 +263,7 @@ def _sep_cell(payload: dict) -> dict:
     space = generate(spec)
     kappa = payload["kappa"]
     budget = payload["budget"]
-    row = {"n": spec.n, "kappa": kappa}
+    row = {"member": payload["member"], "n": spec.n, "kappa": kappa}
     lb = sep_lower_bound(
         space,
         [kappa, kappa],
@@ -296,9 +296,9 @@ def _screen_cell(payload: dict) -> dict:
         kappa,
         samples=payload["samples"],
         seed=stable_seed(payload["seed"], "cell", spec.n, payload["screen"], kappa),
-        budget=payload["budget"],
     )
     row = {
+        "member": payload["member"],
         "n": spec.n,
         "screen": payload["screen"],
         "kappa": kappa,
@@ -347,7 +347,9 @@ def run_levy_experiment(
     largest eps with 32*eps <= 3*R).  The report also carries, per
     (member, kappa), the supremum of the lower bounds over the roster —
     a finite stand-in for a supremum over a whole doubling class, and
-    labeled as such.  Deterministic for fixed seed, any worker count.
+    labeled as such.  Every row is keyed on `member`, the member's index
+    in `family`, so members of equal size never merge.  Deterministic for
+    fixed seed, any worker count.
     """
     if screens is None:
         screens = list(default_screen_roster())
@@ -374,7 +376,7 @@ def run_levy_experiment(
 
     jobs: list[tuple[str, dict]] = []
     base = {"seed": seed, "budget": budget, "effort": effort, "samples": samples, "eps": eps}
-    for spec in family:
+    for member, spec in enumerate(family):
         spec_dict = {
             "kind": spec.kind,
             "n": spec.n,
@@ -385,15 +387,14 @@ def run_levy_experiment(
             "path": spec.path,
         }
         for kappa in kappa_grid:
-            jobs.append(("sep", {**base, "spec": spec_dict, "kappa": float(kappa)}))
+            payload = {**base, "member": member, "spec": spec_dict, "kappa": float(kappa)}
+            jobs.append(("sep", payload))
             for name, screen in usable:
                 jobs.append(
                     (
                         "screen",
                         {
-                            **base,
-                            "spec": spec_dict,
-                            "kappa": float(kappa),
+                            **payload,
                             "screen": name,
                             "screen_points": list(screen.points),
                             "screen_dist": screen.dist.tolist(),
@@ -409,23 +410,28 @@ def run_levy_experiment(
 
     sep_rows = sorted(
         (row for kind, row in results if kind == "sep"),
-        key=lambda r: (r["n"], r["kappa"]),
+        key=lambda r: (r["member"], r["kappa"]),
     )
     cells = sorted(
         (row for kind, row in results if kind == "screen"),
-        key=lambda r: (r["n"], r["screen"], r["kappa"]),
+        key=lambda r: (r["member"], r["screen"], r["kappa"]),
     )
     suprema = []
-    for spec in sorted(family, key=lambda s: s.n):
+    for member, spec in enumerate(family):
         for kappa in kappa_grid:
             vals = [
                 c["obsdiam_lower"]
                 for c in cells
-                if c["n"] == spec.n and c["kappa"] == float(kappa)
+                if c["member"] == member and c["kappa"] == float(kappa)
             ]
             if vals:
                 suprema.append(
-                    {"n": spec.n, "kappa": float(kappa), "roster_sup": max(vals)}
+                    {
+                        "member": member,
+                        "n": spec.n,
+                        "kappa": float(kappa),
+                        "roster_sup": max(vals),
+                    }
                 )
     meta = {
         "kind": family[0].kind if family else None,

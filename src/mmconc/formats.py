@@ -69,19 +69,27 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
     if not isinstance(node, dict) or "kind" not in node:
         raise SpaceFileError(pointer, "generator needs a 'kind'")
     kind = node["kind"]
+    for key in ("factors", "edges"):
+        if not isinstance(node.get(key, []), list):
+            raise SpaceFileError(f"{pointer}/{key}", "must be a list")
     factors = tuple(
         _generator_spec(f, f"{pointer}/factors[{i}]")
         for i, f in enumerate(node.get("factors", []))
     )
-    edges = tuple(
-        (int(e[0]), int(e[1]), float(e[2])) for e in node.get("edges", [])
-    )
+    edges = []
+    for i, e in enumerate(node.get("edges", [])):
+        if not isinstance(e, list) or len(e) != 3:
+            raise SpaceFileError(f"{pointer}/edges[{i}]", "must be [i, j, length]")
+        try:
+            edges.append((int(e[0]), int(e[1]), float(e[2])))
+        except (TypeError, ValueError) as err:
+            raise SpaceFileError(f"{pointer}/edges[{i}]", str(err)) from err
     try:
         return FamilySpec(
             kind=kind,
             n=int(node.get("n", 0)),
             normalized=bool(node.get("normalized", True)),
-            edges=edges,
+            edges=tuple(edges),
             factors=factors,
             path=node.get("path"),
         )
@@ -207,6 +215,7 @@ def report_json(report: dict) -> str:
 
 
 LEVY_CSV_COLUMNS = [
+    "member",
     "n",
     "screen",
     "kappa",
@@ -224,16 +233,16 @@ LEVY_CSV_COLUMNS = [
 
 
 def report_csv(report: dict) -> str:
-    """One row per (n, screen, kappa) cell; separation and supremum
-    columns are joined on (n, kappa).  Same numbers as the JSON."""
+    """One row per (member, screen, kappa) cell; separation and supremum
+    columns are joined on (member, kappa).  Same numbers as the JSON."""
     cells = report.get("cells", [])
-    sep = {(r["n"], r["kappa"]): r for r in report.get("sep", [])}
-    sup = {(r["n"], r["kappa"]): r for r in report.get("suprema", [])}
+    sep = {(r["member"], r["kappa"]): r for r in report.get("sep", [])}
+    sup = {(r["member"], r["kappa"]): r for r in report.get("suprema", [])}
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=LEVY_CSV_COLUMNS)
     writer.writeheader()
     for cell in cells:
-        key = (cell["n"], cell["kappa"])
+        key = (cell["member"], cell["kappa"])
         row = dict(cell)
         row["sep_lower"] = sep.get(key, {}).get("sep_lower")
         row["sep_value"] = sep.get(key, {}).get("sep_value")

@@ -1,8 +1,11 @@
 """Observable diameters: what 1-Lipschitz maps do to the measure.
 
 All observable-diameter outputs are brackets (lower, upper) with stored
-witnesses, never point estimates: lower bounds come from explicit maps,
-upper bounds from separation or from a certified ball argument.
+witnesses, never point estimates: lower bounds come from explicit maps.
+Upper bounds into the line come from separation.  Upper bounds into a
+finite screen come from Gromov's quotient argument: a 1-Lipschitz map is
+constant on each component of {d < delta}, delta the screen's smallest
+positive distance, and stretches no distance beyond diam X.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .separation import (
     BudgetExceededError,
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
+    _conflict_components,
     real_measure_as_space,
     sep_exact,
 )
@@ -211,7 +215,6 @@ def partial_diameter_screen(
     pm: PushforwardMeasure,
     target_mass: float,
     support_budget: int = DEFAULT_SCREEN_BUDGET,
-    force: bool = False,
 ) -> float:
     """Exact minimal diameter of a screen subset with mass >= target_mass.
 
@@ -226,10 +229,10 @@ def partial_diameter_screen(
     if target_mass <= 0.0:
         return 0.0
     support = pm.support
-    if len(support) > support_budget and not force:
+    if len(support) > support_budget:
         raise BudgetExceededError(
             f"screen support has {len(support)} points, over the exact-search "
-            f"budget {support_budget}; pass force=True to run anyway"
+            f"budget {support_budget}"
         )
     dist = pm.screen.dist[np.ix_(support, support)]
     weights = pm.weights[support]
@@ -430,13 +433,12 @@ def sample_lipschitz_map(
     order = rng.permutation(n)
     values = np.full(n, -1, dtype=np.int64)
     options: list[np.ndarray] = []
-    assigned: list[int] = []
     backtracks = 0
     pos = 0
     while pos < len(order):
         x = order[pos]
         if len(options) == pos:
-            if assigned:
+            if pos:
                 prior = order[:pos]
                 ok = np.all(
                     screen.dist[:, values[prior]] <= space.dist[x, prior][None, :],
@@ -453,62 +455,11 @@ def sample_lipschitz_map(
             backtracks += 1
             pos -= 1
             values[order[pos]] = -1
-            assigned.pop()
             options[pos] = options[pos][1:]
             continue
         values[x] = int(options[pos][0])
-        assigned.append(int(x))
         pos += 1
     return values
-
-
-def _screen_certificate(
-    space: FiniteMMSpace,
-    screen: FiniteMMSpace,
-    kappa: float,
-    budget: int,
-) -> tuple[float, str]:
-    """Certified upper bound for the observable diameter into a screen.
-
-    For a maximal eps-net colored into k classes of 5*eps-separated net
-    points (class sizes <= M), every 1-Lipschitz image concentrates: if
-    Sep(X; m/k, kappa/2) < eps and Sep(X; (m - kappa/2)/M, kappa) < eps
-    then some 3*eps-ball catches mass m - kappa, so the partial diameter
-    is at most 6*eps, uniformly over maps.  Scans an eps grid and returns
-    the best certified bound (inf if none certifies).
-    """
-    from .doubling import color_net
-    from .space import build_net
-
-    m = space.total_mass
-    alpha = kappa / 2.0
-    dists = screen.distinct_distances()
-    if not len(dists):
-        return math.inf, "screen too small to certify"
-    eps_grid = sorted({float(d) / 6.0 for d in dists} | {float(d) / 3.0 for d in dists})
-    best = math.inf
-    best_eps = None
-    for eps in eps_grid[:12]:
-        if eps <= 0:
-            continue
-        if 6.0 * eps >= best:
-            break
-        net = build_net(screen, eps)
-        coloring = color_net(screen, net)
-        k = len(coloring.classes)
-        max_class = max(len(c) for c in coloring.classes)
-        beta = (m - alpha) / max_class
-        try:
-            s1 = sep_exact(space, [m / k, alpha], budget)
-            s2 = sep_exact(space, [beta, kappa], budget)
-        except BudgetExceededError:
-            return math.inf, "separation budget exceeded before certification"
-        if s1.value < eps and s2.value < eps:
-            best = 6.0 * eps
-            best_eps = eps
-    if best_eps is None:
-        return math.inf, "no eps certified"
-    return best, f"net-coloring ball certificate at eps={best_eps!r}"
 
 
 def obsdiam_screen_estimate(
@@ -517,36 +468,48 @@ def obsdiam_screen_estimate(
     kappa: float,
     samples: int = 64,
     seed: int = 0,
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
     support_budget: int = DEFAULT_SCREEN_BUDGET,
-    certify: bool = True,
 ) -> Bracket:
     """Bracket the observable diameter into a finite screen.
 
-    lower: best partial diameter over sampled 1-Lipschitz maps (constant
-    maps included, so 0.0 is always achieved).  upper: the screen
-    diameter, improved by the net-coloring certificate when the
-    separation budget allows; both are valid for every 1-Lipschitz map,
-    sampled or not.
+    Let delta be the screen's smallest positive distance.  Every
+    1-Lipschitz map is constant on each connected component of the graph
+    {d(x, y) < delta}, and every image distance is a screen distance of
+    at most diam X (Gromov's quotient argument).  If one component holds
+    mass >= m - kappa, every map has partial diameter 0 and the bracket is
+    [0, 0] without sampling.  Otherwise lower is the best partial
+    diameter over sampled 1-Lipschitz maps (the constant map included, so
+    0.0 is always achieved) and upper is the largest screen distance
+    <= diam X, valid for every 1-Lipschitz map, sampled or not.
     """
     m = space.total_mass
     if not 0.0 < kappa < m:
         raise ValueError(f"kappa must lie in (0, total mass {m})")
     target = m - kappa
+    dists = screen.distinct_distances()
+    delta = float(dists[0]) if len(dists) else math.inf
+    # index-order sums, as pushforward_screen sums an atom
+    comp_mass = np.bincount(_conflict_components(space.dist, delta), weights=space.weights)
+    if comp_mass.max() >= target:
+        witness = {"kind": "screen_map", "values": [0] * space.n}
+        return Bracket(0.0, 0.0, witness, "one component of {d < min screen distance}")
+    reachable = dists[dists <= space.diameter]
+    upper = float(reachable[-1]) if len(reachable) else 0.0
+    if upper == screen.diameter:
+        source = "screen diameter"
+    else:
+        source = "largest screen distance <= source diameter"
     best_val = 0.0
     best_map = np.zeros(space.n, dtype=np.int64)
     for s in range(samples):
         values = sample_lipschitz_map(space, screen, rng_for(seed, "screen-sample", s))
         pm = pushforward_screen(space, screen, values)
-        val = partial_diameter_screen(pm, target, support_budget, force=True)
+        val = partial_diameter_screen(pm, target, support_budget)
         if math.isfinite(val) and val > best_val:
             best_val, best_map = val, values
-    upper = screen.diameter
-    source = "screen diameter"
-    if certify:
-        cert, note = _screen_certificate(space, screen, kappa, budget)
-        if cert < upper:
-            upper, source = cert, note
-    upper = max(upper, best_val)  # the lower bound is itself certified
+    if best_val > upper:
+        raise RuntimeError(
+            f"inverted bracket: sampled lower {best_val!r} above certified upper {upper!r}"
+        )
     witness = {"kind": "screen_map", "values": [int(v) for v in best_map]}
-    return Bracket(float(best_val), float(upper), witness, source)
+    return Bracket(float(best_val), upper, witness, source)

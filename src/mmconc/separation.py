@@ -399,7 +399,9 @@ def sep_lower_bound(
     result = SepResult(0.0, True, False, witnesses, tuple(int(a) for a in best))
     realized = result.witness_min_distance(space)
     for g, w in enumerate(witnesses):
-        assert _sequential_mass(space.weights, list(w)) >= kappas[g]
+        mass = _sequential_mass(space.weights, list(w))
+        if mass < kappas[g]:
+            raise RuntimeError(f"witness group {g} has mass {mass!r} below kappa {kappas[g]!r}")
     return SepResult(realized, True, False, witnesses, result.assignment)
 
 

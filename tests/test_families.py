@@ -179,6 +179,25 @@ class TestRosterAndReport:
             ]
             assert cells and sup["roster_sup"] == max(c["obsdiam_lower"] for c in cells)
 
+    def test_members_of_equal_size_keep_their_own_rows(self):
+        """Two product specs both have n = 0.  A 4-point square of side 1/2
+        maps onto the roster with spread; on the 64-point torus of edge 1/8
+        every map into torus6 and square4 is constant.  Each member's
+        supremum must see only its own cells."""
+        torus = lambda k: mc.FamilySpec("discrete_torus", k)
+        fam = [
+            mc.FamilySpec("product", factors=(torus(2), torus(2))),
+            mc.FamilySpec("product", factors=(torus(8), torus(8))),
+        ]
+        rep = mc.run_levy_experiment(fam, seed=0, samples=8, effort=200)
+        assert [r["member"] for r in rep.sep_rows] == [0, 1]
+        assert [s["member"] for s in rep.suprema] == [0, 1]
+        assert [c["member"] for c in rep.cells] == [0, 0, 0, 1, 1, 1]
+        for sup in rep.suprema:
+            own = [c["obsdiam_lower"] for c in rep.cells if c["member"] == sup["member"]]
+            assert sup["roster_sup"] == max(own)
+        assert rep.suprema[0]["roster_sup"] > 0.0 == rep.suprema[1]["roster_sup"]
+
     def test_report_serializes_and_same_seed_reproduces(self):
         fam = [mc.FamilySpec("hamming_cube", 2)]
         a = mc.run_levy_experiment(fam, seed=5, samples=8, effort=300)

@@ -71,6 +71,18 @@ class TestSpaceFiles:
             mc.parse_space(doc)
         assert "matrix" in err.value.pointer
 
+    def test_short_weighted_graph_edge_exits_one_with_a_pointer(self, tmp_path, capsys):
+        bad = tmp_path / "edge.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1,
+            "metric": {"generator": {
+                "kind": "weighted_graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2]],
+            }},
+        }))
+        rc, _, err = run_cli(["validate", "--space", str(bad)], capsys)
+        assert rc == 1
+        assert err.startswith("mmconc: /metric/generator/edges[1]: ")
+
     def test_unknown_schema_version_is_rejected(self):
         with pytest.raises(mc.SpaceFileError):
             mc.parse_space({"schema_version": 2, "points": [], "metric": {}})
@@ -229,6 +241,24 @@ class TestCli:
         assert rc == 0
         header = out.splitlines()[0].split(",")
         assert header == list(formats.LEVY_CSV_COLUMNS)
+
+    def test_levy_run_keeps_members_of_equal_size_apart(self, capsys):
+        rc, out, _ = run_cli(
+            ["levy-run", "--family", "hamming:3,3", "--seed", "0",
+             "--samples", "4", "--effort", "200"],
+            capsys,
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        for rows in (doc["sep"], doc["suprema"]):
+            assert [(r["member"], r["n"]) for r in rows] == [(0, 3), (1, 3)]
+        rc, out, _ = run_cli(
+            ["levy-run", "--family", "hamming:3,3", "--seed", "0",
+             "--samples", "4", "--effort", "200", "--format", "csv"],
+            capsys,
+        )
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["member"] for r in rows] == ["0"] * 3 + ["1"] * 3
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,7 +119,7 @@ class TestPartialDiameterScreen:
         pm = mc.pushforward_screen(sp, sp, np.arange(25))
         with pytest.raises(mc.BudgetExceededError):
             mc.partial_diameter_screen(pm, 0.9, support_budget=20)
-        val = mc.partial_diameter_screen(pm, 0.9, support_budget=20, force=True)
+        val = mc.partial_diameter_screen(pm, 0.9, support_budget=25)
         assert np.isfinite(val)
 
 
@@ -176,7 +178,7 @@ class TestObsdiamScreen:
         mc.validate_lipschitz(sp, screen, idx)
         pm = mc.pushforward_screen(sp, screen, idx)
         m = sp.weights.sum()
-        assert mc.partial_diameter_screen(pm, m - 0.1, force=True) == br.lower
+        assert mc.partial_diameter_screen(pm, m - 0.1) == br.lower
         assert br.lower <= br.upper
 
     def test_identity_partial_diameter_can_exceed_two_group_separation(self):
@@ -185,7 +187,7 @@ class TestObsdiamScreen:
         strictly above Sep(1/8, 1/8) = 7."""
         z16 = mc.generate(mc.FamilySpec("discrete_torus", 16, normalized=False))
         pm = mc.pushforward_screen(z16, z16, np.arange(16))
-        pd = mc.partial_diameter_screen(pm, 0.75, force=True)
+        pd = mc.partial_diameter_screen(pm, 0.75)
         sep = mc.sep_exact(z16, [1 / 8, 1 / 8], budget=3**17)
         assert pd == 8.0 and sep.value == 7.0 and pd > sep.value
 
@@ -195,6 +197,81 @@ class TestObsdiamScreen:
         singleton = mc.default_screen_roster()[2][1]
         br = mc.obsdiam_screen_estimate(sp, singleton, 0.1, samples=4, seed=0)
         assert br.lower == 0.0 and br.upper == 0.0
+
+    def test_cubes_past_the_edge_cutoff_close_at_zero(self):
+        """square4's smallest distance 1/4 exceeds cube 5's edge 1/5, and
+        torus6's 1/6 exceeds cube 7's 1/7: every map is constant."""
+        roster = dict(mc.default_screen_roster())
+        for n, name in ((5, "square4"), (7, "torus6")):
+            cube = mc.generate(mc.FamilySpec("hamming_cube", n))
+            br = mc.obsdiam_screen_estimate(cube, roster[name], 0.1, samples=4, seed=0)
+            assert (br.lower, br.upper) == (0.0, 0.0)
+            assert br.witness["values"] == [0] * cube.n
+
+    def test_heavy_cluster_closes_at_zero(self):
+        """Three points 1/64 apart carry 7/8 of the mass, one far point the
+        rest; into a screen whose smallest distance is 1/8 every map sends
+        the cluster to one atom."""
+        sp = line_space([0.0, 1 / 64, 2 / 64, 1.0], [0.5, 0.25, 0.125, 0.125])
+        screen = line_space([0.0, 0.125, 1.0])
+        br = mc.obsdiam_screen_estimate(sp, screen, 0.125, samples=8, seed=0)
+        assert (br.lower, br.upper) == (0.0, 0.0)
+        # a smaller kappa asks for more mass than the cluster holds: the
+        # far point, 31/32 from the cluster's edge, can go 7/8 away
+        br = mc.obsdiam_screen_estimate(sp, screen, 0.0625, samples=8, seed=0)
+        assert (br.lower, br.upper) == (0.875, 1.0)
+
+    def test_upper_is_the_largest_screen_distance_within_the_source_diameter(self):
+        sp = line_space([0.0, 0.1])
+        screen = line_space([0.0, 0.1, 1.0, 2.0])
+        br = mc.obsdiam_screen_estimate(sp, screen, 0.1, samples=16, seed=0)
+        assert (br.lower, br.upper) == (sp.dist[0, 1], sp.dist[0, 1])
+        assert br.upper_source != "screen diameter"
+
+    def test_lower_above_upper_raises(self, two_point, monkeypatch):
+        monkeypatch.setattr(mc.observable, "partial_diameter_screen", lambda *args: 9.0)
+        with pytest.raises(RuntimeError, match="inverted bracket"):
+            mc.obsdiam_screen_estimate(two_point, line_space([0.0, 1.0]), 0.1, samples=1)
+
+    def test_bracket_holds_the_exhaustive_maximum_on_tiny_spaces(self):
+        """Independent oracle: enumerate every map of a space of at most 5
+        points into each roster screen, keep the 1-Lipschitz ones, and take
+        the largest partial diameter by subset enumeration.  Coordinates
+        and weights are dyadic, so every mass sum is exact."""
+        rng = np.random.default_rng(82)
+        roster = mc.default_screen_roster()
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            scale = float(rng.choice([1 / 32, 1 / 16, 1 / 8, 1 / 4]))
+            coords = rng.integers(0, 5, size=(n, 2)) * scale
+            while len({tuple(c) for c in coords}) < n:
+                coords = rng.integers(0, 5, size=(n, 2)) * scale
+            dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+            weights = rng.integers(1, 5, size=n) / 16.0
+            sp = mc.validate_space(tuple(f"p{i}" for i in range(n)), dist, weights)
+            kappa = float(rng.choice([1 / 16, 1 / 8, 1 / 4])) * sp.total_mass
+            target = sp.total_mass - kappa
+            for _, screen in roster:
+                br = mc.obsdiam_screen_estimate(sp, screen, kappa, samples=16, seed=3)
+                subsets = [
+                    list(sel)
+                    for k in range(1, screen.n + 1)
+                    for sel in itertools.combinations(range(screen.n), k)
+                ]
+                images = set()
+                for f in itertools.product(range(screen.n), repeat=n):
+                    f = np.array(f)
+                    if (screen.dist[np.ix_(f, f)] <= sp.dist).all():
+                        images.add(tuple(np.bincount(f, weights, minlength=screen.n)))
+                true = max(
+                    min(
+                        screen.dist[np.ix_(sel, sel)].max()
+                        for sel in subsets
+                        if np.array(image)[sel].sum() >= target
+                    )
+                    for image in images
+                )
+                assert br.lower <= true <= br.upper
 
 
 class TestCandidates:
