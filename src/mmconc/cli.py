@@ -239,12 +239,7 @@ def _run(args) -> dict:
         if len(args.kappa) != 1:
             raise SpaceFileError("--kappa", "obsdiam takes exactly one threshold")
         kappa = args.kappa[0]
-        report = {
-            "command": "obsdiam",
-            "kappa": kappa,
-            "seed": args.seed,
-            "budget": args.budget,
-        }
+        report = {"command": "obsdiam", "kappa": kappa, "seed": args.seed}
         if args.screen:
             screen = parse_space(args.screen)
             bracket = obsdiam_screen_estimate(space, screen, kappa, seed=args.seed)
@@ -252,6 +247,7 @@ def _run(args) -> dict:
             witness["values"] = _labels(screen, witness["values"])
             report["screen"] = args.screen
         else:
+            report["budget"] = args.budget
             bracket = obsdiam_real_bracket(
                 space, kappa, effort=args.effort, seed=args.seed, budget=args.budget
             )

@@ -6,6 +6,11 @@ On a finite space every positive optimum is realized by assigning each
 point to one group or discarding it, so sep_exact searches assignments.
 Overlapping families only ever realize value 0, which we report as
 feasible=False with value 0.0.
+
+Group masses follow one summation convention: a group's mass is its
+points' weights added in ascending point index, starting from 0.0, as
+np.bincount adds them (_group_masses).  The heuristic's deficits and
+the witness checks all compare kappas against sums made this way.
 """
 
 from __future__ import annotations
@@ -163,13 +168,12 @@ class SepResult:
         return best
 
 
-def _sequential_mass(weights: np.ndarray, members: Sequence[int]) -> float:
-    """Ascending-index sequential sum; the one mass definition every
-    admissibility check in this module shares."""
-    total = 0.0
-    for i in sorted(members):
-        total += float(weights[i])
-    return total
+def _group_masses(weights: np.ndarray, assign: np.ndarray, n_labels: int) -> np.ndarray:
+    """Mass of every label 0..n_labels-1 of an assignment.  np.bincount
+    adds each point's weight in ascending index order, starting from 0.0;
+    this is the one mass convention every admissibility check in this
+    module shares."""
+    return np.bincount(assign, weights=weights, minlength=n_labels)
 
 
 def _check_kappas(kappas: Sequence[float]) -> list[float]:
@@ -300,7 +304,18 @@ def _try_threshold(
     effort: int,
     rng: np.random.Generator,
 ) -> np.ndarray | None:
-    """Greedy component seeding plus randomized point moves."""
+    """Greedy component seeding plus randomized point moves.
+
+    Whole components of {d < threshold} are seeded, heaviest first, onto
+    the group with the largest deficit.  Then each of `effort` iterations
+    draws a point p and a label g (two rng.integers calls, also for
+    moves that are skipped); the move is skipped when g is p's label or
+    when p lies closer than threshold to a point of another group, and
+    kept when the total deficit does not grow.  The conflict matrix
+    {d < threshold} is computed once per call, and the deficit is
+    recomputed from _group_masses after each tried move, so a seed gives
+    the same assignment as a scan over every group's members.
+    """
     n = space.n
     n_groups = len(kappas)
     discard = n_groups
@@ -319,24 +334,17 @@ def _try_threshold(
         assign[comp == c] = g
         masses[g] += space.weights[comp == c].sum()
 
-    def group_ok(p: int, g: int) -> bool:
-        row = space.dist[p]
-        for g2 in range(n_groups):
-            if g2 == g:
-                continue
-            members = np.flatnonzero(assign == g2)
-            members = members[members != p]
-            if len(members) and row[members].min() < threshold:
-                return False
-        return True
+    close = space.dist < threshold
+    np.fill_diagonal(close, False)
 
     def total_deficit() -> float:
+        group_mass = _group_masses(space.weights, assign, n_groups + 1).tolist()
+        counts = np.bincount(assign, minlength=n_groups + 1).tolist()
         out = 0.0
         for g in range(n_groups):
-            mass = _sequential_mass(space.weights, np.flatnonzero(assign == g))
-            if mass < kappas[g]:
-                out += kappas[g] - mass
-            if not (assign == g).any():
+            if group_mass[g] < kappas[g]:
+                out += kappas[g] - group_mass[g]
+            if not counts[g]:
                 out += math.inf
         return out
 
@@ -348,8 +356,10 @@ def _try_threshold(
         g = int(rng.integers(n_groups + 1))
         if g == assign[p]:
             continue
-        if g < n_groups and not group_ok(p, g):
-            continue
+        if g < n_groups:
+            nb = assign[close[p]]
+            if ((nb != g) & (nb != discard)).any():
+                continue
         old = assign[p]
         assign[p] = g
         new_deficit = total_deficit()
@@ -359,9 +369,9 @@ def _try_threshold(
             assign[p] = old
     if deficit > 0.0:
         return None
+    group_mass = _group_masses(space.weights, assign, n_groups + 1)
     for g in range(n_groups):
-        members = np.flatnonzero(assign == g)
-        if not len(members) or _sequential_mass(space.weights, members) < kappas[g]:
+        if not (assign == g).any() or group_mass[g] < kappas[g]:
             return None
     return assign
 
@@ -398,8 +408,9 @@ def sep_lower_bound(
     witnesses = tuple(PointSet.of(np.flatnonzero(best == g)) for g in range(len(kappas)))
     result = SepResult(0.0, True, False, witnesses, tuple(int(a) for a in best))
     realized = result.witness_min_distance(space)
-    for g, w in enumerate(witnesses):
-        mass = _sequential_mass(space.weights, list(w))
+    group_mass = _group_masses(space.weights, best, len(kappas) + 1)
+    for g in range(len(kappas)):
+        mass = float(group_mass[g])
         if mass < kappas[g]:
             raise RuntimeError(f"witness group {g} has mass {mass!r} below kappa {kappas[g]!r}")
     return SepResult(realized, True, False, witnesses, result.assignment)

@@ -272,7 +272,7 @@ def test_acceptance_7_levy_trend():
     w12 = mc.partial_diameter_real(mc.binomial_mean_measure(12), 0.9)
     assert w12 < w2
     dt = time.perf_counter() - t0
-    assert dt < 600.0
+    assert dt < 60.0
     trend = ", ".join(f"{v:.4f}" for v in sups)
     print(f"\nACCEPTANCE 7 PASS: supremum trend [{trend}] in {dt:.0f} s")
 

@@ -202,6 +202,27 @@ class TestCli:
         doc = json.loads(out)
         assert doc["lower"] <= doc["upper"]
 
+    def test_obsdiam_report_shapes(self, capsys):
+        """The separation budget bounds only the line bracket, so only its
+        report records one."""
+        common = {"command", "kappa", "seed", "lower", "upper", "upper_source", "witness"}
+        rc, out, _ = run_cli(
+            ["obsdiam", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5",
+             "--budget", "100"],
+            capsys,
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert set(doc) == common | {"budget"} and doc["budget"] == 100
+        rc, out, _ = run_cli(
+            ["obsdiam", "--space", f"{SPACES}/twopoint.json",
+             "--screen", f"{SPACES}/square4.json", "--kappa", "0.1"],
+            capsys,
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert set(doc) == common | {"screen"}
+
     def test_doubling_net_color_commands(self, capsys):
         rc, out, _ = run_cli(
             ["doubling", "--space", f"{SPACES}/torus8.json"], capsys

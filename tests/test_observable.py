@@ -161,6 +161,14 @@ class TestObsdiamReal:
             br = mc.obsdiam_real_bracket(sp, kap / 2, effort=300, seed=5)
             assert br.lower >= sep.value - 1e-12
 
+    def test_lower_above_upper_raises(self, two_point, monkeypatch):
+        """A separation value below an achieved partial diameter is a bug,
+        reported as such and never clamped into the bracket."""
+        fake = mc.SepResult(0.5, True, True, None, None)
+        monkeypatch.setattr(mc.observable, "sep_exact", lambda *args: fake)
+        with pytest.raises(RuntimeError, match="inverted bracket"):
+            mc.obsdiam_real_bracket(two_point, 0.1)
+
 
 class TestObsdiamScreen:
     def test_square_cube_into_a_circle(self):

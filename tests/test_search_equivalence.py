@@ -1,0 +1,316 @@
+"""The screen sampler and the separation heuristic against reference copies.
+
+`sample_lipschitz_map` keeps a stack of forward-checked domains and
+`_try_threshold` a precomputed conflict matrix.  The references below are
+the earlier implementations, which rescan every assigned point at each
+step; they are kept here, test-only, so that every seeded map and
+assignment can be compared bit for bit.  The trend report digest pins the
+end-to-end output of the same searches.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mmconc as mc
+from mmconc._numeric import rng_for
+from mmconc.separation import _conflict_components, _group_masses, _try_threshold
+from conftest import random_space
+
+SPACES = Path(__file__).resolve().parent.parent / "spaces"
+
+# SHA-256 of report_json(run_levy_experiment(hamming 2..6, samples=32,
+# seed=0).as_dict()), computed with the reference searches
+TREND_DIGEST = "ae0c80b9c8db9f054c1ee0bc2c59feaf879e00c1ba2b0b18d33ad76fa6d3b2a6"
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def reference_sample_lipschitz_map(space, screen, rng, max_backtrack=None):
+    n = space.n
+    if max_backtrack is None:
+        max_backtrack = 50 * n
+    order = rng.permutation(n)
+    values = np.full(n, -1, dtype=np.int64)
+    options: list[np.ndarray] = []
+    backtracks = 0
+    pos = 0
+    while pos < len(order):
+        x = order[pos]
+        if len(options) == pos:
+            if pos:
+                prior = order[:pos]
+                ok = np.all(
+                    screen.dist[:, values[prior]] <= space.dist[x, prior][None, :],
+                    axis=1,
+                )
+                cands = np.flatnonzero(ok)
+            else:
+                cands = np.arange(screen.n)
+            options.append(rng.permutation(cands))
+        if len(options[pos]) == 0:
+            options.pop()
+            if pos == 0 or backtracks >= max_backtrack:
+                return np.full(n, int(rng.integers(screen.n)), dtype=np.int64)
+            backtracks += 1
+            pos -= 1
+            values[order[pos]] = -1
+            options[pos] = options[pos][1:]
+            continue
+        values[x] = int(options[pos][0])
+        pos += 1
+    return values
+
+
+def _sequential_mass(weights, members):
+    total = 0.0
+    for i in sorted(members):
+        total += float(weights[i])
+    return total
+
+
+def reference_try_threshold(space, kappas, threshold, effort, rng):
+    n = space.n
+    n_groups = len(kappas)
+    discard = n_groups
+    comp = _conflict_components(space.dist, threshold)
+    comp_ids = np.unique(comp)
+    comp_mass = np.array([space.weights[comp == c].sum() for c in comp_ids])
+
+    assign = np.full(n, discard, dtype=np.int64)
+    masses = np.zeros(n_groups)
+    # seed whole components, heaviest first, onto the largest deficit
+    for c in comp_ids[np.argsort(-comp_mass, kind="stable")]:
+        deficits = np.array(kappas) - masses
+        g = int(np.argmax(deficits))
+        if deficits[g] <= 0:
+            break
+        assign[comp == c] = g
+        masses[g] += space.weights[comp == c].sum()
+
+    def group_ok(p: int, g: int) -> bool:
+        row = space.dist[p]
+        for g2 in range(n_groups):
+            if g2 == g:
+                continue
+            members = np.flatnonzero(assign == g2)
+            members = members[members != p]
+            if len(members) and row[members].min() < threshold:
+                return False
+        return True
+
+    def total_deficit() -> float:
+        out = 0.0
+        for g in range(n_groups):
+            mass = _sequential_mass(space.weights, np.flatnonzero(assign == g))
+            if mass < kappas[g]:
+                out += kappas[g] - mass
+            if not (assign == g).any():
+                out += math.inf
+        return out
+
+    deficit = total_deficit()
+    for _ in range(effort):
+        if deficit == 0.0:
+            break
+        p = int(rng.integers(n))
+        g = int(rng.integers(n_groups + 1))
+        if g == assign[p]:
+            continue
+        if g < n_groups and not group_ok(p, g):
+            continue
+        old = assign[p]
+        assign[p] = g
+        new_deficit = total_deficit()
+        if new_deficit <= deficit:
+            deficit = new_deficit
+        else:
+            assign[p] = old
+    if deficit > 0.0:
+        return None
+    for g in range(n_groups):
+        members = np.flatnonzero(assign == g)
+        if not len(members) or _sequential_mass(space.weights, members) < kappas[g]:
+            return None
+    return assign
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def cube(n):
+    return mc.generate(mc.FamilySpec("hamming_cube", n))
+
+
+def one_point():
+    return mc.FiniteMMSpace(("o",), np.zeros((1, 1)), np.array([1.0]))
+
+
+def screens():
+    roster = list(mc.default_screen_roster())
+    return roster + [("torus8", mc.parse_space(str(SPACES / "torus8.json")))]
+
+
+def random_l1_space(rng, n):
+    """Integer points under the L1 metric, scaled by 1/8 so every distance
+    is exact; ties between distances are frequent, which exercises the
+    non-strict and strict comparisons of both searches."""
+    while True:
+        pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 4))))
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2) / 8.0
+        if n == 1 or dist[~np.eye(n, dtype=bool)].min() > 0:
+            break
+    w = rng.uniform(0.2, 1.0, size=n)
+    return mc.validate_space(tuple(f"p{i}" for i in range(n)), dist, w / w.sum())
+
+
+def assert_same_map(space, screen, seed, validate=True, **kw):
+    got = mc.sample_lipschitz_map(space, screen, rng_for(seed, "eq"), **kw)
+    want = reference_sample_lipschitz_map(space, screen, rng_for(seed, "eq"), **kw)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (space.n, screen.n, seed)
+    if validate:
+        mc.validate_lipschitz(space, screen, got)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# sampler
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sampler_matches_reference_on_cubes(n):
+    space = cube(n)
+    for name, screen in screens():
+        for seed in range(6):
+            assert_same_map(space, screen, (n, name, seed))
+
+
+def test_sampler_reaches_the_backtrack_fallback_identically():
+    # cube 6 into torus6 mostly dies in dead ends and falls back to a
+    # constant map; both implementations must give up at the same draw
+    space = cube(6)
+    torus6 = dict(mc.default_screen_roster())["torus6"]
+    constant = 0
+    for seed in range(16):
+        got = assert_same_map(space, torus6, ("fallback", seed))
+        constant += len(set(got.tolist())) == 1
+    assert constant > 0
+
+
+def test_sampler_matches_reference_on_random_l1_spaces():
+    rng = np.random.default_rng(5)
+    roster = screens()
+    for i in range(40):
+        space = random_l1_space(rng, int(rng.integers(1, 14)))
+        _, screen = roster[i % len(roster)]
+        assert_same_map(space, screen, ("l1", i))
+        screen_l1 = random_l1_space(rng, int(rng.integers(1, 7)))
+        assert_same_map(space, screen_l1, ("l1-screen", i))
+
+
+def test_sampler_keeps_the_orientation_of_asymmetric_distances():
+    """The search compares screen.dist[s, v] with space.dist[x, prior] and
+    never assumes symmetry; unvalidated one-sided matrices pin that (the
+    maps are not validated: only one orientation of each pair is checked)."""
+    rng = np.random.default_rng(9)
+
+    def one_sided(n):
+        dist = rng.integers(0, 4, size=(n, n)) / 8.0
+        np.fill_diagonal(dist, 0.0)
+        return mc.FiniteMMSpace(tuple(f"q{i}" for i in range(n)), dist, np.full(n, 1.0 / n))
+
+    for i in range(30):
+        source = one_sided(int(rng.integers(2, 12)))
+        screen = one_sided(int(rng.integers(2, 7)))
+        assert_same_map(source, screen, ("one-sided", i), validate=False)
+
+
+def test_sampler_matches_reference_without_backtracking():
+    rng = np.random.default_rng(6)
+    torus6 = dict(mc.default_screen_roster())["torus6"]
+    for seed in range(8):
+        assert_same_map(cube(5), torus6, ("mb0", seed), max_backtrack=0)
+        space = random_l1_space(rng, 9)
+        assert_same_map(space, torus6, ("mb0-l1", seed), max_backtrack=0)
+
+
+def test_sampler_matches_reference_on_one_point_spaces():
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        for name, screen in screens():
+            assert_same_map(one_point(), screen, ("src1", name, seed))
+        assert_same_map(cube(3), one_point(), ("scr1", seed))
+        assert_same_map(random_l1_space(rng, 6), one_point(), ("scr1-l1", seed))
+        assert_same_map(one_point(), one_point(), ("both1", seed))
+
+
+# ---------------------------------------------------------------------------
+# separation heuristic
+
+
+def assert_same_assignments(space, kappas, effort, tag):
+    for k, t in enumerate(space.distinct_distances()):
+        got = _try_threshold(space, kappas, float(t), effort, rng_for(tag, k))
+        want = reference_try_threshold(space, kappas, float(t), effort, rng_for(tag, k))
+        if want is None:
+            assert got is None, (tag, k)
+        else:
+            assert got is not None and np.array_equal(got, want), (tag, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_heuristic_matches_reference_on_cubes(n):
+    space = cube(n)
+    assert_same_assignments(space, [0.1, 0.1], 2000, ("cube", n))
+    assert_same_assignments(space, [0.3, 0.2, 0.1], 600, ("cube3", n))
+
+
+def test_heuristic_matches_reference_on_random_spaces():
+    rng = np.random.default_rng(8)
+    for i in range(12):
+        n = int(rng.integers(2, 12))
+        space = random_l1_space(rng, n) if i % 2 else random_space(rng, n)
+        k = float(rng.uniform(0.05, 0.45))
+        assert_same_assignments(space, [k, k], 800, ("random", i))
+        assert_same_assignments(space, [k / 2, k, 0.0], 400, ("random3", i))
+
+
+def test_heuristic_matches_reference_at_the_default_effort():
+    assert_same_assignments(cube(5), [0.1, 0.1], 10_000, ("default", 5))
+
+
+def test_group_masses_add_in_ascending_index_order():
+    """Weights spanning sixteen orders of magnitude make the order of
+    addition visible; _group_masses must add as _sequential_mass did."""
+    rng = np.random.default_rng(10)
+    order_visible = 0
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        weights = 10.0 ** rng.uniform(-16, 0, size=n)
+        assign = rng.integers(0, 3, size=n)
+        got = _group_masses(weights, assign, 3)
+        for g in range(3):
+            members = np.flatnonzero(assign == g)
+            assert got[g] == _sequential_mass(weights, members)
+            order_visible += sum(float(weights[i]) for i in members[::-1]) != got[g]
+    assert order_visible > 0
+
+
+# ---------------------------------------------------------------------------
+# end to end
+
+
+def test_trend_report_digest_is_pinned():
+    fam = [mc.FamilySpec("hamming_cube", n) for n in range(2, 7)]
+    report = mc.run_levy_experiment(fam, samples=32, seed=0)
+    digest = hashlib.sha256(mc.report_json(report.as_dict()).encode()).hexdigest()
+    assert digest == TREND_DIGEST
