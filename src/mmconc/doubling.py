@@ -32,15 +32,35 @@ __all__ = [
 ]
 
 
-def _ball_masses(space: FiniteMMSpace, radius: float) -> np.ndarray:
-    return (space.dist <= radius) @ space.weights
+_ROW_BLOCK = 64  # distance rows sorted at a time; bounds the sort's working memory
 
 
-def _doubling_at(space: FiniteMMSpace, radius: float) -> float:
-    """Minimal constant with mass(B(x,2r)) <= C * mass(B(x,r)) for all x."""
-    inner = _ball_masses(space, radius)
-    outer = _ball_masses(space, 2.0 * radius)
-    return float((outer / inner).max())
+def _doubling_constants(space: FiniteMMSpace, radii: np.ndarray) -> np.ndarray:
+    """Minimal C(r) with mass(B(x,2r)) <= C * mass(B(x,r)) for all x, per r.
+
+    The one ball-mass convention of this module: each distance row is
+    sorted once (stable, so ties keep index order), its weights are
+    summed cumulatively in that order, and the mass of B(x, r) is the
+    cumulative sum up to the last distance <= r.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    best = np.zeros(len(radii))
+    if not len(radii):
+        return best
+    probes = np.concatenate((radii, 2.0 * radii))
+    counts = np.empty((min(_ROW_BLOCK, space.n), len(probes)), dtype=np.intp)
+    for lo in range(0, space.n, _ROW_BLOCK):
+        block = space.dist[lo : lo + _ROW_BLOCK]
+        order = np.argsort(block, axis=1, kind="stable")
+        rows = np.take_along_axis(block, order, axis=1)
+        cum = np.cumsum(space.weights[order], axis=1)
+        ends = counts[: len(block)]
+        for x, row in enumerate(rows):
+            ends[x] = np.searchsorted(row, probes, side="right")
+        masses = np.take_along_axis(cum, ends - 1, axis=1)
+        ratios = masses[:, len(radii) :] / masses[:, : len(radii)]
+        np.maximum(best, ratios.max(axis=0), out=best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -58,21 +78,28 @@ class DoublingProfile:
         self.radii.setflags(write=False)
         self.values.setflags(write=False)
 
+    def _constants(self, radii: np.ndarray) -> np.ndarray:
+        """Constants at positive radii: grid values where stored, the rest
+        computed together in one pass over the sorted rows."""
+        hit = np.searchsorted(self.radii, radii)
+        on_grid = hit < len(self.radii)
+        on_grid[on_grid] = self.radii[hit[on_grid]] == radii[on_grid]
+        out = np.empty(len(radii))
+        out[on_grid] = self.values[hit[on_grid]]
+        out[~on_grid] = _doubling_constants(self.space, radii[~on_grid])
+        return out
+
     def constant_at(self, radius: float) -> float:
         if radius <= 0.0:
             raise ValueError("radius must be > 0")
-        hit = np.searchsorted(self.radii, radius)
-        if hit < len(self.radii) and self.radii[hit] == radius:
-            return float(self.values[hit])
-        return _doubling_at(self.space, radius)
+        return float(self._constants(np.array([float(radius)]))[0])
 
     def refined(self, extra_radii: Sequence[float]) -> "DoublingProfile":
         extra = np.asarray(sorted(set(float(r) for r in extra_radii)))
         if (extra <= 0.0).any():
             raise ValueError("radii must be > 0")
         merged = np.unique(np.concatenate((self.radii, extra)))
-        values = np.array([_doubling_at(self.space, r) for r in merged])
-        return DoublingProfile(self.space, self.horizon, merged, values)
+        return DoublingProfile(self.space, self.horizon, merged, self._constants(merged))
 
     def dominated_by(self, constant: float | Callable[[float], float]) -> bool:
         """Membership test against a user-supplied constant or table."""
@@ -107,8 +134,7 @@ def doubling_profile(
         grid = np.unique(np.asarray([float(r) for r in radii]))
         if len(grid) and (grid[0] <= 0.0 or grid[-1] > horizon):
             raise ValueError("grid radii must lie in (0, horizon]")
-    values = np.array([_doubling_at(space, r) for r in grid])
-    return DoublingProfile(space, float(horizon), grid, values)
+    return DoublingProfile(space, float(horizon), grid, _doubling_constants(space, grid))
 
 
 def lemma_constant(profile: DoublingProfile, r1: float, r2: float) -> float:
@@ -126,7 +152,7 @@ def lemma_constant(profile: DoublingProfile, r1: float, r2: float) -> float:
     rungs = [r1]
     while rungs[-1] < 2.0 * r2:
         rungs.append(rungs[-1] * 2.0)
-    return max(profile.constant_at(r) for r in rungs)
+    return float(profile._constants(np.array(rungs)).max())
 
 
 def ratio_bound(profile: DoublingProfile, r1: float, r2: float) -> float:
@@ -207,11 +233,13 @@ def color_net(space: FiniteMMSpace, net: Net, epsilon: float | None = None) -> C
         barred = set(int(b) for b in betas[i + 1 :])
         chosen = [int(betas[i])]
         remaining.discard(chosen[0])
+        ok = space.dist[chosen[0]] >= scale  # 5*eps from every chosen point
         for p in sorted(remaining):
             if p in barred:
                 continue
-            if all(space.dist[p, q] >= scale for q in chosen):
+            if ok[p]:
                 chosen.append(p)
+                ok &= space.dist[p] >= scale
         remaining.difference_update(chosen)
         classes.append(PointSet.of(chosen))
     if remaining:

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _MAX_REPORTED = 50  # per violation kind; the report records the true count
+_ROW_BLOCK = 64  # rows per pass of the row scans below; their buffers stay 64 x n
 
 
 @dataclass(frozen=True)
@@ -108,29 +109,61 @@ class FiniteMMSpace:
         return float(self.weights[idx].sum()) if idx else 0.0
 
     def distinct_distances(self) -> np.ndarray:
-        """Sorted distinct off-diagonal distances (empty for one point)."""
-        iu = np.triu_indices(self.n, k=1)
-        return np.unique(self.dist[iu])
+        """Sorted distinct off-diagonal distances (empty for one point).
+        Rows go in blocks, so no n^2-sized index or copy is built."""
+        parts = [np.zeros(0)]
+        for lo in range(0, self.n, _ROW_BLOCK):
+            rows = self.dist[lo : lo + _ROW_BLOCK]
+            above = np.triu(np.ones(rows.shape, dtype=bool), k=lo + 1)
+            parts.append(np.unique(rows[above]))
+        return np.unique(np.concatenate(parts))
+
+
+def _triangle_holds(dist: np.ndarray) -> bool:
+    """True iff dist[i,k] <= dist[i,j] + dist[j,k] in float64 for all i, j, k.
+
+    Needs an exactly symmetric matrix: the test for (k, j, i) is then
+    the one for (i, j, k), because fl(a + b) == fl(b + a), so only pairs
+    i <= k are scanned.  Rows go in blocks of _ROW_BLOCK; for each
+    hub j one preallocated buffer holds d[i,j] + d[j,k] over the block's
+    rows i and the columns k from the block's first row on.  d > fl(a + b)
+    is the same test as the hub loop's d - fl(a + b) > 0.
+    """
+    n = dist.shape[0]
+    sums = np.empty((min(_ROW_BLOCK, n), n))
+    above = np.empty(sums.shape, dtype=bool)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        block = dist[lo:hi, lo:]
+        buf = sums[: hi - lo, : n - lo]
+        bad = above[: hi - lo, : n - lo]
+        for j in range(n):
+            np.add(dist[lo:hi, j, None], dist[j, None, lo:], out=buf)
+            np.greater(block, buf, out=bad)
+            if bad.any():
+                return False
+    return True
 
 
 def _check_triangle(dist: np.ndarray, add, counts) -> None:
     """Triangle inequality in plain float64 sums, one hub row at a time
-    (memory stays O(n^2) even for a few thousand points)."""
+    (memory stays O(n^2) even for a few thousand points).  Lists the first
+    _MAX_REPORTED violations in hub order and counts all of them;
+    validate_space runs it only after _triangle_holds fails."""
     n = dist.shape[0]
-    reported = 0
     for j in range(n):
         slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
         bad = np.argwhere(slack > 0.0)
-        for i, k in bad:
-            counts["triangle"] = counts.get("triangle", 0) + 1
-            if reported < _MAX_REPORTED:
-                add(
-                    "triangle",
-                    (int(i), int(j), int(k)),
-                    f"d[{i},{k}]={dist[i, k]!r} > d[{i},{j}] + d[{j},{k}]"
-                    f" = {dist[i, j] + dist[j, k]!r}",
-                )
-                reported += 1
+        shown = bad[: max(_MAX_REPORTED - counts.get("triangle", 0), 0)]
+        for i, k in shown:
+            add(
+                "triangle",
+                (int(i), int(j), int(k)),
+                f"d[{i},{k}]={dist[i, k]!r} > d[{i},{j}] + d[{j},{k}]"
+                f" = {dist[i, j] + dist[j, k]!r}",
+            )
+        if len(bad) > len(shown):
+            counts["triangle"] += len(bad) - len(shown)
 
 
 def validate_space(
@@ -187,7 +220,7 @@ def validate_space(
                 (int(i), int(j)),
                 f"d={dist[i, j]!r} between distinct points",
             )
-        if not violations:
+        if not violations and not _triangle_holds(dist):
             _check_triangle(dist, add, counts)
 
     if not np.isfinite(weights).all():
@@ -283,9 +316,11 @@ def build_net(
         if sorted(order) != list(range(space.n)):
             raise ValueError("scan_order must be a permutation of all point indices")
     admitted: list[int] = []
+    near = np.full(space.n, np.inf)  # distance to the nearest admitted point
     for i in order:
-        if not admitted or space.dist[i, admitted].min() >= epsilon:
+        if near[i] >= epsilon:
             admitted.append(i)
+            np.minimum(near, space.dist[i], out=near)
     return Net(float(epsilon), PointSet.of(admitted), tuple(order))
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 
 import mmconc as mc
 from conftest import random_space
+from mmconc.doubling import _ROW_BLOCK
 
 
 def torus(n: int, normalized: bool = False, weights=None) -> mc.FiniteMMSpace:
@@ -28,6 +31,35 @@ def check_coloring(space, net, coloring):
                 if a != b:
                     assert space.dist[a, b] >= scale
     assert sorted(seen) == sorted(net.members.indices)
+
+
+def matrix_product_constants(space, radii):
+    """Reference: ball masses as (dist <= r) @ weights.  That sums in
+    another order, so it agrees with the profile only to a few ulps."""
+    return np.array(
+        [
+            (((space.dist <= 2.0 * r) @ space.weights) / ((space.dist <= r) @ space.weights)).max()
+            for r in radii
+        ]
+    )
+
+
+def sorted_row_constants(space, radii):
+    """Reference for the sorted-row convention, one point at a time: walk
+    the row in (distance, index) order adding weights one by one."""
+    best = [0.0] * len(radii)
+    for x in range(space.n):
+        order = sorted(range(space.n), key=lambda y: (space.dist[x, y], y))
+        row = [float(space.dist[x, y]) for y in order]
+        cum, total = [], 0.0
+        for y in order:
+            total += float(space.weights[y])
+            cum.append(total)
+        for i, r in enumerate(radii):
+            inner = cum[bisect.bisect_right(row, r) - 1]
+            outer = cum[bisect.bisect_right(row, 2.0 * r) - 1]
+            best[i] = max(best[i], outer / inner)
+    return np.array(best)
 
 
 class TestProfile:
@@ -62,6 +94,58 @@ class TestProfile:
         fresh = prof.constant_at(0.7)  # off-grid: computed on demand
         refined = prof.refined([0.7])
         assert refined.constant_at(0.7) == fresh
+
+    def test_sorted_row_masses_bit_for_bit(self):
+        rng = np.random.default_rng(96)
+        spaces = [random_space(rng, int(rng.integers(2, 12))) for _ in range(8)]
+        spaces += [torus(9), mc.generate(mc.FamilySpec("hamming_cube", 4))]
+        # ties with unequal weights: the order within a tie changes the sums
+        spaces += [torus(40, weights=tuple(rng.uniform(0.5, 1.5, 40)))]
+        for n in (5, 6):
+            weights = tuple(rng.uniform(0.5, 1.5, 2**n))
+            spaces.append(mc.generate(mc.FamilySpec("hamming_cube", n, weights=weights)))
+        for sp in spaces:
+            prof = mc.doubling_profile(sp)
+            assert np.array_equal(prof.values, sorted_row_constants(sp, prof.radii))
+            assert np.allclose(
+                prof.values, matrix_product_constants(sp, prof.radii), rtol=1e-14, atol=0.0
+            )
+
+    def test_blocks_of_rows_change_nothing(self):
+        weights = np.random.default_rng(97).uniform(0.5, 1.5, 150)
+        weights[-1] = 0.01  # the last row, in the last block, sets C(1/2)
+        sp = torus(150, weights=tuple(weights))
+        prof = mc.doubling_profile(sp)
+        assert sp.n > 2 * _ROW_BLOCK and prof.radii[0] == 0.5
+        # sorted order of row 149: itself, then the tie 0, 148 in index order
+        assert prof.values[0] == (weights[-1] + weights[0] + weights[-2]) / weights[-1]
+        assert np.array_equal(prof.values, sorted_row_constants(sp, prof.radii))
+        assert np.allclose(
+            prof.values, matrix_product_constants(sp, prof.radii), rtol=1e-14, atol=0.0
+        )
+
+    def test_uniform_torus_2048_matches_the_closed_form(self):
+        """Uniform masses are multiples of 2^-11, so every ball mass is
+        exact and each ratio is the correctly rounded quotient."""
+        n = 2048
+        prof = mc.doubling_profile(torus(n))
+        k = np.arange(1, n // 2 + 1)
+        assert np.array_equal(prof.radii, k / 2.0)
+        want = np.minimum(2 * k + 1, n) / np.minimum(2 * (k // 2) + 1, n)
+        assert np.array_equal(prof.values, want)
+
+    def test_off_grid_and_refined_values_equal_grid_values(self):
+        rng = np.random.default_rng(98)
+        spaces = [random_space(rng, 9), torus(16), mc.generate(mc.FamilySpec("hamming_cube", 5))]
+        for sp in spaces:
+            full = mc.doubling_profile(sp)
+            coarse = mc.doubling_profile(sp, radii=full.radii[::3])
+            for r, v in zip(full.radii, full.values):
+                assert full.constant_at(r) == v
+                assert coarse.constant_at(r) == v  # off-grid for two in three
+            refined = coarse.refined(full.radii)
+            assert np.array_equal(refined.radii, full.radii)
+            assert np.array_equal(refined.values, full.values)
 
     def test_dominated_by_constant_and_callable(self):
         prof = mc.doubling_profile(torus(8))
@@ -161,6 +245,58 @@ class TestColoring:
                 sum(sp.dist[a, b] <= 5 * eps for b in members) for a in members
             ]
             assert col.k == max(counts)
+
+
+def rescanning_net(space, epsilon, order):
+    """Reference: the greedy net that rescans every admitted point."""
+    admitted = []
+    for i in order:
+        if not admitted or space.dist[i, admitted].min() >= epsilon:
+            admitted.append(i)
+    return tuple(sorted(admitted))
+
+
+def rescanning_classes(space, members, anchor_betas, scale):
+    """Reference: color classes that test each candidate against every
+    point chosen so far."""
+    remaining = set(members)
+    classes = []
+    for i, beta in enumerate(anchor_betas):
+        barred = set(anchor_betas[i + 1 :])
+        chosen = [beta]
+        remaining.discard(beta)
+        for p in sorted(remaining):
+            if p in barred:
+                continue
+            if all(space.dist[p, q] >= scale for q in chosen):
+                chosen.append(p)
+        remaining.difference_update(chosen)
+        classes.append(tuple(sorted(chosen)))
+    return tuple(classes)
+
+
+class TestScansMatchTheRescanningLoops:
+    def _check(self, sp, eps, order=None):
+        net = mc.build_net(sp, eps, scan_order=order)
+        assert net.members.indices == rescanning_net(sp, eps, net.scan_order)
+        col = mc.color_net(sp, net)
+        members = list(net.members.indices)
+        betas = [m for m in members if sp.dist[col.anchor, m] <= 5.0 * eps]
+        want = rescanning_classes(sp, members, betas, 5.0 * eps)
+        assert tuple(c.indices for c in col.classes) == want
+
+    def test_random_spaces(self):
+        rng = np.random.default_rng(99)
+        for _ in range(40):
+            sp = random_space(rng, int(rng.integers(1, 40)))
+            eps = float(rng.uniform(0.02, 0.6)) * max(sp.diameter, 1.0)
+            order = rng.permutation(sp.n) if rng.random() < 0.5 else None
+            self._check(sp, eps, order)
+
+    def test_cube_nine(self):
+        sp = mc.generate(mc.FamilySpec("hamming_cube", 9))
+        for eps in (1 / 9, 2 / 9, 3 * sp.diameter / 32, 0.5):
+            self._check(sp, eps)
 
 
 class TestConcentrationWitness:

@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
 
@@ -98,6 +98,66 @@ class TestProduct:
         b = sp.points.index("11|1")
         assert sp.dist[a, b] == 3.0
         mc.validate_space(sp.points, sp.dist, sp.weights)
+
+
+def bit_loop_hamming(n: int) -> np.ndarray:
+    """Reference: cube Hamming distances by a loop over the bits."""
+    codes = np.arange(1 << n, dtype=np.uint32)
+    ham = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    xor = codes[:, None] ^ codes[None, :]
+    for _ in range(n):
+        ham += xor & 1
+        xor >>= 1
+    return ham
+
+
+@st.composite
+def graph_specs(draw):
+    """A connected weighted graph: a random spanning tree plus chords."""
+    n = draw(st.integers(1, 24))
+    lengths = st.floats(0.01, 10.0)
+    edges = [(draw(st.integers(0, i - 1)), i, draw(lengths)) for i in range(1, n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, n))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            edges.append((i, j, draw(lengths)))
+    return mc.FamilySpec("weighted_graph", n, normalized=draw(st.booleans()), edges=tuple(edges))
+
+
+cube_specs = st.builds(mc.FamilySpec, st.just("hamming_cube"), st.integers(1, 8), st.booleans())
+torus_specs = st.builds(mc.FamilySpec, st.just("discrete_torus"), st.integers(1, 300), st.booleans())
+small_factors = st.one_of(  # at most 6^3 points: the product's closure is O(n^3)
+    st.builds(mc.FamilySpec, st.just("hamming_cube"), st.integers(1, 2), st.booleans()),
+    st.builds(mc.FamilySpec, st.just("discrete_torus"), st.integers(1, 6), st.booleans()),
+)
+product_specs = st.builds(
+    lambda factors: mc.FamilySpec("product", factors=tuple(factors)),
+    st.lists(small_factors, min_size=2, max_size=3),
+)
+
+
+def cube_table(n: int, normalized: bool) -> np.ndarray:
+    return mc.subadditive_table(n, 1.0, float(n)) if normalized else np.arange(n + 1.0)
+
+
+class TestEveryGeneratorValidates:
+    @settings(max_examples=120)
+    @given(st.one_of(cube_specs, torus_specs, graph_specs(), product_specs))
+    def test_output_passes_the_validator(self, spec):
+        sp = mc.generate(spec)
+        mc.validate_space(sp.points, sp.dist, sp.weights)
+        if spec.kind == "hamming_cube":
+            want = cube_table(spec.n, spec.normalized)[bit_loop_hamming(spec.n)]
+            assert sp.dist.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_large_cubes_match_the_bit_loop(self, n):
+        from mmconc.families import _hamming_cube
+
+        ham = bit_loop_hamming(n)
+        for normalized in (True, False):
+            sp = _hamming_cube(mc.FamilySpec("hamming_cube", n, normalized))
+            assert sp.dist.tobytes() == cube_table(n, normalized)[ham].tobytes()
 
 
 class TestCoordinateMean:

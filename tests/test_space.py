@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import mmconc as mc
 from conftest import line_space, random_space
+from mmconc.space import _ROW_BLOCK, _triangle_holds
 
 
 def triple_loop_ok(dist: np.ndarray, weights: np.ndarray) -> bool:
@@ -92,6 +93,127 @@ class TestValidateSpace:
         assert len(labels) == 2
         assert mw[0] == pytest.approx(0.5)
         mc.validate_space(labels, mdist, mw)  # merged space is valid
+
+
+def hub_loop_triangle(dist: np.ndarray):
+    """Reference: the triangle inequality one hub at a time, with the
+    report validate_space gives (first 50 violations in hub order, the
+    true count)."""
+    violations, count = [], 0
+    for j in range(dist.shape[0]):
+        slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
+        for i, k in np.argwhere(slack > 0.0):
+            count += 1
+            if len(violations) < 50:
+                violations.append(
+                    mc.Violation(
+                        "triangle",
+                        (int(i), int(j), int(k)),
+                        f"d[{i},{k}]={dist[i, k]!r} > d[{i},{j}] + d[{j},{k}]"
+                        f" = {dist[i, j] + dist[j, k]!r}",
+                    )
+                )
+    return violations, ({"triangle": count} if count else {})
+
+
+def assert_same_triangle_verdict(dist: np.ndarray) -> bool:
+    """validate_space accepts iff the hub loop finds nothing, and rejects
+    with the hub loop's violations and counts.  Returns the verdict."""
+    n = dist.shape[0]
+    labels = tuple(f"p{i}" for i in range(n))
+    weights = np.full(n, 1.0 / n)
+    violations, counts = hub_loop_triangle(dist)
+    assert _triangle_holds(dist) == (not counts)
+    if not counts:
+        mc.validate_space(labels, dist, weights)
+        return True
+    with pytest.raises(mc.SpaceValidationError) as err:
+        mc.validate_space(labels, dist, weights)
+    assert err.value.violations == violations
+    assert err.value.counts == counts
+    return False
+
+
+def integer_line(n: int) -> np.ndarray:
+    """Points 0..n-1 on the line: every d[i,k] = d[i,j] + d[j,k] with j
+    between i and k holds exactly, so one ulp up on d[i,k] breaks it."""
+    pos = np.arange(float(n))
+    return np.abs(pos[:, None] - pos[None, :])
+
+
+def raise_by_one_ulp(dist: np.ndarray, i: int, k: int) -> np.ndarray:
+    broken = dist.copy()
+    broken[i, k] = broken[k, i] = np.nextafter(dist[i, k], np.inf)
+    return broken
+
+
+class TestTriangleScan:
+    """The buffered scan answers exactly as the hub loop does."""
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
+    def test_random_closed_matrices_are_accepted(self, seed, n):
+        sp = random_space(np.random.default_rng(seed), n)
+        assert assert_same_triangle_verdict(np.array(sp.dist))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 12))
+    def test_random_symmetric_matrices(self, seed, n):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.uniform(0.1, 1.0, (n, n)), 1)
+        assert_same_triangle_verdict(upper + upper.T)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 12))
+    def test_stretched_entry_of_a_closed_matrix(self, seed, n):
+        rng = np.random.default_rng(seed)
+        dist = np.array(random_space(rng, n).dist)
+        i, k = rng.choice(n, 2, replace=False)
+        dist[i, k] = dist[k, i] = dist[i, k] * rng.uniform(1.0, 3.0)
+        assert_same_triangle_verdict(dist)
+
+    @given(st.integers(3, 40), st.data())
+    def test_one_ulp_breaks(self, n, data):
+        dist = integer_line(n)
+        i = data.draw(st.integers(0, n - 3))
+        k = data.draw(st.integers(i + 2, n - 1))
+        assert dist[i, k] == dist[i, i + 1] + dist[i + 1, k]
+        assert assert_same_triangle_verdict(dist)
+        assert not assert_same_triangle_verdict(raise_by_one_ulp(dist, i, k))
+
+    @pytest.mark.parametrize("n", [_ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    def test_breaks_at_row_block_boundaries(self, n):
+        dist = integer_line(n)
+        assert assert_same_triangle_verdict(dist)
+        b = _ROW_BLOCK
+        edges = sorted({0, b - 2, b - 1, b, b + 1, n - 1} & set(range(n)))
+        for i in edges:
+            for k in edges:
+                if abs(i - k) >= 2:
+                    assert not assert_same_triangle_verdict(raise_by_one_ulp(dist, i, k))
+
+    def test_report_keeps_fifty_violations_and_the_true_count(self):
+        rng = np.random.default_rng(5)
+        upper = np.triu(rng.uniform(0.1, 1.0, (20, 20)), 1)
+        dist = upper + upper.T
+        violations, counts = hub_loop_triangle(dist)
+        assert len(violations) == 50 and counts["triangle"] > 50
+        assert not assert_same_triangle_verdict(dist)
+
+    @given(st.floats(1e-300, 1e300))
+    def test_one_and_two_point_spaces(self, a):
+        assert assert_same_triangle_verdict(np.zeros((1, 1)))
+        assert assert_same_triangle_verdict(np.array([[0.0, a], [a, 0.0]]))
+
+
+class TestDistinctDistances:
+    @pytest.mark.parametrize("n", [1, 2, 7, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3])
+    def test_match_the_upper_triangle(self, n):
+        sp = random_space(np.random.default_rng(n), n, dim=2)
+        want = np.unique(sp.dist[np.triu_indices(n, k=1)])
+        got = sp.distinct_distances()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_repeated_values_collapse(self):
+        sp = mc.generate(mc.FamilySpec("discrete_torus", 2 * _ROW_BLOCK + 5, normalized=False))
+        assert sp.distinct_distances().tolist() == list(range(1, _ROW_BLOCK + 3))
 
 
 class TestBalls:
