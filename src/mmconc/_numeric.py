@@ -54,15 +54,18 @@ def subadditive_table(count: int, numerator_step: float = 1.0, denominator: floa
     return t
 
 
-def exact_triangle_closure(dist: np.ndarray, max_passes: int = 8) -> np.ndarray:
+def exact_triangle_closure(dist: np.ndarray) -> np.ndarray:
     """Lower entries (by ulps) until dist[i,k] <= dist[i,j] + dist[j,k]
-    holds as exact reals.  Floyd-Warshall in round-down arithmetic; the
-    input is expected to be triangle-consistent up to rounding already,
-    so this converges in one or two passes.
+    holds as exact reals.  Floyd-Warshall in round-down arithmetic, in
+    passes until a pass changes nothing; every change lowers an entry, so
+    the passes end.  The input is expected to be triangle-consistent up
+    to rounding already: one or two passes usually suffice, but shortest
+    paths over many uneven hops can take ten.
     """
     d = dist.copy()
     n = d.shape[0]
-    for _ in range(max_passes):
+    changed = True
+    while changed:
         changed = False
         for j in range(n):
             via = floor_sum(d[:, j][:, None], d[j, :][None, :])
@@ -70,8 +73,6 @@ def exact_triangle_closure(dist: np.ndarray, max_passes: int = 8) -> np.ndarray:
             if mask.any():
                 d[mask] = via[mask]
                 changed = True
-        if not changed:
-            break
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
 

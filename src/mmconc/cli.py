@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
         for flag, kwargs in flag_spec.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
     space_arg = {"required": True, "help": "space document (JSON)"}
@@ -125,6 +124,7 @@ def _build_parser() -> _Parser:
         budget=budget,
         workers={"type": int, "default": 1},
         samples={"type": int, "default": 64},
+        format={"choices": ("json", "csv"), "default": "json"},
     )
     return parser
 
@@ -154,12 +154,7 @@ def _labels(space, indices) -> list[str]:
 
 
 def _emit(report, args) -> None:
-    if args.format == "csv":
-        if args.command != "levy-run":
-            raise SpaceFileError("--format", "csv is only available for levy-run")
-        text = report_csv(report)
-    else:
-        text = report_json(report)
+    text = report_csv(report) if getattr(args, "format", "json") == "csv" else report_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

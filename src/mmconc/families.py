@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .separation import (
     sep_exact,
     sep_lower_bound,
 )
-from .space import FiniteMMSpace, build_net, validate_space
+from .space import FiniteMMSpace, Net, build_net, validate_space
 
 __all__ = [
     "FamilySpec",
@@ -104,7 +105,7 @@ def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
     n = spec.n
     if not 1 <= n <= POINT_CAP:
         raise ValueError(f"discrete_torus size must be in 1..{POINT_CAP}, got {n}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int16)  # POINT_CAP < 2**15
     raw = np.abs(idx[:, None] - idx[None, :])
     arcs = np.minimum(raw, n - raw)
     if spec.normalized:
@@ -266,73 +267,62 @@ class LevyReport:
         }
 
 
-def _sep_cell(payload: dict) -> dict:
-    spec = FamilySpec(**payload["spec"])
+def _member_rows(
+    member: int,
+    spec: FamilySpec,
+    roster: list[tuple[str, FiniteMMSpace, Net | None]],
+    kappas: list[float],
+    effort: int,
+    seed: int,
+    samples: int,
+    budget: int,
+) -> tuple[list[dict], list[dict], list[dict]]:
+    """Sep rows, screen cells and roster suprema of one family member,
+    from one generation of its space.  Rows come out in report order: sep
+    rows by kappa, cells by (screen, kappa), suprema in kappa_grid order;
+    both sorts are stable, so repeated kappas and screen names keep the
+    order of the loops below."""
     space = generate(spec)
-    kappa = payload["kappa"]
-    budget = payload["budget"]
-    row = {"member": payload["member"], "n": spec.n, "kappa": kappa}
-    lb = sep_lower_bound(
-        space,
-        [kappa, kappa],
-        effort=payload["effort"],
-        seed=stable_seed(payload["seed"], "sep", spec.n, kappa),
-    )
-    row["sep_lower"] = lb.value
-    try:
-        ex = sep_exact(space, [kappa, kappa], budget)
-        row["sep_value"] = ex.value
-        row["sep_is_exact"] = True
-    except BudgetExceededError:
-        row["sep_value"] = None
-        row["sep_is_exact"] = False
-    return row
-
-
-def _screen_cell(payload: dict) -> dict:
-    spec = FamilySpec(**payload["spec"])
-    space = generate(spec)
-    screen = FiniteMMSpace(
-        tuple(payload["screen_points"]),
-        np.array(payload["screen_dist"]),
-        np.array(payload["screen_weights"]),
-    )
-    kappa = payload["kappa"]
-    bracket = obsdiam_screen_estimate(
-        space,
-        screen,
-        kappa,
-        samples=payload["samples"],
-        seed=stable_seed(payload["seed"], "cell", spec.n, payload["screen"], kappa),
-    )
-    row = {
-        "member": payload["member"],
-        "n": spec.n,
-        "screen": payload["screen"],
-        "kappa": kappa,
-        "obsdiam_lower": bracket.lower,
-        "obsdiam_upper": bracket.upper,
-        "upper_source": bracket.upper_source,
-        "witness_center": None,
-        "witness_ball_mass": None,
-        "witness_residual": None,
-    }
-    eps = payload["eps"]
-    if eps is not None and screen.n >= 1:
-        values = np.asarray(bracket.witness["values"], dtype=np.int64)
-        pm = pushforward_screen(space, screen, values)
-        net = build_net(screen, eps)
-        wit = concentration_witness(pm, net, eps, space.total_mass / 6.0)
-        if wit is not None:
-            row["witness_center"] = screen.points[wit.center]
-            row["witness_ball_mass"] = wit.ball_mass
-            row["witness_residual"] = wit.residual
-    return row
-
-
-def _run_job(job: tuple[str, dict]) -> tuple[str, dict]:
-    kind, payload = job
-    return kind, (_sep_cell(payload) if kind == "sep" else _screen_cell(payload))
+    sep_rows, cells, suprema = [], [], []
+    for kappa in kappas:
+        lb = sep_lower_bound(
+            space, [kappa, kappa], effort=effort, seed=stable_seed(seed, "sep", spec.n, kappa)
+        )
+        try:
+            exact = sep_exact(space, [kappa, kappa], budget).value
+        except BudgetExceededError:
+            exact = None
+        sep_rows.append(
+            {"member": member, "n": spec.n, "kappa": kappa, "sep_lower": lb.value,
+             "sep_value": exact, "sep_is_exact": exact is not None}
+        )
+        lowers = []
+        for name, screen, net in roster:
+            bracket = obsdiam_screen_estimate(
+                space, screen, kappa, samples=samples,
+                seed=stable_seed(seed, "cell", spec.n, name, kappa),
+            )
+            cell = {
+                "member": member, "n": spec.n, "screen": name, "kappa": kappa,
+                "obsdiam_lower": bracket.lower, "obsdiam_upper": bracket.upper,
+                "upper_source": bracket.upper_source,
+                "witness_center": None, "witness_ball_mass": None, "witness_residual": None,
+            }
+            if net is not None:
+                values = np.asarray(bracket.witness["values"], dtype=np.int64)
+                pm = pushforward_screen(space, screen, values)
+                wit = concentration_witness(pm, net, net.epsilon, space.total_mass / 6.0)
+                if wit is not None:
+                    cell.update(witness_center=screen.points[wit.center],
+                                witness_ball_mass=wit.ball_mass, witness_residual=wit.residual)
+            cells.append(cell)
+            lowers.append(bracket.lower)
+        if lowers:
+            # a repeated kappa repeats its seeds, hence its cells and supremum
+            suprema.append({"member": member, "n": spec.n, "kappa": kappa, "roster_sup": max(lowers)})
+    sep_rows.sort(key=lambda r: r["kappa"])
+    cells.sort(key=lambda c: (c["screen"], c["kappa"]))
+    return sep_rows, cells, suprema
 
 
 def run_levy_experiment(
@@ -356,8 +346,12 @@ def run_levy_experiment(
     (member, kappa), the supremum of the lower bounds over the roster —
     a finite stand-in for a supremum over a whole doubling class, and
     labeled as such.  Every row is keyed on `member`, the member's index
-    in `family`, so members of equal size never merge.  Deterministic for
-    fixed seed, any worker count.
+    in `family`, so members of equal size never merge.
+
+    Each member is one job (_member_rows): its space is generated once,
+    and the screens and their eps-nets, built once here, go to the job
+    as objects.  Every cell draws from a seed of (seed, n, screen name,
+    kappa) alone, so the report is byte-identical for any worker count.
     """
     if screens is None:
         screens = list(default_screen_roster())
@@ -378,73 +372,28 @@ def run_levy_experiment(
             horizons.append(profile.horizon)
         except ValueError as err:
             screen_rows.append({"screen": name, "error": str(err)})
-    usable = [s for s, row in zip(screens, screen_rows) if "error" not in row]
     common_r = min(horizons) if horizons else None
     eps = 3.0 * common_r / 32.0 if common_r else None
-
-    jobs: list[tuple[str, dict]] = []
-    base = {"seed": seed, "budget": budget, "effort": effort, "samples": samples, "eps": eps}
-    for member, spec in enumerate(family):
-        spec_dict = {
-            "kind": spec.kind,
-            "n": spec.n,
-            "normalized": spec.normalized,
-            "weights": spec.weights,
-            "edges": spec.edges,
-            "factors": spec.factors,
-            "path": spec.path,
-        }
-        for kappa in kappa_grid:
-            payload = {**base, "member": member, "spec": spec_dict, "kappa": float(kappa)}
-            jobs.append(("sep", payload))
-            for name, screen in usable:
-                jobs.append(
-                    (
-                        "screen",
-                        {
-                            **payload,
-                            "screen": name,
-                            "screen_points": list(screen.points),
-                            "screen_dist": screen.dist.tolist(),
-                            "screen_weights": screen.weights.tolist(),
-                        },
-                    )
-                )
+    roster = [
+        (name, screen, None if eps is None else build_net(screen, eps))
+        for (name, screen), row in zip(screens, screen_rows)
+        if "error" not in row
+    ]
+    kappas = [float(k) for k in kappa_grid]
+    job = partial(
+        _member_rows, roster=roster, kappas=kappas, effort=effort,
+        seed=seed, samples=samples, budget=budget,
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+            results = list(pool.map(job, range(len(family)), family))
     else:
-        results = [_run_job(j) for j in jobs]
-
-    sep_rows = sorted(
-        (row for kind, row in results if kind == "sep"),
-        key=lambda r: (r["member"], r["kappa"]),
-    )
-    cells = sorted(
-        (row for kind, row in results if kind == "screen"),
-        key=lambda r: (r["member"], r["screen"], r["kappa"]),
-    )
-    suprema = []
-    for member, spec in enumerate(family):
-        for kappa in kappa_grid:
-            vals = [
-                c["obsdiam_lower"]
-                for c in cells
-                if c["member"] == member and c["kappa"] == float(kappa)
-            ]
-            if vals:
-                suprema.append(
-                    {
-                        "member": member,
-                        "n": spec.n,
-                        "kappa": float(kappa),
-                        "roster_sup": max(vals),
-                    }
-                )
+        results = list(map(job, range(len(family)), family))
+    sep_rows, cells, suprema = ([row for part in results for row in part[i]] for i in range(3))
     meta = {
         "kind": family[0].kind if family else None,
         "sizes": [s.n for s in family],
-        "kappa_grid": [float(k) for k in kappa_grid],
+        "kappa_grid": kappas,
         "seed": seed,
         "effort": effort,
         "samples": samples,

@@ -9,8 +9,8 @@ feasible=False with value 0.0.
 
 Group masses follow one summation convention: a group's mass is its
 points' weights added in ascending point index, starting from 0.0, as
-np.bincount adds them (_group_masses).  The heuristic's deficits and
-the witness checks all compare kappas against sums made this way.
+np.bincount adds them (_group_masses).  The heuristic's component
+seeding, its deficits and the witness checks all use sums made this way.
 """
 
 from __future__ import annotations
@@ -306,8 +306,8 @@ def _try_threshold(
 ) -> np.ndarray | None:
     """Greedy component seeding plus randomized point moves.
 
-    Whole components of {d < threshold} are seeded, heaviest first, onto
-    the group with the largest deficit.  Then each of `effort` iterations
+    Whole components of {d < threshold} are seeded, heaviest first (by
+    _group_masses), onto the group with the largest deficit.  Then each of `effort` iterations
     draws a point p and a label g (two rng.integers calls, also for
     moves that are skipped); the move is skipped when g is p's label or
     when p lies closer than threshold to a point of another group, and
@@ -319,20 +319,19 @@ def _try_threshold(
     n = space.n
     n_groups = len(kappas)
     discard = n_groups
-    comp = _conflict_components(space.dist, threshold)
-    comp_ids = np.unique(comp)
-    comp_mass = np.array([space.weights[comp == c].sum() for c in comp_ids])
+    comp = _conflict_components(space.dist, threshold)  # labels 0..K-1
+    comp_mass = _group_masses(space.weights, comp, 0)
 
     assign = np.full(n, discard, dtype=np.int64)
     masses = np.zeros(n_groups)
     # seed whole components, heaviest first, onto the largest deficit
-    for c in comp_ids[np.argsort(-comp_mass, kind="stable")]:
+    for c in np.argsort(-comp_mass, kind="stable"):
         deficits = np.array(kappas) - masses
         g = int(np.argmax(deficits))
         if deficits[g] <= 0:
             break
         assign[comp == c] = g
-        masses[g] += space.weights[comp == c].sum()
+        masses[g] += comp_mass[c]
 
     close = space.dist < threshold
     np.fill_diagonal(close, False)

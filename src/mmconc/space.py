@@ -61,11 +61,6 @@ class PointSet:
     def from_mask(cls, mask: np.ndarray) -> "PointSet":
         return cls(tuple(int(i) for i in np.flatnonzero(mask)))
 
-    def as_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[list(self.indices)] = True
-        return mask
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -103,10 +98,6 @@ class FiniteMMSpace:
     @property
     def diameter(self) -> float:
         return float(self.dist.max())
-
-    def mass_of(self, subset: PointSet | Sequence[int]) -> float:
-        idx = list(subset)
-        return float(self.weights[idx].sum()) if idx else 0.0
 
     def distinct_distances(self) -> np.ndarray:
         """Sorted distinct off-diagonal distances (empty for one point).

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
+from mmconc import families
 
 
 class TestHammingCube:
@@ -51,6 +52,20 @@ class TestDiscreteTorus:
         assert sp.dist[0, 1] == pytest.approx(1 / 8, abs=1e-15)
         assert sp.diameter == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 1537])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_int16_arcs_give_the_int64_metric(self, n, normalized):
+        idx = np.arange(n, dtype=np.int64)
+        raw = np.abs(idx[:, None] - idx[None, :])
+        arcs = np.minimum(raw, n - raw)
+        if normalized:
+            table = mc.subadditive_table(n // 2, 1.0, float(n)) if n >= 2 else np.zeros(1)
+            want = table[arcs]
+        else:
+            want = arcs.astype(np.float64)
+        got = families._discrete_torus(mc.FamilySpec("discrete_torus", n, normalized))
+        assert got.dist.dtype == want.dtype and got.dist.tobytes() == want.tobytes()
+
 
 class TestWeightedGraph:
     def test_shortest_path_metric_on_a_small_graph(self):
@@ -80,6 +95,17 @@ class TestWeightedGraph:
         )
         sp = mc.generate(spec)
         assert sp.diameter == 1.0
+
+    def test_closure_runs_until_a_pass_changes_nothing(self):
+        """Round-down closure of this cycle with chords still lowers
+        entries in its ninth and tenth passes, so a closure capped at
+        eight passes leaves one-ulp triangle violations."""
+        n = 256
+        edges = [(i, (i + 1) % n, 1 + (i % 7) / 10) for i in range(n)]
+        edges += [(i, (i + 37) % n, 3.5) for i in range(0, n, 5)]
+        sp = mc.generate(mc.FamilySpec("weighted_graph", n, edges=tuple(edges)))
+        assert sp.n == n and 0.99 < sp.diameter <= 1.0
+        assert np.array_equal(mc.exact_triangle_closure(sp.dist), sp.dist)
 
 
 class TestProduct:

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mmconc.cli import main
 from conftest import random_space
 
 SPACES = "spaces"
+TREND_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "levy_trend.py"
 
 
 def run_cli(argv, capsys):
@@ -263,6 +265,13 @@ class TestCli:
         header = out.splitlines()[0].split(",")
         assert header == list(formats.LEVY_CSV_COLUMNS)
 
+    def test_format_is_a_levy_run_flag_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sep", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5",
+                  "--kappa", "0.5", "--format", "csv"])
+        assert exc.value.code == 1
+        assert "--format" in capsys.readouterr().err
+
     def test_levy_run_keeps_members_of_equal_size_apart(self, capsys):
         rc, out, _ = run_cli(
             ["levy-run", "--family", "hamming:3,3", "--seed", "0",
@@ -280,6 +289,19 @@ class TestCli:
         )
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["member"] for r in rows] == ["0"] * 3 + ["1"] * 3
+
+    def test_trend_script_prints_every_member(self, tmp_path):
+        out = tmp_path / "trend.json"
+        proc = subprocess.run(
+            [sys.executable, str(TREND_SCRIPT), "--max-n", "4", "--samples", "4",
+             "--effort", "200", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines() if line[:3].strip().isdigit()]
+        assert [int(r[0]) for r in rows] == [2, 3, 4]
+        assert all(len(r) == 3 + 2 * 3 for r in rows)  # n, sep, sup, two numbers per screen
+        assert [s["n"] for s in json.loads(out.read_text())["suprema"]] == [2, 3, 4]
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

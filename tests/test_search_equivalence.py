@@ -27,6 +27,14 @@ SPACES = Path(__file__).resolve().parent.parent / "spaces"
 # SHA-256 of report_json(run_levy_experiment(hamming 2..6, samples=32,
 # seed=0).as_dict()), computed with the reference searches
 TREND_DIGEST = "ae0c80b9c8db9f054c1ee0bc2c59feaf879e00c1ba2b0b18d33ad76fa6d3b2a6"
+# the same digest for the documented run (hamming 2..8, samples=64, seed=0),
+# for members [hamming 3, hamming 3, torus 12] at kappa_grid [0.2, 0.1, 0.1]
+# (seed 3), and for those members with the default roster plus a screen
+# that doubling_profile rejects (seed 1); computed with one job per
+# (member, kappa) and per (member, kappa, screen), each regenerating its space
+DOCUMENTED_DIGEST = "bf57ecc042e7ff8dcefa120dc7ab02dd919d6f041e0c183dad1151764d0e88fd"
+REPEATED_KAPPA_DIGEST = "5fd92ae488c141c8d041a6edde1270d9cb7521db120788514edee43c70fe828e"
+ERROR_SCREEN_DIGEST = "12e54565ad56d416e8e5b2100080a19c2c39af66e279f603b2d54c74fbb0eba9"
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +317,43 @@ def test_group_masses_add_in_ascending_index_order():
 # end to end
 
 
+def report_digest(report):
+    return hashlib.sha256(mc.report_json(report.as_dict()).encode()).hexdigest()
+
+
 def test_trend_report_digest_is_pinned():
     fam = [mc.FamilySpec("hamming_cube", n) for n in range(2, 7)]
-    report = mc.run_levy_experiment(fam, samples=32, seed=0)
-    digest = hashlib.sha256(mc.report_json(report.as_dict()).encode()).hexdigest()
-    assert digest == TREND_DIGEST
+    assert report_digest(mc.run_levy_experiment(fam, samples=32, seed=0)) == TREND_DIGEST
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_documented_trend_report_digest_is_pinned(workers):
+    fam = [mc.FamilySpec("hamming_cube", n) for n in range(2, 9)]
+    report = mc.run_levy_experiment(fam, seed=0, workers=workers)
+    assert report_digest(report) == DOCUMENTED_DIGEST
+
+
+MEMBERS = [
+    mc.FamilySpec("hamming_cube", 3),
+    mc.FamilySpec("hamming_cube", 3),
+    mc.FamilySpec("discrete_torus", 12),
+]
+
+
+def test_repeated_kappas_keep_the_grid_order_of_the_suprema():
+    report = mc.run_levy_experiment(
+        MEMBERS, kappa_grid=[0.2, 0.1, 0.1], seed=3, samples=8, effort=300
+    )
+    assert [(s["member"], s["kappa"]) for s in report.suprema] == [
+        (m, k) for m in range(3) for k in (0.2, 0.1, 0.1)
+    ]
+    assert report_digest(report) == REPEATED_KAPPA_DIGEST
+
+
+def test_a_rejected_screen_keeps_its_error_row_and_no_cells():
+    zero = mc.FiniteMMSpace(("a", "b"), np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1.0, 0.0]))
+    roster = list(mc.default_screen_roster()) + [("zero", zero)]
+    report = mc.run_levy_experiment(MEMBERS, screens=roster, seed=1, samples=8, effort=300)
+    assert "error" in report.screens[-1]
+    assert all(c["screen"] != "zero" for c in report.cells)
+    assert report_digest(report) == ERROR_SCREEN_DIGEST
