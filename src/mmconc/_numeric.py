@@ -61,18 +61,25 @@ def exact_triangle_closure(dist: np.ndarray) -> np.ndarray:
     the passes end.  The input is expected to be triangle-consistent up
     to rounding already: one or two passes usually suffice, but shortest
     paths over many uneven hops can take ten.
+
+    Hub j can lower an entry only if an entry of row j or column j fell
+    since j last ran, so a pass visits only those dirty hubs.  The hubs
+    it skips would have changed nothing, and the result is the one a
+    pass over every hub gives.
     """
     d = dist.copy()
     n = d.shape[0]
-    changed = True
-    while changed:
-        changed = False
+    dirty = np.ones(n, dtype=bool)
+    while dirty.any():
         for j in range(n):
+            if not dirty[j]:
+                continue
+            dirty[j] = False
             via = floor_sum(d[:, j][:, None], d[j, :][None, :])
             mask = via < d
             if mask.any():
                 d[mask] = via[mask]
-                changed = True
+                dirty |= mask.any(axis=1) | mask.any(axis=0)
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
 

@@ -69,6 +69,8 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
     if not isinstance(node, dict) or "kind" not in node:
         raise SpaceFileError(pointer, "generator needs a 'kind'")
     kind = node["kind"]
+    if not isinstance(kind, str):
+        raise SpaceFileError(f"{pointer}/kind", "must be a string")
     for key in ("factors", "edges"):
         if not isinstance(node.get(key, []), list):
             raise SpaceFileError(f"{pointer}/{key}", "must be a list")
@@ -82,8 +84,11 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
             raise SpaceFileError(f"{pointer}/edges[{i}]", "must be [i, j, length]")
         try:
             edges.append((int(e[0]), int(e[1]), float(e[2])))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise SpaceFileError(f"{pointer}/edges[{i}]", str(err)) from err
+    path = node.get("path")
+    if path is not None and not isinstance(path, str):
+        raise SpaceFileError(f"{pointer}/path", "must be a string")
     try:
         return FamilySpec(
             kind=kind,
@@ -91,9 +96,9 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
             normalized=bool(node.get("normalized", True)),
             edges=tuple(edges),
             factors=factors,
-            path=node.get("path"),
+            path=path,
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpaceFileError(pointer, str(err)) from err
 
 
@@ -116,15 +121,17 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
             raise SpaceFileError("/metric/generator", str(err)) from err
         if weights_field != "uniform":
             weights = _weights_array(weights_field, space.n)
-            space = FiniteMMSpace(space.points, space.dist.copy(), weights)
-            validate_space(space.points, space.dist, space.weights)
+            try:
+                space = validate_space(space.points, space.dist.copy(), weights)
+            except SpaceValidationError as err:
+                raise SpaceFileError("/weights", f"validation failed: {err}") from err
         return space
 
     if "matrix" not in metric:
         raise SpaceFileError("/metric", "needs 'matrix' or 'generator'")
     try:
         dist = np.asarray(metric["matrix"], dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpaceFileError("/metric/matrix", f"not a numeric matrix: {err}") from err
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise SpaceFileError("/metric/matrix", f"must be square, got shape {dist.shape}")
@@ -139,10 +146,13 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
         return validate_space(tuple(points), dist, weights)
     except SpaceValidationError as err:
         first = err.violations[0]
-        raise SpaceFileError(
-            f"/metric/matrix{list(first.indices)}",
-            f"validation failed: {err}",
-        ) from err
+        if first.kind == "duplicate_label":
+            field = "/points"
+        elif first.kind.endswith("_weight") or first.kind == "zero_total_mass":
+            field = f"/weights{list(first.indices)}"
+        else:
+            field = f"/metric/matrix{list(first.indices)}"
+        raise SpaceFileError(field, f"validation failed: {err}") from err
 
 
 def _weights_array(field: Any, n: int) -> np.ndarray:
@@ -150,7 +160,7 @@ def _weights_array(field: Any, n: int) -> np.ndarray:
         return np.full(n, 1.0 / n)
     try:
         weights = np.asarray(field, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpaceFileError("/weights", f"not numeric: {err}") from err
     if weights.shape != (n,):
         raise SpaceFileError("/weights", f"{weights.shape} weights for {n} points")
@@ -178,8 +188,11 @@ def parse_real_measure(source: str | dict) -> RealMeasure:
     for i, atom in enumerate(atoms):
         if not isinstance(atom, (list, tuple)) or len(atom) != 2:
             raise SpaceFileError(f"/atoms[{i}]", "must be [position, weight]")
-        positions.append(float(atom[0]))
-        weights.append(float(atom[1]))
+        try:
+            positions.append(float(atom[0]))
+            weights.append(float(atom[1]))
+        except (TypeError, ValueError, OverflowError) as err:
+            raise SpaceFileError(f"/atoms[{i}]", f"not numeric: {err}") from err
     try:
         return RealMeasure.from_atoms(np.array(positions), np.array(weights))
     except ValueError as err:

@@ -21,6 +21,7 @@ from .separation import (
     BudgetExceededError,
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
+    SepResult,
     _conflict_components,
     real_measure_as_space,
     sep_exact,
@@ -304,23 +305,41 @@ def lipschitz_candidates(
     """Candidate pool of exactly 1-Lipschitz real functions.
 
     Distance functions to singletons, to separation witnesses at kappa/2
-    and kappa/4, and to random subsets; the best few are refined by
-    coordinate ascent that moves one value to an end of its feasible
-    interval.  Deterministic for a fixed seed.
+    and kappa/4 (skipped when the separation budget refuses), and to
+    random subsets; the best few are refined by coordinate ascent that
+    moves one value to an end of its feasible interval.  Deterministic
+    for a fixed seed.
     """
+    return _candidate_pool(space, kappa, effort, seed, budget, _half_sep(space, kappa, budget))
+
+
+def _half_sep(space: FiniteMMSpace, kappa: float, budget: int) -> SepResult | None:
+    """Sep(kappa/2, kappa/2), or None when the budget refuses it."""
+    try:
+        return sep_exact(space, [kappa / 2.0, kappa / 2.0], budget)
+    except BudgetExceededError:
+        return None
+
+
+def _candidate_pool(
+    space: FiniteMMSpace,
+    kappa: float,
+    effort: int,
+    seed: int,
+    budget: int,
+    half: SepResult | None,
+) -> list[np.ndarray]:
+    """lipschitz_candidates, given its Sep(kappa/2, kappa/2) (None when
+    refused; Sep(kappa/4, kappa/4) then needs the same refused search)."""
     n = space.n
     m = space.total_mass
     target = m - kappa
     rng = rng_for(seed, "obsdiam-real", n)
     pool: list[np.ndarray] = [np.zeros(n)]
     pool += [space.dist[:, i].copy() for i in range(n)]
-    for kprime in (kappa / 2.0, kappa / 4.0):
-        try:
-            res = sep_exact(space, [kprime, kprime], budget)
-        except BudgetExceededError:
-            break
-        if res.witnesses:
-            for w in res.witnesses:
+    if half is not None:
+        for res in (half, sep_exact(space, [kappa / 4.0, kappa / 4.0], budget)):
+            for w in res.witnesses or ():
                 pool.append(_distance_function(space, list(w)))
     n_random = min(max(effort // 50, 8), 200)
     for _ in range(n_random):
@@ -387,7 +406,8 @@ def obsdiam_real_bracket(
     target = m - kappa
     best_val = 0.0
     best_f: np.ndarray | None = None
-    for f in lipschitz_candidates(space, kappa, effort, seed, budget):
+    half = _half_sep(space, kappa, budget)
+    for f in _candidate_pool(space, kappa, effort, seed, budget, half):
         val = partial_diameter_real(pushforward_real(space, f), target)
         if math.isfinite(val) and val > best_val:
             best_val, best_f = val, f
@@ -395,13 +415,12 @@ def obsdiam_real_bracket(
         "kind": "function_values",
         "values": None if best_f is None else [float(v) for v in best_f],
     }
-    try:
-        upper_res = sep_exact(space, [kappa / 2.0, kappa / 2.0], budget)
-        upper = upper_res.value
-        source = "separation at kappa/2 per slot"
-    except BudgetExceededError:
+    if half is None:
         upper = math.inf
         source = "separation budget exceeded"
+    else:
+        upper = half.value
+        source = "separation at kappa/2 per slot"
     if best_val > upper:
         raise RuntimeError(
             f"inverted bracket: achieved lower {best_val!r} above certified upper {upper!r}"

@@ -7,6 +7,15 @@ point to one group or discarding it, so sep_exact searches assignments.
 Overlapping families only ever realize value 0, which we report as
 feasible=False with value 0.0.
 
+The exact search (_feasible_assignment) keeps point sets as Python-int
+bitmasks: a point may join a group when no other group's reach (the
+points closer than the threshold to one of its members) contains it.
+It prunes a subtree when some group cannot reach its kappa from the
+unvisited points it may still take.  Those masses come from byte-wide
+tables of subset masses (_mass_tables), summed in another order than the
+convention below, so they serve the prune only and carry a slack; no
+admissibility check reads them.
+
 Group masses follow one summation convention: a group's mass is its
 points' weights added in ascending point index, starting from 0.0, as
 np.bincount adds them (_group_masses).  The heuristic's component
@@ -40,6 +49,7 @@ __all__ = [
 DEFAULT_ASSIGNMENT_BUDGET = 3**13  # (N+2)^n admissible for n <= 13 when N = 1
 
 _MASS_SLACK = 1e-9  # pruning guard only; admissibility checks stay exact
+_MASK_CHUNK = 8  # bits per mass table in the exact search's prune
 
 
 class BudgetExceededError(RuntimeError):
@@ -185,63 +195,115 @@ def _check_kappas(kappas: Sequence[float]) -> list[float]:
     return ks
 
 
+def _mass_tables(weights: np.ndarray) -> list[list[float]]:
+    """Mass of every bitmask of points, from one table per byte of the
+    mask: tables[i][b] is the mass of the points 8i + j for the set bits
+    j of b, and the mass of mask m is the sum over i of
+    tables[i][(m >> 8i) & 255].  The tables stay at 256 entries however
+    many points there are.  They add in another order than
+    _group_masses, so they serve the prune only."""
+    ws = [float(w) for w in weights]
+    tables = []
+    for lo in range(0, len(ws), _MASK_CHUNK):
+        table = [0.0]
+        for w in ws[lo : lo + _MASK_CHUNK]:
+            table += [s + w for s in table]
+        tables.append(table)
+    return tables
+
+
 def _feasible_assignment(
     dist: np.ndarray,
     weights: np.ndarray,
     kappas: Sequence[float],
     threshold: float,
+    tables: list[list[float]],
 ) -> np.ndarray | None:
     """Lexicographically smallest assignment (groups 0..N, discard N+1)
     with all cross-group distances >= threshold, every group nonempty,
     and group masses >= kappas.  None if no assignment exists.
+
+    Depth-first over points 0..n-1, trying groups 0..N-1 and then the
+    discard.  Point sets are Python-int bitmasks, built once per
+    threshold: close[q] holds the points p with dist[p, q] < threshold
+    (a new point p is compared with an earlier member q in that
+    orientation), and each group keeps its members and its reach, the
+    union of its members' close masks.  Point p may join group g when
+    no other group's reach contains it, i.e. dist[p, q] >= threshold
+    for every member q of every other group.
+
+    A node is pruned when the groups' total deficit exceeds the
+    unvisited mass, when more groups are empty than points remain, or
+    when some group is empty or short of its kappa and the unvisited
+    points outside every other group's reach cannot fill it (the other
+    groups only grow, so those points are all it can still take).  The
+    last masses are read from `tables` (_mass_tables) and compared with
+    _MASS_SLACK to spare, so a prune never removes an admissible leaf
+    and the first leaf found is the one an unpruned search finds.  The
+    tables are used for pruning only: group masses are Python floats
+    added in ascending point order, as _group_masses adds them, and the
+    leaf compares them with kappas exactly.
     """
     n = len(weights)
     n_groups = len(kappas)
-    discard = n_groups
-    suffix = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))
-    slack = _MASS_SLACK * (1.0 + float(suffix[0]))
-    assign = np.full(n, -1, dtype=np.int64)
-    members: list[list[int]] = [[] for _ in range(n_groups)]
+    groups = range(n_groups)
+    w = [float(x) for x in weights]
+    suffix = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0])).tolist()
+    slack = _MASS_SLACK * (1.0 + suffix[0])
+    byte = (1 << _MASK_CHUNK) - 1
+    close = [sum(1 << int(p) for p in np.flatnonzero(col)) for col in (dist < threshold).T]
+    assign = [n_groups] * n  # discard unless placed
+    members = [0] * n_groups
+    reach = [0] * n_groups
     masses = [0.0] * n_groups
 
     def rec(p: int) -> bool:
         if p == n:
-            return all(members[g] for g in range(n_groups)) and all(
-                masses[g] >= kappas[g] for g in range(n_groups)
-            )
+            return all(members) and all(masses[g] >= kappas[g] for g in groups)
+        unvisited = (1 << n) - (1 << p)
         deficit = 0.0
         empty = 0
-        for g in range(n_groups):
+        blocked = []
+        for g in groups:
+            others = 0
+            for g2 in groups:
+                if g2 != g:
+                    others |= reach[g2]
+            blocked.append(others)
+            room = unvisited & ~others
             if masses[g] < kappas[g]:
-                deficit += kappas[g] - masses[g]
+                short = kappas[g] - masses[g]
+                deficit += short
+                reachable = 0.0
+                rest = room
+                for table in tables:
+                    reachable += table[rest & byte]
+                    rest >>= _MASK_CHUNK
+                if short > reachable + slack:
+                    return False
             if not members[g]:
                 empty += 1
+                if not room:
+                    return False
         if deficit > suffix[p] + slack or empty > n - p:
             return False
-        row = dist[p]
-        for g in range(n_groups):
-            ok = True
-            for g2 in range(n_groups):
-                if g2 != g and members[g2] and row[members[g2]].min() < threshold:
-                    ok = False
-                    break
-            if ok:
-                saved = masses[g]
-                members[g].append(p)
-                masses[g] = saved + float(weights[p])
+        bit = 1 << p
+        for g in groups:
+            if not blocked[g] & bit:
+                saved_reach, saved_mass = reach[g], masses[g]
+                members[g] |= bit
+                reach[g] = saved_reach | close[p]
+                masses[g] = saved_mass + w[p]
                 assign[p] = g
                 if rec(p + 1):
                     return True
-                members[g].pop()
-                masses[g] = saved
-                assign[p] = -1
-        assign[p] = discard
-        if rec(p + 1):
-            return True
-        assign[p] = -1
-        return False
+                members[g] ^= bit
+                reach[g] = saved_reach
+                masses[g] = saved_mass
+        assign[p] = n_groups
+        return rec(p + 1)
 
-    return assign.copy() if rec(0) else None
+    return np.array(assign, dtype=np.int64) if rec(0) else None
 
 
 def sep_exact(
@@ -263,11 +325,14 @@ def sep_exact(
             f"sep_exact needs {n_labels}^{space.n} assignments, over budget {budget}"
         )
     thresholds = space.distinct_distances()
+    tables = _mass_tables(space.weights)
     lo, hi = 0, len(thresholds) - 1
     best: tuple[float, np.ndarray] | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        assign = _feasible_assignment(space.dist, space.weights, kappas, float(thresholds[mid]))
+        assign = _feasible_assignment(
+            space.dist, space.weights, kappas, float(thresholds[mid]), tables
+        )
         if assign is not None:
             best = (float(thresholds[mid]), assign)
             lo = mid + 1

@@ -9,9 +9,11 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 import mmconc as mc
 from mmconc import families
+from mmconc._numeric import floor_sum
 
 
 class TestHammingCube:
@@ -107,6 +109,26 @@ class TestWeightedGraph:
         assert sp.n == n and 0.99 < sp.diameter <= 1.0
         assert np.array_equal(mc.exact_triangle_closure(sp.dist), sp.dist)
 
+    def test_closure_over_dirty_hubs_equals_the_pass_over_every_hub(self):
+        """The closure skips hubs whose row and column did not change;
+        the result must be the one every hub in every pass gives, byte
+        for byte: uneven shortest paths, raw random matrices (many passes,
+        asymmetric), and matrices with nonzero diagonals."""
+        rng = np.random.default_rng(12)
+        for i in range(24):
+            n = int(rng.integers(2, 40))
+            if i % 3 == 0:
+                lengths = np.where(rng.random((n, n)) < 0.15, rng.uniform(0.1, 3.0, (n, n)), 0.0)
+                lengths[np.arange(n - 1), np.arange(1, n)] = 1 + (np.arange(n - 1) % 7) / 10
+                d = dijkstra(lengths, directed=False)
+                d = d / d.max()
+            else:
+                d = rng.uniform(0.1, 1.0, (n, n))
+                if i % 3 == 1:
+                    np.fill_diagonal(d, 0.0)
+            got = mc.exact_triangle_closure(d)
+            assert got.tobytes() == reference_triangle_closure(d).tobytes(), i
+
 
 class TestProduct:
     def test_product_of_two_cubes_is_the_sum_metric(self):
@@ -135,6 +157,23 @@ def bit_loop_hamming(n: int) -> np.ndarray:
         ham += xor & 1
         xor >>= 1
     return ham
+
+
+def reference_triangle_closure(dist):
+    """Every hub in every pass, until a pass changes nothing."""
+    d = dist.copy()
+    n = d.shape[0]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            via = floor_sum(d[:, j][:, None], d[j, :][None, :])
+            mask = via < d
+            if mask.any():
+                d[mask] = via[mask]
+                changed = True
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -160,6 +161,45 @@ class TestObsdiamReal:
                 continue
             br = mc.obsdiam_real_bracket(sp, kap / 2, effort=300, seed=5)
             assert br.lower >= sep.value - 1e-12
+
+    def test_one_half_kappa_separation_per_bracket(self, monkeypatch):
+        """The bracket's upper bound and its candidate pool share one
+        Sep(kappa/2, kappa/2); the pool adds Sep(kappa/4, kappa/4), and
+        the public candidate list is the pool the bracket scores."""
+        rng = np.random.default_rng(80)
+        sp = random_space(rng, 7)
+        kap = 0.2
+        calls = []
+
+        def counting(space, kappas, budget):
+            calls.append(list(kappas))
+            return mc.sep_exact(space, kappas, budget)
+
+        monkeypatch.setattr(mc.observable, "sep_exact", counting)
+        br = mc.obsdiam_real_bracket(sp, kap, effort=300, seed=6)
+        assert calls == [[kap / 2, kap / 2], [kap / 4, kap / 4]]
+        assert br.upper == mc.sep_exact(sp, [kap / 2, kap / 2]).value
+        m = sp.weights.sum()
+        pool = mc.lipschitz_candidates(sp, kap, effort=300, seed=6)
+        best = max(mc.partial_diameter_real(mc.pushforward_real(sp, f), m - kap) for f in pool)
+        assert br.lower == best
+        assert br.witness["values"] in [[float(v) for v in f] for f in pool]
+
+    def test_budget_refusal_keeps_the_pool_and_an_infinite_upper(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        sp = random_space(rng, 6)
+        calls = []
+
+        def counting(space, kappas, budget):
+            calls.append(list(kappas))
+            return mc.sep_exact(space, kappas, budget)
+
+        monkeypatch.setattr(mc.observable, "sep_exact", counting)
+        br = mc.obsdiam_real_bracket(sp, 0.2, effort=300, seed=7, budget=3**5)
+        assert calls == [[0.1, 0.1]]
+        assert br.upper == math.inf and br.upper_source == "separation budget exceeded"
+        pool = mc.lipschitz_candidates(sp, 0.2, effort=300, seed=7, budget=3**5)
+        assert len(pool) > sp.n and br.lower > 0.0
 
     def test_lower_above_upper_raises(self, two_point, monkeypatch):
         """A separation value below an achieved partial diameter is a bug,

@@ -1,28 +1,42 @@
-"""The screen sampler and the separation heuristic against reference copies.
+"""The screen sampler and the separation searches against reference copies.
 
-`sample_lipschitz_map` keeps a stack of forward-checked domains and
-`_try_threshold` a precomputed conflict matrix.  The references below are
-the earlier implementations, which rescan every assigned point at each
-step; they are kept here, test-only, so that every seeded map and
-assignment can be compared bit for bit.  The trend report digest pins the
-end-to-end output of the same searches.
+`sample_lipschitz_map` keeps a stack of forward-checked domains,
+`_try_threshold` a precomputed conflict matrix, and `_feasible_assignment`
+bitmasks with a reachable-mass prune.  The references below are the
+earlier implementations, which rescan every assigned point at each step
+(the exact search with numpy minima over group members); they are kept
+here, test-only, so that every seeded map and assignment can be compared
+bit for bit.  The trend report digest pins the end-to-end output of the
+same searches, and `sep_exact` is checked against the subset oracle of
+the benchmark.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
 from mmconc._numeric import rng_for
-from mmconc.separation import _conflict_components, _group_masses, _try_threshold
+from mmconc.separation import (
+    _MASS_SLACK,
+    _conflict_components,
+    _feasible_assignment,
+    _group_masses,
+    _mass_tables,
+    _try_threshold,
+)
 from conftest import random_space
 
 SPACES = Path(__file__).resolve().parent.parent / "spaces"
+sys.path.insert(0, str(SPACES.parent / "bench"))
+import oracles  # noqa: E402  (numpy only; never imports mmconc)
 
 # SHA-256 of report_json(run_levy_experiment(hamming 2..6, samples=32,
 # seed=0).as_dict()), computed with the reference searches
@@ -148,6 +162,56 @@ def reference_try_threshold(space, kappas, threshold, effort, rng):
         if not len(members) or _sequential_mass(space.weights, members) < kappas[g]:
             return None
     return assign
+
+
+def reference_feasible_assignment(dist, weights, kappas, threshold):
+    n = len(weights)
+    n_groups = len(kappas)
+    discard = n_groups
+    suffix = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))
+    slack = _MASS_SLACK * (1.0 + float(suffix[0]))
+    assign = np.full(n, -1, dtype=np.int64)
+    members: list[list[int]] = [[] for _ in range(n_groups)]
+    masses = [0.0] * n_groups
+
+    def rec(p: int) -> bool:
+        if p == n:
+            return all(members[g] for g in range(n_groups)) and all(
+                masses[g] >= kappas[g] for g in range(n_groups)
+            )
+        deficit = 0.0
+        empty = 0
+        for g in range(n_groups):
+            if masses[g] < kappas[g]:
+                deficit += kappas[g] - masses[g]
+            if not members[g]:
+                empty += 1
+        if deficit > suffix[p] + slack or empty > n - p:
+            return False
+        row = dist[p]
+        for g in range(n_groups):
+            ok = True
+            for g2 in range(n_groups):
+                if g2 != g and members[g2] and row[members[g2]].min() < threshold:
+                    ok = False
+                    break
+            if ok:
+                saved = masses[g]
+                members[g].append(p)
+                masses[g] = saved + float(weights[p])
+                assign[p] = g
+                if rec(p + 1):
+                    return True
+                members[g].pop()
+                masses[g] = saved
+                assign[p] = -1
+        assign[p] = discard
+        if rec(p + 1):
+            return True
+        assign[p] = -1
+        return False
+
+    return assign.copy() if rec(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +375,94 @@ def test_group_masses_add_in_ascending_index_order():
             assert got[g] == _sequential_mass(weights, members)
             order_visible += sum(float(weights[i]) for i in members[::-1]) != got[g]
     assert order_visible > 0
+
+
+# ---------------------------------------------------------------------------
+# exact separation
+
+
+def assert_same_feasibility(dist, weights, kappas, tag):
+    """Both searches at every distinct threshold (and at 0, where no pair
+    conflicts), as arrays equal in value and dtype or both None."""
+    tables = _mass_tables(weights)
+    n = len(weights)
+    off = dist[~np.eye(n, dtype=bool)]
+    for t in [0.0] + np.unique(off).tolist():
+        got = _feasible_assignment(dist, weights, kappas, t, tables)
+        want = reference_feasible_assignment(dist, weights, kappas, t)
+        if want is None:
+            assert got is None, (tag, t)
+        else:
+            assert got is not None and got.dtype == want.dtype, (tag, t)
+            assert np.array_equal(got, want), (tag, t, got, want)
+
+
+def kappa_choices(rng, weights, n_groups):
+    """Thresholds that sit on the searches' edges: 0, above the total
+    mass, and exact group masses of a random assignment (the sums the
+    leaf compares, so the prune must not cut them off by rounding)."""
+    total = float(np.sum(weights))
+    labels = rng.integers(0, n_groups + 1, size=len(weights))
+    exact = _group_masses(weights, labels, n_groups + 1)[:n_groups].tolist()
+    yield exact
+    yield [float(k) for k in rng.uniform(0.0, 0.6 * total, size=n_groups)]
+    yield [0.0] * n_groups
+    yield [0.0] + exact[1:]
+    yield exact[:-1] + [total * 1.01 + 0.1]
+
+
+def test_exact_search_matches_reference_on_random_l1_spaces():
+    rng = np.random.default_rng(11)
+    for i in range(120):
+        n = int(rng.integers(1, 12 if i % 4 else 9))
+        space = random_l1_space(rng, n)
+        weights = space.weights.copy()
+        if i % 3 == 0:
+            weights[rng.random(n) < 0.3] = 0.0
+        if i % 5 == 0:
+            weights = rng.uniform(0.0, 1.0, size=n)  # unnormalized, arbitrary sums
+        n_groups = 2 + i % 2
+        for j, kappas in enumerate(kappa_choices(rng, weights, n_groups)):
+            assert_same_feasibility(space.dist, weights, kappas, (i, j))
+
+
+def test_exact_search_matches_reference_on_cubes():
+    for n in (2, 3):
+        space = cube(n)
+        for kappas in ([0.1, 0.1], [0.25, 0.25], [0.2, 0.1, 0.1], [0.5, 0.5]):
+            assert_same_feasibility(space.dist, space.weights, kappas, (n, kappas))
+
+
+@st.composite
+def l1_space_and_kappas(draw):
+    """Up to ten distinct integer points under the L1 metric (scaled by
+    1/8, so distances are exact and often tied), weights that may be zero
+    or arbitrary, and two thresholds, sometimes an exact subset mass."""
+    n = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 3))
+    coord = st.tuples(*[st.integers(0, 3)] * dim)
+    pts = np.array(draw(st.lists(coord, min_size=n, max_size=n, unique=True)))
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2) / 8.0
+    weight = st.one_of(st.sampled_from([0.0, 0.125, 0.25]), st.floats(0.01, 1.0))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    if not weights.sum() > 0:
+        weights[0] = 1.0
+    masses = oracles.subset_masses(weights)
+    kappa = st.one_of(
+        st.floats(0.0, 1.1 * float(weights.sum())),
+        st.integers(1, (1 << n) - 1).map(lambda mask: float(masses[mask])),
+    )
+    space = mc.validate_space(tuple(f"p{i}" for i in range(n)), dist, weights)
+    return space, draw(kappa), draw(kappa)
+
+
+@settings(max_examples=150)
+@given(l1_space_and_kappas())
+def test_sep_exact_equals_the_subset_oracle(case):
+    space, ka, kb = case
+    result = mc.sep_exact(space, [ka, kb])
+    assert result.value == oracles.sep_two_groups(space.dist, space.weights, ka, kb)
+    assert result.feasible == (result.value > 0)
 
 
 # ---------------------------------------------------------------------------

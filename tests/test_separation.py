@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mmconc as mc
+from mmconc.separation import _mass_tables
 from conftest import line_space, random_measure, random_space
 
 
@@ -59,6 +60,23 @@ class TestSepExact:
         i = int(rng.integers(0, 2))
         bumped[i] = min(bumped[i] + rng.uniform(0.01, 0.3), m)
         assert mc.sep_exact(sp, bumped).value <= mc.sep_exact(sp, base).value
+
+    def test_prune_tables_stay_small_past_the_budget(self):
+        """The prune reads subset masses from 256-entry byte tables, so a
+        raised budget on a 32-point cube costs no 2^16-entry table; the
+        value is Harper's (Hamming distance 3 at kappa = 0.1)."""
+        rng = np.random.default_rng(33)
+        w = rng.uniform(0.0, 1.0, size=70)
+        tables = _mass_tables(w)
+        assert [len(t) for t in tables] == [256] * 8 + [64]
+        for _ in range(100):
+            pick = rng.random(70) < 0.5
+            mask = sum(1 << int(i) for i in np.flatnonzero(pick))
+            got = sum(t[(mask >> 8 * i) & 255] for i, t in enumerate(tables))
+            assert abs(got - w[pick].sum()) <= 1e-12
+        cube5 = mc.generate(mc.FamilySpec("hamming_cube", 5))
+        r = mc.sep_exact(cube5, [0.1, 0.1], budget=3**32)
+        assert r.value == cube5.dist[0, 0b00111]
 
     def test_infeasible_masses_give_zero_with_flag(self, two_point):
         r = mc.sep_exact(two_point, [0.6, 0.6])
