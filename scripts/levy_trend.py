@@ -16,6 +16,7 @@ Usage:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from mmconc import FamilySpec, report_csv, report_json, run_levy_experiment
@@ -44,6 +45,8 @@ def parse_args():
 
 def main():
     args = parse_args()
+    if args.effort < 0:
+        sys.exit("--effort: must be >= 0")
     kappas = args.kappa or [0.1]
     family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
     report = run_levy_experiment(

@@ -163,6 +163,8 @@ def _emit(report, args) -> None:
 
 
 def _run(args) -> dict:
+    if getattr(args, "effort", None) is not None and args.effort < 0:
+        raise SpaceFileError("--effort", "must be >= 0")
     if args.command == "validate":
         space = parse_space(args.space)
         return {

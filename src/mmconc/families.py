@@ -33,6 +33,7 @@ from .separation import (
     BudgetExceededError,
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
+    _check_effort,
     sep_exact,
     sep_lower_bound,
 )
@@ -353,6 +354,7 @@ def run_levy_experiment(
     as objects.  Every cell draws from a seed of (seed, n, screen name,
     kappa) alone, so the report is byte-identical for any worker count.
     """
+    _check_effort(effort)
     if screens is None:
         screens = list(default_screen_roster())
     screen_rows = []

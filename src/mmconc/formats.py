@@ -16,6 +16,11 @@ Space document:
 
 Real-measure document:
     {"schema_version": 1, "atoms": [[position, weight], ...]}
+
+Numbers must be JSON numbers (a string such as "1e0" or a boolean is
+refused with its pointer), a generator's n and edge ends integers, and
+normalized true or false.  A custom_file generator's path may not name a
+document that is being parsed, directly or through product factors.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import csv
 import io
 import json
 import math
+import os
+from contextvars import ContextVar
 from typing import Any
 
 import numpy as np
@@ -50,6 +57,36 @@ class SpaceFileError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
+# real paths of the space documents being parsed, outermost first; a
+# custom_file generator that names one of them is a cycle
+_OPEN_PATHS: ContextVar[tuple[str, ...]] = ContextVar("open_space_documents", default=())
+
+
+def _refuse_non_numbers(values: Any, pointer: str, depth: int, index: tuple = ()) -> None:
+    """Raise at the first string or boolean up to `depth` list levels
+    down.  json.load reads numbers as int or float, but numpy and float()
+    would also take "1e0" and true; deeper nesting fails the callers'
+    shape checks."""
+    if not isinstance(values, list):
+        return
+    for i, value in enumerate(values):
+        at = index + (i,)
+        if isinstance(value, (str, bool)):
+            raise SpaceFileError(f"{pointer}{list(at)}", f"must be a number, got {json.dumps(value)}")
+        if depth > 1:
+            _refuse_non_numbers(value, pointer, depth - 1, at)
+
+
+def _integer(value: Any, pointer: str) -> int:
+    """An int, or a float with an integral value; json.load reads 3.0
+    as a float, but int() would also truncate 2.7 and take true."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpaceFileError(pointer, f"must be an integer, got {json.dumps(value, default=str)}")
+    return value
+
+
 def _load(source: str | dict) -> dict:
     if isinstance(source, dict):
         return source
@@ -60,6 +97,8 @@ def _load(source: str | dict) -> dict:
         raise SpaceFileError("/", f"cannot read {source}: {err}") from err
     except json.JSONDecodeError as err:
         raise SpaceFileError("/", f"not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise SpaceFileError("/", "nested too deeply") from err
     if not isinstance(doc, dict):
         raise SpaceFileError("/", "top level must be an object")
     return doc
@@ -82,29 +121,44 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
     for i, e in enumerate(node.get("edges", [])):
         if not isinstance(e, list) or len(e) != 3:
             raise SpaceFileError(f"{pointer}/edges[{i}]", "must be [i, j, length]")
+        _refuse_non_numbers(e, f"{pointer}/edges", 1, (i,))
+        ends = [_integer(e[k], f"{pointer}/edges[{i}, {k}]") for k in (0, 1)]
         try:
-            edges.append((int(e[0]), int(e[1]), float(e[2])))
+            edges.append((*ends, float(e[2])))
         except (TypeError, ValueError, OverflowError) as err:
             raise SpaceFileError(f"{pointer}/edges[{i}]", str(err)) from err
     path = node.get("path")
     if path is not None and not isinstance(path, str):
         raise SpaceFileError(f"{pointer}/path", "must be a string")
-    try:
-        return FamilySpec(
-            kind=kind,
-            n=int(node.get("n", 0)),
-            normalized=bool(node.get("normalized", True)),
-            edges=tuple(edges),
-            factors=factors,
-            path=path,
-        )
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpaceFileError(pointer, str(err)) from err
+    if kind == "custom_file" and path and os.path.realpath(path) in _OPEN_PATHS.get():
+        raise SpaceFileError(f"{pointer}/path", f"cycle: {path} is a document being parsed")
+    normalized = node.get("normalized", True)
+    if not isinstance(normalized, bool):
+        raise SpaceFileError(f"{pointer}/normalized", "must be true or false")
+    return FamilySpec(
+        kind=kind,
+        n=_integer(node.get("n", 0), f"{pointer}/n"),
+        normalized=normalized,
+        edges=tuple(edges),
+        factors=factors,
+        path=path,
+    )
 
 
 def parse_space(source: str | dict) -> FiniteMMSpace:
-    """Read and validate a space document (path or parsed object)."""
-    doc = _load(source)
+    """Read and validate a space document (path or parsed object).  A
+    custom_file generator that names a document already being parsed,
+    directly or through product factors, is refused as a cycle."""
+    if isinstance(source, dict):
+        return _parse_space_doc(source)
+    token = _OPEN_PATHS.set(_OPEN_PATHS.get() + (os.path.realpath(source),))
+    try:
+        return _parse_space_doc(_load(source))
+    finally:
+        _OPEN_PATHS.reset(token)
+
+
+def _parse_space_doc(doc: dict) -> FiniteMMSpace:
     if doc.get("schema_version", 1) != 1:
         raise SpaceFileError("/schema_version", f"unsupported version {doc['schema_version']}")
     metric = doc.get("metric")
@@ -129,6 +183,7 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
 
     if "matrix" not in metric:
         raise SpaceFileError("/metric", "needs 'matrix' or 'generator'")
+    _refuse_non_numbers(metric["matrix"], "/metric/matrix", 2)
     try:
         dist = np.asarray(metric["matrix"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
@@ -158,6 +213,7 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
 def _weights_array(field: Any, n: int) -> np.ndarray:
     if field == "uniform":
         return np.full(n, 1.0 / n)
+    _refuse_non_numbers(field, "/weights", 1)
     try:
         weights = np.asarray(field, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
@@ -188,6 +244,7 @@ def parse_real_measure(source: str | dict) -> RealMeasure:
     for i, atom in enumerate(atoms):
         if not isinstance(atom, (list, tuple)) or len(atom) != 2:
             raise SpaceFileError(f"/atoms[{i}]", "must be [position, weight]")
+        _refuse_non_numbers(list(atom), "/atoms", 1, (i,))
         try:
             positions.append(float(atom[0]))
             weights.append(float(atom[1]))

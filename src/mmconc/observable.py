@@ -22,6 +22,7 @@ from .separation import (
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
     SepResult,
+    _check_effort,
     _conflict_components,
     real_measure_as_space,
     sep_exact,
@@ -310,6 +311,7 @@ def lipschitz_candidates(
     moves one value to an end of its feasible interval.  Deterministic
     for a fixed seed.
     """
+    _check_effort(effort)
     return _candidate_pool(space, kappa, effort, seed, budget, _half_sep(space, kappa, budget))
 
 
@@ -403,6 +405,7 @@ def obsdiam_real_bracket(
     m = space.total_mass
     if not 0.0 < kappa < m:
         raise ValueError(f"kappa must lie in (0, total mass {m})")
+    _check_effort(effort)
     target = m - kappa
     best_val = 0.0
     best_f: np.ndarray | None = None

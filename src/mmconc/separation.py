@@ -16,6 +16,14 @@ tables of subset masses (_mass_tables), summed in another order than the
 convention below, so they serve the prune only and carry a slack; no
 admissibility check reads them.
 
+The heuristic lower bound (sep_lower_bound, one _try_threshold per
+threshold of its binary search) seeds whole components of the conflict
+graph and then tries random single-point moves.  It keeps the same kind
+of bitmasks (a near mask per point, a member mask per label), so a move
+is checked with one and/or on ints, and it draws its moves in blocks from
+one rng.integers call, which gives the moves of a scalar loop draw for
+draw.
+
 Group masses follow one summation convention: a group's mass is its
 points' weights added in ascending point index, starting from 0.0, as
 np.bincount adds them (_group_masses).  The heuristic's component
@@ -50,6 +58,7 @@ DEFAULT_ASSIGNMENT_BUDGET = 3**13  # (N+2)^n admissible for n <= 13 when N = 1
 
 _MASS_SLACK = 1e-9  # pruning guard only; admissibility checks stay exact
 _MASK_CHUNK = 8  # bits per mass table in the exact search's prune
+_MOVE_BLOCK = 1024  # (point, label) pairs per rng call in the heuristic
 
 
 class BudgetExceededError(RuntimeError):
@@ -195,6 +204,11 @@ def _check_kappas(kappas: Sequence[float]) -> list[float]:
     return ks
 
 
+def _check_effort(effort: int) -> None:
+    if effort < 0:
+        raise ValueError(f"effort must be >= 0, got {effort}")
+
+
 def _mass_tables(weights: np.ndarray) -> list[list[float]]:
     """Mass of every bitmask of points, from one table per byte of the
     mask: tables[i][b] is the mass of the points 8i + j for the set bits
@@ -210,6 +224,13 @@ def _mass_tables(weights: np.ndarray) -> list[list[float]]:
             table += [s + w for s in table]
         tables.append(table)
     return tables
+
+
+def _row_masks(matrix: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as the Python int with bit j set when
+    matrix[i, j] is True."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _feasible_assignment(
@@ -251,7 +272,7 @@ def _feasible_assignment(
     suffix = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0])).tolist()
     slack = _MASS_SLACK * (1.0 + suffix[0])
     byte = (1 << _MASK_CHUNK) - 1
-    close = [sum(1 << int(p) for p in np.flatnonzero(col)) for col in (dist < threshold).T]
+    close = _row_masks((dist < threshold).T)
     assign = [n_groups] * n  # discard unless placed
     members = [0] * n_groups
     reach = [0] * n_groups
@@ -372,14 +393,26 @@ def _try_threshold(
     """Greedy component seeding plus randomized point moves.
 
     Whole components of {d < threshold} are seeded, heaviest first (by
-    _group_masses), onto the group with the largest deficit.  Then each of `effort` iterations
-    draws a point p and a label g (two rng.integers calls, also for
-    moves that are skipped); the move is skipped when g is p's label or
-    when p lies closer than threshold to a point of another group, and
-    kept when the total deficit does not grow.  The conflict matrix
-    {d < threshold} is computed once per call, and the deficit is
-    recomputed from _group_masses after each tried move, so a seed gives
-    the same assignment as a scan over every group's members.
+    _group_masses), onto the group with the largest deficit.  Then each
+    of `effort` moves takes a point p and a label g from the rng (also
+    for moves that are skipped); the move is skipped when g is p's label
+    or when p lies closer than threshold to a point of another group
+    (the discard never blocks), and kept when the total deficit does not
+    grow.  The loop stops early once the deficit is zero.
+
+    Point sets are Python-int bitmasks: near[p] holds the points q with
+    dist[p, q] < threshold (q != p), and every label, the discard
+    included, keeps a member mask, so the conflict test is one and/or on
+    ints and a group is empty when its mask is 0.  The moves are drawn
+    as (p, g) pairs, _MOVE_BLOCK at a time, from one rng.integers call
+    with bounds (n, N + 1, n, N + 1, ...); numpy consumes the bit
+    generator for those exactly as for two scalar calls per move, so the
+    moves are the ones a scalar loop draws.  The last block may draw
+    past the last move (the caller discards the rng after one
+    threshold).  The deficit is recomputed from _group_masses over a
+    numpy label array kept in step with the masks after each tried
+    move, so a seed gives the same assignment as a scan over every
+    group's members.
     """
     n = space.n
     n_groups = len(kappas)
@@ -400,44 +433,51 @@ def _try_threshold(
 
     close = space.dist < threshold
     np.fill_diagonal(close, False)
+    near = _row_masks(close)
+    labels = assign.tolist()
+    members = [0] * (n_groups + 1)
+    for p, a in enumerate(labels):
+        members[a] |= 1 << p
 
     def total_deficit() -> float:
         group_mass = _group_masses(space.weights, assign, n_groups + 1).tolist()
-        counts = np.bincount(assign, minlength=n_groups + 1).tolist()
         out = 0.0
         for g in range(n_groups):
             if group_mass[g] < kappas[g]:
                 out += kappas[g] - group_mass[g]
-            if not counts[g]:
+            if not members[g]:
                 out += math.inf
         return out
 
     deficit = total_deficit()
-    for _ in range(effort):
+    bounds = np.tile([n, n_groups + 1], _MOVE_BLOCK)
+    for start in range(0, effort, _MOVE_BLOCK):
         if deficit == 0.0:
             break
-        p = int(rng.integers(n))
-        g = int(rng.integers(n_groups + 1))
-        if g == assign[p]:
-            continue
-        if g < n_groups:
-            nb = assign[close[p]]
-            if ((nb != g) & (nb != discard)).any():
+        block = min(_MOVE_BLOCK, effort - start)
+        draws = iter(rng.integers(bounds[: 2 * block]).tolist())
+        for p, g in zip(draws, draws):
+            old = labels[p]
+            if g == old:
                 continue
-        old = assign[p]
-        assign[p] = g
-        new_deficit = total_deficit()
-        if new_deficit <= deficit:
-            deficit = new_deficit
-        else:
-            assign[p] = old
-    if deficit > 0.0:
-        return None
-    group_mass = _group_masses(space.weights, assign, n_groups + 1)
-    for g in range(n_groups):
-        if not (assign == g).any() or group_mass[g] < kappas[g]:
-            return None
-    return assign
+            bit = 1 << p
+            if g != discard and near[p] & ~(members[g] | members[discard]):
+                continue
+            members[old] ^= bit
+            members[g] |= bit
+            assign[p] = g
+            new_deficit = total_deficit()
+            if new_deficit <= deficit:
+                deficit = new_deficit
+                labels[p] = g
+                if deficit == 0.0:
+                    break
+            else:
+                members[g] ^= bit
+                members[old] |= bit
+                assign[p] = old
+    # a zero deficit has every group nonempty and at its kappa
+    return assign if deficit == 0.0 else None
 
 
 def sep_lower_bound(
@@ -452,8 +492,11 @@ def sep_lower_bound(
     feasibility at each threshold is attempted heuristically, and any
     returned value is re-verified from its witnesses, so value <=
     sep_exact always.  Deterministic for a fixed seed; exact=False.
+    effort is the number of moves per threshold (_try_threshold); at 0
+    only the component seeding runs.
     """
     kappas = _check_kappas(kappas)
+    _check_effort(effort)
     thresholds = space.distinct_distances()
     lo, hi = 0, len(thresholds) - 1
     best: np.ndarray | None = None

@@ -2,9 +2,11 @@
 
 Valid matrix, generator and atom documents are mutated: keys dropped,
 values replaced by other types, lists shortened or lengthened, numbers
-negated or made non-finite.  Every mutated document must either parse or
-be refused with a SpaceFileError; through the command line it must exit
-0, or exit 1 with a message of the form `mmconc: /pointer: ...`.
+negated, made non-finite, or written as strings or booleans.  Every
+mutated document must either parse or be refused with a SpaceFileError;
+through the command line it must exit 0, or exit 1 with a message of the
+form `mmconc: /pointer: ...`.  A number of a matrix, weights, edges, `n`
+or atoms written as a string or a boolean must be refused.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def _paths(node, prefix=()):
 
 def _mutate(draw, doc):
     path = draw(st.sampled_from(list(_paths(doc))))
-    op = draw(st.sampled_from(["drop", "replace", "shorten", "lengthen", "negate"]))
+    op = draw(st.sampled_from(
+        ["drop", "replace", "shorten", "lengthen", "negate", "stringify", "boolify"]
+    ))
     odd = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
     if not path:
         return odd if op == "replace" else doc
@@ -112,6 +116,37 @@ def _mutate(draw, doc):
         value.append(copy.deepcopy(value[-1]) if value else 0.0)
     elif op == "negate" and isinstance(value, (int, float)) and not isinstance(value, bool):
         parent[key] = -value if value else -1.0
+    elif op in ("stringify", "boolify") and _is_number(value):
+        parent[key] = json.dumps(value) if op == "stringify" else bool(value)
+    return doc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+NUMERIC_FIELDS = {"matrix", "weights", "edges", "n", "atoms"}
+
+
+@st.composite
+def number_as_text_or_bool(draw, docs):
+    """One number under a numeric field, written as a JSON string (\"0.25\")
+    or as a boolean; the other entries stay valid."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    paths = [
+        path for path in _paths(doc)
+        if NUMERIC_FIELDS & set(path) and _is_number(_at(doc, path))
+    ]
+    path = draw(st.sampled_from(paths))
+    value = _at(doc, path)
+    parent = _at(doc, path[:-1])
+    parent[path[-1]] = draw(st.sampled_from([json.dumps(value), bool(value), not value]))
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
     return doc
 
 
@@ -136,6 +171,7 @@ def run_command(doc, *argv):
             rc = main([argv[0], "--space", path, *argv[1:]])
     message = err.getvalue()
     assert rc == 0 or (rc == 1 and POINTER.match(message)), (rc, message, doc)
+    return rc
 
 
 def assert_parses_or_points(doc):
@@ -167,3 +203,27 @@ def test_mutated_atom_documents(doc):
     run_command(doc, "validate")
     run_command(doc, "sep-real", "--kappa", "0.25")
     run_command(doc, "partial-diam", "--target-mass", "0.5")
+
+
+@settings(max_examples=150)
+@given(number_as_text_or_bool(MATRIX_DOCS + GENERATOR_DOCS))
+def test_numbers_written_as_strings_or_booleans_are_refused(doc):
+    try:
+        mc.parse_space(doc)
+    except mc.SpaceFileError as err:
+        assert err.pointer.startswith("/") and "must be " in str(err), err
+    else:
+        raise AssertionError(f"accepted {doc}")
+    assert run_command(doc, "validate") == 1
+
+
+@settings(max_examples=60)
+@given(number_as_text_or_bool(ATOM_DOCS))
+def test_atoms_written_as_strings_or_booleans_are_refused(doc):
+    try:
+        mc.parse_real_measure(doc)
+    except mc.SpaceFileError as err:
+        assert err.pointer.startswith("/atoms["), err
+    else:
+        raise AssertionError(f"accepted {doc}")
+    assert run_command(doc, "sep-real", "--kappa", "0.25") == 1

@@ -85,6 +85,88 @@ class TestSpaceFiles:
         assert rc == 1
         assert err.startswith("mmconc: /metric/generator/edges[1]: ")
 
+    def test_a_custom_file_naming_itself_is_a_cycle(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("self.json").write_text(json.dumps(
+            {"metric": {"generator": {"kind": "custom_file", "path": "self.json"}}}
+        ))
+        rc, _, err = run_cli(["validate", "--space", "self.json"], capsys)
+        assert rc == 1
+        assert err.startswith("mmconc: /metric/generator/path: cycle")
+        with pytest.raises(mc.SpaceFileError) as info:
+            mc.parse_space(str(tmp_path / "self.json"))  # another spelling of the same path
+        assert info.value.pointer == "/metric/generator/path"
+
+    def test_a_cycle_through_product_factors_points_at_the_factor(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "hamming_cube", "n": 2}, {"kind": "custom_file", "path": str(b)},
+        ]}}}))
+        b.write_text(json.dumps({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "custom_file", "path": str(a)}, {"kind": "discrete_torus", "n": 3},
+        ]}}}))
+        rc, _, err = run_cli(["validate", "--space", str(a)], capsys)
+        assert rc == 1
+        assert err.startswith("mmconc: /metric/generator/factors[0]/path: cycle")
+
+    def test_a_document_may_be_used_twice_without_a_cycle(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"metric": {"generator": {"kind": "discrete_torus", "n": 3}}}))
+        b.write_text(json.dumps({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "custom_file", "path": str(a)}, {"kind": "custom_file", "path": str(a)},
+        ]}}}))
+        assert mc.parse_space(str(b)).n == 9
+        assert mc.parse_space(str(b)).n == 9  # nothing is left marked open
+
+    @pytest.mark.parametrize("doc, pointer", [
+        ({"metric": {"matrix": [["0", "1"], ["1", "0"]]}, "weights": [True, "1e0"]},
+         "/metric/matrix[0, 0]"),
+        ({"metric": {"matrix": [[0, 1], [1, 0]]}, "weights": [True, 1]}, "/weights[0]"),
+        ({"metric": {"matrix": [[0, 1], [1, 0]]}, "weights": [0.5, "0.5"]}, "/weights[1]"),
+        ({"metric": {"matrix": [[0, 1], [True, 0]]}}, "/metric/matrix[1, 0]"),
+        ({"metric": {"generator": {"kind": "hamming_cube", "n": "3"}}}, "/metric/generator/n"),
+        ({"metric": {"generator": {"kind": "hamming_cube", "n": True}}}, "/metric/generator/n"),
+        ({"metric": {"generator": {"kind": "weighted_graph", "n": 2, "edges": [[0, True, 1.0]]}}},
+         "/metric/generator/edges[0, 1]"),
+        ({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "hamming_cube", "n": 2},
+            {"kind": "weighted_graph", "n": 2, "edges": [[0, 1, "2"]]},
+        ]}}}, "/metric/generator/factors[1]/edges[0, 2]"),
+        # int() would truncate 2.7 to 2, and bool() reads "false" as true
+        ({"metric": {"generator": {"kind": "hamming_cube", "n": 2.7}}}, "/metric/generator/n"),
+        ({"metric": {"generator": {"kind": "weighted_graph", "n": 2, "edges": [[0, 1.5, 1.0]]}}},
+         "/metric/generator/edges[0, 1]"),
+        ({"metric": {"generator": {"kind": "hamming_cube", "n": 2, "normalized": "false"}}},
+         "/metric/generator/normalized"),
+    ])
+    def test_fields_of_the_wrong_type_are_refused(self, doc, pointer, tmp_path, capsys):
+        with pytest.raises(mc.SpaceFileError) as info:
+            mc.parse_space(doc)
+        assert info.value.pointer == pointer
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run_cli(["validate", "--space", str(path)], capsys)
+        assert rc == 1 and err.startswith(f"mmconc: {pointer}: must be ")
+
+    def test_integral_floats_still_count_as_integers(self):
+        doc = {"metric": {"generator": {"kind": "hamming_cube", "n": 3.0, "normalized": False}}}
+        assert mc.parse_space(doc).diameter == 3.0
+
+    def test_a_document_nested_too_deeply_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"metric": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        rc, _, err = run_cli(["validate", "--space", str(path)], capsys)
+        assert rc == 1 and err.startswith("mmconc: /: nested too deeply")
+
+    @pytest.mark.parametrize("atoms, pointer", [
+        ([[0.0, 0.5], [1.0, True]], "/atoms[1, 1]"),
+        ([["0", 0.5], [1.0, 0.5]], "/atoms[0, 0]"),
+    ])
+    def test_atoms_must_be_numbers(self, atoms, pointer):
+        with pytest.raises(mc.SpaceFileError) as info:
+            mc.parse_real_measure({"atoms": atoms})
+        assert info.value.pointer == pointer
+
     def test_unknown_schema_version_is_rejected(self):
         with pytest.raises(mc.SpaceFileError):
             mc.parse_space({"schema_version": 2, "points": [], "metric": {}})
@@ -302,6 +384,25 @@ class TestCli:
         assert [int(r[0]) for r in rows] == [2, 3, 4]
         assert all(len(r) == 3 + 2 * 3 for r in rows)  # n, sep, sup, two numbers per screen
         assert [s["n"] for s in json.loads(out.read_text())["suprema"]] == [2, 3, 4]
+
+    @pytest.mark.parametrize("argv", [
+        ["sep", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5", "--kappa", "0.5",
+         "--effort", "-3"],
+        ["obsdiam", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5", "--effort", "-1"],
+        ["levy-run", "--family", "hamming:2..3", "--seed", "0", "--effort", "-1"],
+    ])
+    def test_a_negative_effort_exits_one(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err == "mmconc: --effort: must be >= 0\n"
+
+    def test_trend_script_refuses_a_negative_effort(self):
+        proc = subprocess.run(
+            [sys.executable, str(TREND_SCRIPT), "--max-n", "2", "--effort", "-1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "--effort: must be >= 0\n" and not proc.stdout
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

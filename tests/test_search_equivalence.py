@@ -1,12 +1,12 @@
 """The screen sampler and the separation searches against reference copies.
 
 `sample_lipschitz_map` keeps a stack of forward-checked domains,
-`_try_threshold` a precomputed conflict matrix, and `_feasible_assignment`
-bitmasks with a reachable-mass prune.  The references below are the
-earlier implementations, which rescan every assigned point at each step
-(the exact search with numpy minima over group members); they are kept
-here, test-only, so that every seeded map and assignment can be compared
-bit for bit.  The trend report digest pins the end-to-end output of the
+`_try_threshold` bitmasks and moves drawn in blocks, and
+`_feasible_assignment` bitmasks with a reachable-mass prune.  The
+references below are the earlier implementations, which rescan every
+assigned point at each step (the exact search with numpy minima over
+group members); they are kept here, test-only, so that every seeded map
+and assignment can be compared bit for bit.  The trend report digest pins the end-to-end output of the
 same searches, and `sep_exact` is checked against the subset oracle of
 the benchmark.
 """
@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
-from mmconc._numeric import rng_for
+from mmconc._numeric import rng_for, stable_seed
 from mmconc.separation import (
     _MASS_SLACK,
+    _MOVE_BLOCK,
     _conflict_components,
     _feasible_assignment,
     _group_masses,
@@ -329,10 +330,13 @@ def test_sampler_matches_reference_on_one_point_spaces():
 # separation heuristic
 
 
-def assert_same_assignments(space, kappas, effort, tag):
+def assert_same_assignments(space, kappas, effort, tag, make_rng=None):
+    """Both heuristics at every distinct threshold, each from a fresh rng
+    (rng_for(tag, k) unless make_rng(k) says otherwise)."""
+    make_rng = make_rng or (lambda k: rng_for(tag, k))
     for k, t in enumerate(space.distinct_distances()):
-        got = _try_threshold(space, kappas, float(t), effort, rng_for(tag, k))
-        want = reference_try_threshold(space, kappas, float(t), effort, rng_for(tag, k))
+        got = _try_threshold(space, kappas, float(t), effort, make_rng(k))
+        want = reference_try_threshold(space, kappas, float(t), effort, make_rng(k))
         if want is None:
             assert got is None, (tag, k)
         else:
@@ -358,6 +362,97 @@ def test_heuristic_matches_reference_on_random_spaces():
 
 def test_heuristic_matches_reference_at_the_default_effort():
     assert_same_assignments(cube(5), [0.1, 0.1], 10_000, ("default", 5))
+
+
+def test_heuristic_matches_reference_at_the_trend_seed_on_cube_7():
+    """The trend's sep row for cube 7: its seed, its rng per threshold
+    index, the default effort, at every threshold (not only those the
+    binary search visits)."""
+    seed = stable_seed(0, "sep", 7, 0.1)
+    assert_same_assignments(
+        cube(7), [0.1, 0.1], 10_000, "cube7", make_rng=lambda k: rng_for(seed, k, "sep-lb")
+    )
+
+
+@pytest.mark.parametrize(
+    "effort", [-1, 0, 1, _MOVE_BLOCK - 1, _MOVE_BLOCK, _MOVE_BLOCK + 1, 2 * _MOVE_BLOCK + 1]
+)
+def test_heuristic_matches_reference_around_the_block_size(effort):
+    rng = np.random.default_rng(12)
+    for i in range(4):
+        space = random_l1_space(rng, int(rng.integers(5, 12)))
+        assert_same_assignments(space, [0.3, 0.3], effort, ("block", effort, i))
+        assert_same_assignments(space, [0.2, 0.0, 0.2], effort, ("block3", effort, i))
+    assert_same_assignments(cube(4), [0.1, 0.1], effort, ("block-cube", effort))
+
+
+# (seed tag, first effort at which the heuristic succeeds) on cube 4 at
+# kappas [0.1, 0.1] and its third distinct distance: the deciding move is
+# the last or the first of a block of _MOVE_BLOCK = 1024 moves, or next to it
+BLOCK_EDGE_CASES = [(468, 1023), (2685, 1024), (884, 1025), (2415, 2048), (2709, 2049), (724, 2050)]
+
+
+@pytest.mark.parametrize("seed, first", BLOCK_EDGE_CASES)
+def test_heuristic_makes_exactly_effort_moves_at_block_edges(seed, first):
+    assert min(first % _MOVE_BLOCK, -first % _MOVE_BLOCK) <= 2, "cases found for another block size"
+    space = cube(4)
+    t = float(space.distinct_distances()[2])
+    for effort, succeeds in ((first - 1, False), (first, True)):
+        want = reference_try_threshold(space, [0.1, 0.1], t, effort, rng_for("boundary", seed))
+        got = _try_threshold(space, [0.1, 0.1], t, effort, rng_for("boundary", seed))
+        assert (want is not None) == succeeds
+        assert (got is not None) == succeeds and (not succeeds or np.array_equal(got, want))
+
+
+def test_heuristic_matches_reference_with_an_empty_kappa():
+    """A group with kappa 0 is not seeded, so it starts empty and the
+    deficit is infinite until a move fills it."""
+    rng = np.random.default_rng(13)
+    for n in (3, 4, 5):
+        for kappas in ([0.1, 0.1, 0.0], [0.0, 0.2, 0.1], [0.3, 0.0, 0.0]):
+            assert_same_assignments(cube(n), kappas, 800, ("zero", n, kappas))
+    for i in range(10):
+        space = random_l1_space(rng, int(rng.integers(3, 12)))
+        k = float(rng.uniform(0.05, 0.4))
+        assert_same_assignments(space, [k, 0.0, k / 2], 600, ("zero-l1", i))
+
+
+def test_heuristic_matches_reference_on_weights_of_sixteen_magnitudes():
+    """Weights from 1e-16 to 1 make the order of addition visible, and
+    kappas equal to exact group masses put the deficit comparisons on
+    their edges."""
+    rng = np.random.default_rng(14)
+    for i in range(30):
+        n = int(rng.integers(2, 12))
+        base = random_l1_space(rng, n)
+        weights = 10.0 ** rng.uniform(-16, 0, size=n)
+        space = mc.FiniteMMSpace(base.points, base.dist, weights)
+        n_groups = 2 + i % 2
+        for j, kappas in enumerate(kappa_choices(rng, weights, n_groups)):
+            assert_same_assignments(space, kappas, 500, ("magnitudes", i, j))
+
+
+@pytest.mark.parametrize(
+    "n, n_labels", [(1, 2), (2, 3), (5, 2), (128, 3), (1000, 4), ((1 << 16) + 3, 3), ((1 << 20) + 7, 6)]
+)
+def test_block_draws_equal_interleaved_scalar_draws(n, n_labels):
+    """_try_threshold draws its (point, label) moves in blocks from one
+    rng.integers call over tiled bounds.  That gives the moves of two
+    scalar rng.integers calls per move only because numpy consumes the
+    bit generator identically for both; a numpy release that changes
+    this breaks the heuristic's seeded results, and this test names it."""
+    pairs = _MOVE_BLOCK + 5
+    rng = rng_for("canary", n, n_labels)
+    scalar = []
+    for _ in range(pairs):
+        scalar += [int(rng.integers(n)), int(rng.integers(n_labels))]
+    after = rng.integers(1 << 30)
+    rng = rng_for("canary", n, n_labels)
+    bounds = np.tile([n, n_labels], _MOVE_BLOCK)
+    block = rng.integers(bounds).tolist()
+    block += rng.integers(bounds[: 2 * (pairs - _MOVE_BLOCK)]).tolist()
+    assert block == scalar
+    assert rng.integers(1 << 30) == after
 
 
 def test_group_masses_add_in_ascending_index_order():

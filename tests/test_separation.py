@@ -132,6 +132,19 @@ class TestSepLowerBound:
                 assert sp.weights[list(g2)].sum() >= kap
                 assert group_distance(sp, g1, g2) == lb.value
 
+    def test_effort_zero_keeps_the_seeding_and_negative_is_refused(self):
+        sp = mc.generate(mc.FamilySpec("hamming_cube", 4))
+        seeded = mc.sep_lower_bound(sp, [0.1, 0.1], effort=0, seed=3)
+        assert seeded.feasible and seeded.value > 0
+        with pytest.raises(ValueError, match="effort must be >= 0"):
+            mc.sep_lower_bound(sp, [0.1, 0.1], effort=-1)
+        with pytest.raises(ValueError, match="effort must be >= 0"):
+            mc.lipschitz_candidates(sp, 0.1, effort=-1)
+        with pytest.raises(ValueError, match="effort must be >= 0"):
+            mc.obsdiam_real_bracket(sp, 0.1, effort=-1)
+        with pytest.raises(ValueError, match="effort must be >= 0"):
+            mc.run_levy_experiment([mc.FamilySpec("hamming_cube", 2)], effort=-1)
+
     def test_same_seed_same_answer(self):
         rng = np.random.default_rng(42)
         sp = random_space(rng, 10)
