@@ -45,8 +45,9 @@ def parse_args():
 
 def main():
     args = parse_args()
-    if args.effort < 0:
-        sys.exit("--effort: must be >= 0")
+    for flag, least in (("effort", 0), ("samples", 0), ("workers", 1)):
+        if getattr(args, flag) < least:
+            sys.exit(f"--{flag}: must be >= {least}")
     kappas = args.kappa or [0.1]
     family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
     report = run_levy_experiment(

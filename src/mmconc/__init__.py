@@ -40,7 +40,6 @@ from .observable import (
     Bracket,
     LipschitzMap,
     LipschitzValidationError,
-    PushforwardMeasure,
     lipschitz_candidates,
     obsdiam_real_bracket,
     obsdiam_screen_estimate,
@@ -48,8 +47,8 @@ from .observable import (
     partial_diameter_screen,
     pushforward_real,
     pushforward_screen,
-    pushforward_space,
     sample_lipschitz_map,
+    sep_pushforward_check,
     validate_lipschitz,
 )
 from .separation import (
@@ -61,7 +60,6 @@ from .separation import (
     real_measure_as_space,
     sep_exact,
     sep_lower_bound,
-    sep_pushforward_check,
     sep_real_quantile,
 )
 from .space import (

@@ -23,7 +23,7 @@ from .formats import (
     report_json,
 )
 from .observable import (
-    PushforwardMeasure,
+    DEFAULT_SCREEN_BUDGET,
     obsdiam_real_bracket,
     obsdiam_screen_estimate,
     partial_diameter_real,
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
         "smallest diameter carrying a target mass",
         space={"required": True, "help": "space or real-measure document"},
         target_mass={"type": float, "required": True},
-        budget={"type": int, "default": 20, "help": "exact-search support cap"},
+        budget={"type": int, "default": DEFAULT_SCREEN_BUDGET, "help": "exact-search support cap"},
     )
     cmd(
         "obsdiam",
@@ -163,8 +163,10 @@ def _emit(report, args) -> None:
 
 
 def _run(args) -> dict:
-    if getattr(args, "effort", None) is not None and args.effort < 0:
-        raise SpaceFileError("--effort", "must be >= 0")
+    for flag, least in (("effort", 0), ("samples", 0), ("workers", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise SpaceFileError(f"--{flag}", f"must be >= {least}")
     if args.command == "validate":
         space = parse_space(args.space)
         return {
@@ -216,13 +218,11 @@ def _run(args) -> dict:
     if args.command == "partial-diam":
         doc = _load(args.space)
         if "atoms" in doc:
-            nu = parse_real_measure(doc)
-            value = partial_diameter_real(nu, args.target_mass)
+            value = partial_diameter_real(parse_real_measure(doc), args.target_mass)
             shape = "real_measure"
         else:
-            space = parse_space(doc)
-            pm = PushforwardMeasure(space, space.weights.copy(), space.total_mass)
-            value = partial_diameter_screen(pm, args.target_mass, support_budget=args.budget)
+            space = parse_space(args.space)  # by path: custom_file paths resolve beside it
+            value = partial_diameter_screen(space, args.target_mass, support_budget=args.budget)
             shape = "space"
         return {
             "command": "partial-diam",

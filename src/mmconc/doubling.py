@@ -5,6 +5,10 @@ grid, so "does (X, mu) belong to the doubling class with constant C up
 to horizon R?" reduces to a gridwise comparison.  The ratio bound and
 the packing bound are theorems for these constants: a violation in the
 checkers is a bug, never data.
+
+Every ball mass here follows the one convention of space._ball_mass_blocks
+(cumulative sums along sorted rows); the concentration witness reads them
+off a pushforward image, itself a FiniteMMSpace on the screen's points.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .observable import PushforwardMeasure
-from .space import FiniteMMSpace, Net, PointSet, packing_multiplicity
+from .space import FiniteMMSpace, Net, PointSet, _ball_mass_blocks
 
 __all__ = [
     "Coloring",
@@ -32,32 +35,14 @@ __all__ = [
 ]
 
 
-_ROW_BLOCK = 64  # distance rows sorted at a time; bounds the sort's working memory
-
-
 def _doubling_constants(space: FiniteMMSpace, radii: np.ndarray) -> np.ndarray:
-    """Minimal C(r) with mass(B(x,2r)) <= C * mass(B(x,r)) for all x, per r.
-
-    The one ball-mass convention of this module: each distance row is
-    sorted once (stable, so ties keep index order), its weights are
-    summed cumulatively in that order, and the mass of B(x, r) is the
-    cumulative sum up to the last distance <= r.
-    """
+    """Minimal C(r) with mass(B(x,2r)) <= C * mass(B(x,r)) for all x, per r,
+    reduced over one block of centers at a time."""
     radii = np.asarray(radii, dtype=np.float64)
     best = np.zeros(len(radii))
     if not len(radii):
         return best
-    probes = np.concatenate((radii, 2.0 * radii))
-    counts = np.empty((min(_ROW_BLOCK, space.n), len(probes)), dtype=np.intp)
-    for lo in range(0, space.n, _ROW_BLOCK):
-        block = space.dist[lo : lo + _ROW_BLOCK]
-        order = np.argsort(block, axis=1, kind="stable")
-        rows = np.take_along_axis(block, order, axis=1)
-        cum = np.cumsum(space.weights[order], axis=1)
-        ends = counts[: len(block)]
-        for x, row in enumerate(rows):
-            ends[x] = np.searchsorted(row, probes, side="right")
-        masses = np.take_along_axis(cum, ends - 1, axis=1)
+    for masses in _ball_mass_blocks(space, np.concatenate((radii, 2.0 * radii))):
         ratios = masses[:, len(radii) :] / masses[:, : len(radii)]
         np.maximum(best, ratios.max(axis=0), out=best)
     return best
@@ -186,11 +171,9 @@ def packing_bound_check(profile: DoublingProfile, net: Net, epsilon: float) -> P
         )
     ctilde = lemma_constant(profile, epsilon / 3.0, 16.0 * epsilon / 3.0)
     bound = 2.0 ** (4.0 * ctilde) * ctilde**2
-    mult = max(
-        packing_multiplicity(profile.space, net, member, 5.0 * epsilon)
-        for member in net.members
-    )
-    return PackingCheck(float(bound), int(mult), bool(mult <= bound))
+    members = np.array(net.members.indices)
+    mult = int((profile.space.dist[np.ix_(members, members)] <= 5.0 * epsilon).sum(axis=1).max())
+    return PackingCheck(float(bound), mult, bool(mult <= bound))
 
 
 @dataclass(frozen=True)
@@ -257,26 +240,26 @@ class ConcentrationWitness:
 
 
 def concentration_witness(
-    pm: PushforwardMeasure,
+    image: FiniteMMSpace,
     net: Net,
     epsilon: float,
     mass_floor: float,
 ) -> ConcentrationWitness | None:
-    """Locate where a pushforward concentrates, if anywhere.
+    """Locate where a pushforward image concentrates, if anywhere.
 
-    Picks the net member whose 2*eps ball carries the most pushforward
-    mass (ties: lowest index).  If that mass reaches mass_floor, returns
-    the member and the mass left outside its 3*eps ball — the residual a
-    concentrating sequence drives to 0.  Otherwise None.
+    Picks the net member whose 2*eps ball carries the most image mass
+    (ties: lowest index).  If that mass reaches mass_floor, returns the
+    member and the mass left outside its 3*eps ball — the residual a
+    concentrating sequence drives to 0: row total minus 3*eps ball mass.
+    Otherwise None.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
     members = list(net.members)
-    dist = pm.screen.dist[members]
-    masses2 = (dist <= 2.0 * epsilon) @ pm.weights
-    best = int(np.argmax(masses2))
-    if masses2[best] < mass_floor:
+    radii = (2.0 * epsilon, 3.0 * epsilon, math.inf)
+    masses = np.concatenate(list(_ball_mass_blocks(image, radii, members)))
+    best = int(np.argmax(masses[:, 0]))
+    ball2, ball3, total = masses[best]
+    if ball2 < mass_floor:
         return None
-    outside = dist[best] > 3.0 * epsilon
-    residual = float(pm.weights[outside].sum())
-    return ConcentrationWitness(int(members[best]), float(masses2[best]), residual)
+    return ConcentrationWitness(int(members[best]), float(ball2), float(total - ball3))

@@ -33,7 +33,6 @@ from .separation import (
     BudgetExceededError,
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
-    _check_effort,
     sep_exact,
     sep_lower_bound,
 )
@@ -311,8 +310,8 @@ def _member_rows(
             }
             if net is not None:
                 values = np.asarray(bracket.witness["values"], dtype=np.int64)
-                pm = pushforward_screen(space, screen, values)
-                wit = concentration_witness(pm, net, net.epsilon, space.total_mass / 6.0)
+                image = pushforward_screen(space, screen, values)
+                wit = concentration_witness(image, net, net.epsilon, space.total_mass / 6.0)
                 if wit is not None:
                     cell.update(witness_center=screen.points[wit.center],
                                 witness_ball_mass=wit.ball_mass, witness_residual=wit.residual)
@@ -354,7 +353,10 @@ def run_levy_experiment(
     as objects.  Every cell draws from a seed of (seed, n, screen name,
     kappa) alone, so the report is byte-identical for any worker count.
     """
-    _check_effort(effort)
+    for name, value, least in (("effort", effort, 0), ("samples", samples, 0),
+                               ("workers", workers, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if screens is None:
         screens = list(default_screen_roster())
     screen_rows = []

@@ -19,8 +19,10 @@ Real-measure document:
 
 Numbers must be JSON numbers (a string such as "1e0" or a boolean is
 refused with its pointer), a generator's n and edge ends integers, and
-normalized true or false.  A custom_file generator's path may not name a
-document that is being parsed, directly or through product factors.
+normalized true or false.  A custom_file generator's path is read beside
+the document that names it and may not name a document being parsed,
+directly or through product factors.  An error inside the named document
+is reported at that path's pointer, followed by the file and its own error.
 """
 
 from __future__ import annotations
@@ -57,8 +59,13 @@ class SpaceFileError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
+class _ReferenceCycle(SpaceFileError):
+    """Reported where the loop closes, not at the paths that lead to it."""
+
+
 # real paths of the space documents being parsed, outermost first; a
-# custom_file generator that names one of them is a cycle
+# custom_file generator that names one of them is a cycle, and a relative
+# path is resolved beside the innermost one
 _OPEN_PATHS: ContextVar[tuple[str, ...]] = ContextVar("open_space_documents", default=())
 
 
@@ -104,7 +111,8 @@ def _load(source: str | dict) -> dict:
     return doc
 
 
-def _generator_spec(node: dict, pointer: str) -> FamilySpec:
+def _generator_spec(node: dict, pointer: str, refs: dict[str, str]) -> FamilySpec:
+    """Also records each resolved custom_file path's pointer in refs."""
     if not isinstance(node, dict) or "kind" not in node:
         raise SpaceFileError(pointer, "generator needs a 'kind'")
     kind = node["kind"]
@@ -114,7 +122,7 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
         if not isinstance(node.get(key, []), list):
             raise SpaceFileError(f"{pointer}/{key}", "must be a list")
     factors = tuple(
-        _generator_spec(f, f"{pointer}/factors[{i}]")
+        _generator_spec(f, f"{pointer}/factors[{i}]", refs)
         for i, f in enumerate(node.get("factors", []))
     )
     edges = []
@@ -130,8 +138,13 @@ def _generator_spec(node: dict, pointer: str) -> FamilySpec:
     path = node.get("path")
     if path is not None and not isinstance(path, str):
         raise SpaceFileError(f"{pointer}/path", "must be a string")
-    if kind == "custom_file" and path and os.path.realpath(path) in _OPEN_PATHS.get():
-        raise SpaceFileError(f"{pointer}/path", f"cycle: {path} is a document being parsed")
+    if kind == "custom_file" and path:
+        opened = _OPEN_PATHS.get()
+        if opened:
+            path = os.path.join(os.path.dirname(opened[-1]), path)
+        if os.path.realpath(path) in opened:
+            raise _ReferenceCycle(f"{pointer}/path", f"cycle: {path} is a document being parsed")
+        refs.setdefault(path, f"{pointer}/path")
     normalized = node.get("normalized", True)
     if not isinstance(normalized, bool):
         raise SpaceFileError(f"{pointer}/normalized", "must be true or false")
@@ -154,6 +167,9 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
     token = _OPEN_PATHS.set(_OPEN_PATHS.get() + (os.path.realpath(source),))
     try:
         return _parse_space_doc(_load(source))
+    except SpaceFileError as err:
+        err.document = source  # lets a document that names this one point at the name
+        raise
     finally:
         _OPEN_PATHS.reset(token)
 
@@ -167,9 +183,13 @@ def _parse_space_doc(doc: dict) -> FiniteMMSpace:
     weights_field = doc.get("weights", "uniform")
 
     if "generator" in metric:
+        refs: dict[str, str] = {}
         try:
-            space = generate(_generator_spec(metric["generator"], "/metric/generator"))
+            space = generate(_generator_spec(metric["generator"], "/metric/generator", refs))
         except ValueError as err:
+            document = getattr(err, "document", None)
+            if document in refs and not isinstance(err, _ReferenceCycle):
+                raise SpaceFileError(refs[document], f"in {document}: {err}") from err
             if isinstance(err, SpaceFileError):
                 raise
             raise SpaceFileError("/metric/generator", str(err)) from err

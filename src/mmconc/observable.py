@@ -6,6 +6,9 @@ Upper bounds into the line come from separation.  Upper bounds into a
 finite screen come from Gromov's quotient argument: a 1-Lipschitz map is
 constant on each component of {d < delta}, delta the screen's smallest
 positive distance, and stretches no distance beyond diam X.
+
+A pushforward to a screen is a FiniteMMSpace on the screen's points, read
+like any other space.  Neither separation nor doubling imports this module.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "Bracket",
     "LipschitzMap",
     "LipschitzValidationError",
-    "PushforwardMeasure",
     "lipschitz_candidates",
     "obsdiam_real_bracket",
     "obsdiam_screen_estimate",
@@ -41,8 +43,8 @@ __all__ = [
     "partial_diameter_screen",
     "pushforward_real",
     "pushforward_screen",
-    "pushforward_space",
     "sample_lipschitz_map",
+    "sep_pushforward_check",
     "validate_lipschitz",
 ]
 
@@ -112,44 +114,39 @@ def validate_lipschitz(
     return LipschitzMap(source, target, vals.copy(), constant)
 
 
-@dataclass(frozen=True)
-class PushforwardMeasure:
-    """Image measure on a finite screen.
-
-    total_mass is carried over from the source (the pushforward preserves
-    it by definition); the per-point weights sum to it up to float
-    accumulation.
-    """
-
-    screen: FiniteMMSpace
-    weights: np.ndarray = field(repr=False)
-    total_mass: float = 0.0
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0.0)
-
-
 def pushforward_real(space: FiniteMMSpace, values: np.ndarray | Sequence[float]) -> RealMeasure:
     """Image measure of the weights under point values; fibers merge."""
     return RealMeasure.from_atoms(np.asarray(values, dtype=np.float64), space.weights)
 
 
-def pushforward_screen(space: FiniteMMSpace, screen: FiniteMMSpace, indices) -> PushforwardMeasure:
+def pushforward_screen(space: FiniteMMSpace, screen: FiniteMMSpace, indices) -> FiniteMMSpace:
+    """The image space on the screen's points: each weight is its fiber's
+    weights added in point order (np.bincount), so the image's total mass
+    can differ from the source's in the last place."""
     idx = np.asarray(indices, dtype=np.int64)
     weights = np.bincount(idx, weights=space.weights, minlength=screen.n)
-    return PushforwardMeasure(screen, weights, space.total_mass)
+    return FiniteMMSpace(screen.points, screen.dist, weights)
 
 
-def pushforward_space(space: FiniteMMSpace, lmap: LipschitzMap) -> FiniteMMSpace:
-    """The pushforward viewed as a metric measure space of its own."""
-    if lmap.is_real:
-        return real_measure_as_space(pushforward_real(space, lmap.values))
-    pm = pushforward_screen(space, lmap.target, lmap.values)
-    return FiniteMMSpace(lmap.target.points, lmap.target.dist.copy(), pm.weights.copy())
+def sep_pushforward_check(
+    space: FiniteMMSpace,
+    lipschitz_map: LipschitzMap,
+    kappas: Sequence[float],
+    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+    tolerance: float = 1e-12,
+) -> dict:
+    """Compare Sep of a pushforward image against Sep of the source.
+
+    Returns {"holds", "source", "target"}; holds is Sep(f_* mu) <= Sep(mu)
+    + tolerance (the tolerance absorbs float accumulation in group masses).
+    """
+    if lipschitz_map.is_real:
+        image = real_measure_as_space(pushforward_real(space, lipschitz_map.values))
+    else:
+        image = pushforward_screen(space, lipschitz_map.target, lipschitz_map.values)
+    down = sep_exact(image, kappas, budget)
+    up = sep_exact(space, kappas, budget)
+    return {"holds": down.value <= up.value + tolerance, "source": up, "target": down}
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +211,30 @@ def _clique_reaches(
 
 
 def partial_diameter_screen(
-    pm: PushforwardMeasure,
+    image: FiniteMMSpace,
     target_mass: float,
     support_budget: int = DEFAULT_SCREEN_BUDGET,
 ) -> float:
-    """Exact minimal diameter of a screen subset with mass >= target_mass.
+    """Exact minimal diameter of a subset of an image with mass >= target_mass.
 
     Scans candidate diameters (0 and the support's pairwise distances,
     binary search) and decides each with an exact subset search.  The
     full support always qualifies when target_mass <= total (its true
     mass is the total by definition), so the answer is finite there.
     """
-    total = pm.total_mass
+    total = image.total_mass
     if target_mass > total:
         return math.inf
     if target_mass <= 0.0:
         return 0.0
-    support = pm.support
+    support = np.flatnonzero(image.weights > 0.0)
     if len(support) > support_budget:
         raise BudgetExceededError(
             f"screen support has {len(support)} points, over the exact-search "
             f"budget {support_budget}"
         )
-    dist = pm.screen.dist[np.ix_(support, support)]
-    weights = pm.weights[support]
+    dist = image.dist[np.ix_(support, support)]
+    weights = image.weights[support]
     if len(support) == 1:
         return 0.0
     iu = np.triu_indices(len(support), k=1)
@@ -534,8 +531,8 @@ def obsdiam_screen_estimate(
     best_map = np.zeros(space.n, dtype=np.int64)
     for s in range(samples):
         values = sample_lipschitz_map(space, screen, rng_for(seed, "screen-sample", s))
-        pm = pushforward_screen(space, screen, values)
-        val = partial_diameter_screen(pm, target, support_budget)
+        image = pushforward_screen(space, screen, values)
+        val = partial_diameter_screen(image, target, support_budget)
         if math.isfinite(val) and val > best_val:
             best_val, best_map = val, values
     if best_val > upper:

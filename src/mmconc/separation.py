@@ -28,6 +28,9 @@ Group masses follow one summation convention: a group's mass is its
 points' weights added in ascending point index, starting from 0.0, as
 np.bincount adds them (_group_masses).  The heuristic's component
 seeding, its deficits and the witness checks all use sums made this way.
+
+This module imports space and _numeric, never observable: separation of
+a pushforward image (sep_pushforward_check) lives where images are built.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "real_measure_as_space",
     "sep_exact",
     "sep_lower_bound",
-    "sep_pushforward_check",
     "sep_real_quantile",
 ]
 
@@ -522,27 +524,3 @@ def sep_lower_bound(
             raise RuntimeError(f"witness group {g} has mass {mass!r} below kappa {kappas[g]!r}")
     return SepResult(realized, True, False, witnesses, result.assignment)
 
-
-def sep_pushforward_check(
-    space: FiniteMMSpace,
-    lipschitz_map,
-    kappas: Sequence[float],
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-    tolerance: float = 1e-12,
-) -> dict:
-    """Compare Sep of a pushforward against Sep of the source.
-
-    Returns {"holds", "source", "target"}; holds is
-    Sep(f_* mu) <= Sep(mu) + tolerance (the tolerance absorbs float
-    accumulation in group masses, nothing else).
-    """
-    from .observable import pushforward_space
-
-    target_space = pushforward_space(space, lipschitz_map)
-    down = sep_exact(target_space, kappas, budget)
-    up = sep_exact(space, kappas, budget)
-    return {
-        "holds": down.value <= up.value + tolerance,
-        "source": up,
-        "target": down,
-    }

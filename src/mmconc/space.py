@@ -268,12 +268,31 @@ def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
     return PointSet.from_mask(space.dist[center] <= radius)
 
 
+def _ball_mass_blocks(space: FiniteMMSpace, radii, centers=None):
+    """Masses of B(x, r) for radii r >= 0, one (block, len(radii)) array per
+    _ROW_BLOCK centers x (default every point).  The one ball-mass
+    convention: each row is sorted once (stable, so ties keep index order),
+    and B(x, r) weighs its weights' cumulative sum up to the last d <= r."""
+    radii = np.asarray(radii, dtype=np.float64)
+    centers = np.arange(space.n) if centers is None else np.asarray(centers, dtype=np.intp)
+    counts = np.empty((min(_ROW_BLOCK, len(centers)), len(radii)), dtype=np.intp)
+    for lo in range(0, len(centers), _ROW_BLOCK):
+        block = space.dist[centers[lo : lo + _ROW_BLOCK]]
+        order = np.argsort(block, axis=1, kind="stable")
+        rows = np.take_along_axis(block, order, axis=1)
+        cum = np.cumsum(space.weights[order], axis=1)
+        ends = counts[: len(block)]
+        for x, row in enumerate(rows):
+            ends[x] = np.searchsorted(row, radii, side="right")
+        yield np.take_along_axis(cum, ends - 1, axis=1)
+
+
 def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:
     if not 0 <= center < space.n:
         raise IndexError(f"center {center} out of range for {space.n} points")
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
-    return float(space.weights[space.dist[center] <= radius].sum())
+    return float(next(_ball_mass_blocks(space, [radius], [center]))[0, 0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ zero tolerance.  All randomness is seeded; the suite is deterministic.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -80,3 +82,20 @@ def two_point() -> FiniteMMSpace:
 def unit_interval_grid() -> FiniteMMSpace:
     """Five evenly spaced points on [0, 1], uniform mass."""
     return line_space(np.linspace(0.0, 1.0, 5))
+
+
+def sorted_row(space, x):
+    """Reference for the sorted-row convention, one point at a time: row x
+    in (distance, index) order, and its weights added one by one."""
+    order = sorted(range(space.n), key=lambda y: (space.dist[x, y], y))
+    cum, total = [], 0.0
+    for y in order:
+        total += float(space.weights[y])
+        cum.append(total)
+    return [float(space.dist[x, y]) for y in order], cum
+
+
+def sorted_row_mass(space, x, r):
+    """Mass of B(x, r) by the reference (r = inf gives the row total)."""
+    row, cum = sorted_row(space, x)
+    return cum[bisect.bisect_right(row, r) - 1]

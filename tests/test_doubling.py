@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import mmconc as mc
-from conftest import random_space
-from mmconc.doubling import _ROW_BLOCK
+from conftest import random_space, sorted_row, sorted_row_mass
+from mmconc.space import _ROW_BLOCK
 
 
 def torus(n: int, normalized: bool = False, weights=None) -> mc.FiniteMMSpace:
@@ -45,16 +45,9 @@ def matrix_product_constants(space, radii):
 
 
 def sorted_row_constants(space, radii):
-    """Reference for the sorted-row convention, one point at a time: walk
-    the row in (distance, index) order adding weights one by one."""
     best = [0.0] * len(radii)
     for x in range(space.n):
-        order = sorted(range(space.n), key=lambda y: (space.dist[x, y], y))
-        row = [float(space.dist[x, y]) for y in order]
-        cum, total = [], 0.0
-        for y in order:
-            total += float(space.weights[y])
-            cum.append(total)
+        row, cum = sorted_row(space, x)
         for i, r in enumerate(radii):
             inner = cum[bisect.bisect_right(row, r) - 1]
             outer = cum[bisect.bisect_right(row, 2.0 * r) - 1]
@@ -218,6 +211,17 @@ class TestPacking:
             net = mc.build_net(sp, eps)
             assert mc.packing_bound_check(prof, net, eps).holds
 
+    def test_multiplicity_is_the_most_members_in_any_member_ball(self):
+        rng = np.random.default_rng(93)
+        spaces = [random_space(rng, int(rng.integers(4, 12))) for _ in range(6)]
+        spaces += [torus(64), mc.generate(mc.FamilySpec("hamming_cube", 6))]
+        for sp in spaces:
+            prof = mc.doubling_profile(sp)
+            eps = prof.horizon / 11.0  # clear of the 32 * eps <= 3 * horizon edge
+            net = mc.build_net(sp, eps)
+            per_member = [mc.packing_multiplicity(sp, net, m, 5.0 * eps) for m in net.members]
+            assert mc.packing_bound_check(prof, net, eps).max_multiplicity == max(per_member)
+
 
 class TestColoring:
     def test_sixteen_cycle_coloring_frozen(self):
@@ -316,42 +320,41 @@ class TestConcentrationWitness:
             sp = random_space(rng, int(rng.integers(3, 9)))
             screen = random_space(rng, int(rng.integers(2, 6)))
             idx = rng.integers(0, len(screen.points), len(sp.points))
-            pm = mc.pushforward_screen(sp, screen, idx)
+            image = mc.pushforward_screen(sp, screen, idx)
             eps = float(rng.uniform(0.05, 0.4))
             net = mc.build_net(screen, eps)
-            w = mc.concentration_witness(pm, net, eps, mass_floor=0.0)
+            w = mc.concentration_witness(image, net, eps, mass_floor=0.0)
             assert w is not None
-            ball2 = pm.weights[screen.dist[w.center] <= 2 * eps].sum()
-            outside3 = pm.weights[screen.dist[w.center] > 3 * eps].sum()
-            assert w.ball_mass == ball2 and w.residual == outside3
+            ball2 = sorted_row_mass(image, w.center, 2 * eps)
+            ball3 = sorted_row_mass(image, w.center, 3 * eps)
+            total = sorted_row_mass(image, w.center, np.inf)
+            assert w.ball_mass == ball2 and w.residual == total - ball3
             # no other member has a strictly heavier 2-eps ball
             for member in net.members:
-                other = pm.weights[screen.dist[member] <= 2 * eps].sum()
-                assert other <= w.ball_mass
+                assert sorted_row_mass(image, member, 2 * eps) <= w.ball_mass
 
     def test_residual_plus_triple_ball_is_total_mass(self):
         rng = np.random.default_rng(95)
         sp = random_space(rng, 7)
-        pm = mc.pushforward_screen(sp, sp, np.arange(7))
+        image = mc.pushforward_screen(sp, sp, np.arange(7))
         net = mc.build_net(sp, 0.2)
-        w = mc.concentration_witness(pm, net, 0.2, 0.0)
-        ball3 = pm.weights[sp.dist[w.center] <= 0.6].sum()
-        assert w.residual <= pm.total_mass - ball3 + 1e-12
+        w = mc.concentration_witness(image, net, 0.2, 0.0)
+        ball3 = image.weights[sp.dist[w.center] <= 0.6].sum()
+        assert w.residual <= image.total_mass - ball3 + 1e-12
 
     def test_below_floor_returns_none(self, two_point):
-        pm = mc.pushforward_screen(two_point, two_point, [0, 1])
+        image = mc.pushforward_screen(two_point, two_point, [0, 1])
         net = mc.build_net(two_point, 0.5)
-        assert mc.concentration_witness(pm, net, 0.1, mass_floor=0.9) is None
+        assert mc.concentration_witness(image, net, 0.1, mass_floor=0.9) is None
 
     def test_residual_can_rise_when_the_best_center_switches(self):
         """The reported residual is not monotone in epsilon: enlarging the
         ball can hand the argmax to a different cluster with more mass
         far away.  Pinned so the behavior stays documented."""
         sp = self._cluster_space()
-        pm = mc.pushforward_screen(sp, sp, np.arange(4))
         net = mc.build_net(sp, 2.0)
-        lo = mc.concentration_witness(pm, net, 2.0, 0.05)
-        hi = mc.concentration_witness(pm, net, 2.1, 0.05)
+        lo = mc.concentration_witness(sp, net, 2.0, 0.05)
+        hi = mc.concentration_witness(sp, net, 2.1, 0.05)
         assert lo.center == 0 and hi.center == 2  # argmax moved clusters
         assert hi.residual > lo.residual
 
@@ -359,10 +362,9 @@ class TestConcentrationWitness:
         """At any fixed center the outside-3-eps mass can only shrink as
         epsilon grows; the non-monotonicity above is purely the switch."""
         sp = self._cluster_space()
-        pm = mc.pushforward_screen(sp, sp, np.arange(4))
         for center in range(4):
             prev = np.inf
             for eps in (2.0, 2.1, 2.5, 3.0):
-                res = pm.weights[sp.dist[center] > 3 * eps].sum()
+                res = sp.weights[sp.dist[center] > 3 * eps].sum()
                 assert res <= prev
                 prev = res

@@ -331,3 +331,11 @@ class TestRosterAndReport:
         assert ja == jb
         parsed = json.loads(ja)
         assert "over roster" in parsed["meta"]["supremum_scope"]
+
+    def test_bad_samples_and_workers_are_refused(self):
+        fam = [mc.FamilySpec("hamming_cube", 2)]
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            mc.run_levy_experiment(fam, seed=0, samples=-1)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                mc.run_levy_experiment(fam, seed=0, workers=workers)

@@ -109,6 +109,43 @@ class TestSpaceFiles:
         assert rc == 1
         assert err.startswith("mmconc: /metric/generator/factors[0]/path: cycle")
 
+    def test_a_custom_file_path_is_read_beside_its_document(self, tmp_path, monkeypatch, capsys):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "t4.json").write_text(json.dumps(
+            {"metric": {"generator": {"kind": "discrete_torus", "n": 4}}}
+        ))
+        (sub / "ref.json").write_text(json.dumps(
+            {"metric": {"generator": {"kind": "custom_file", "path": "t4.json"}}}
+        ))
+        monkeypatch.chdir(tmp_path)  # not the documents' directory
+        rc, out, err = run_cli(["validate", "--space", "sub/ref.json"], capsys)
+        assert rc == 0, err
+        assert json.loads(out)["points"] == 4
+        argv = ["partial-diam", "--space", "sub/ref.json", "--target-mass", "0.5"]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 0, err
+        assert json.loads(out)["value"] == 0.25
+
+    def test_an_error_in_a_named_document_is_reported_at_its_path(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(json.dumps({"metric": {"matrix": [[0, 1], [2, 0]]}}))
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "hamming_cube", "n": 2}, {"kind": "custom_file", "path": "bad.json"},
+        ]}}}))
+        rc, _, err = run_cli(["validate", "--space", str(ref)], capsys)
+        assert rc == 1
+        assert err.startswith(
+            f"mmconc: /metric/generator/factors[1]/path: in {tmp_path / 'bad.json'}: "
+            "/metric/matrix[0, 1]: validation failed"
+        )
+        ref.write_text(json.dumps(
+            {"metric": {"generator": {"kind": "custom_file", "path": "missing.json"}}}
+        ))
+        rc, _, err = run_cli(["validate", "--space", str(ref)], capsys)
+        assert rc == 1
+        assert err.startswith(f"mmconc: /metric/generator/path: in {tmp_path / 'missing.json'}: ")
+
     def test_a_document_may_be_used_twice_without_a_cycle(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(json.dumps({"metric": {"generator": {"kind": "discrete_torus", "n": 3}}}))
@@ -403,6 +440,24 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr == "--effort: must be >= 0\n" and not proc.stdout
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("samples", "-1", 0), ("workers", "0", 1), ("workers", "-1", 1),
+    ])
+    def test_levy_run_refuses_bad_samples_and_workers(self, flag, value, least, capsys):
+        argv = ["levy-run", "--family", "hamming:2..3", "--seed", "0", f"--{flag}", value]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err == f"mmconc: --{flag}: must be >= {least}\n"
+
+    @pytest.mark.parametrize("flag, value, least", [("samples", "-1", 0), ("workers", "0", 1)])
+    def test_trend_script_refuses_bad_samples_and_workers(self, flag, value, least):
+        proc = subprocess.run(
+            [sys.executable, str(TREND_SCRIPT), "--max-n", "2", f"--{flag}", value],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"--{flag}: must be >= {least}\n" and not proc.stdout
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

@@ -1,0 +1,44 @@
+"""Layering of the package: which of its modules import which."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmconc"
+
+
+def package_imports(path: Path) -> set[str]:
+    """Sibling modules imported anywhere in a module, imports inside
+    functions included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("mmconc."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("mmconc.")
+            )
+    return found
+
+
+def reached_from(graph: dict[str, set[str]], module: str) -> set[str]:
+    reached, todo = set(), [module]
+    while todo:
+        for dep in graph.get(todo.pop(), ()):
+            if dep not in reached:
+                reached.add(dep)
+                todo.append(dep)
+    return reached
+
+
+def test_doubling_and_separation_never_import_observable():
+    graph = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
+    assert "observable" in graph and graph["families"] >= {"observable", "doubling"}
+    for module in ("doubling", "separation"):
+        assert "observable" not in reached_from(graph, module), module

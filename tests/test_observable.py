@@ -49,14 +49,24 @@ class TestPushforward:
     def test_screen_pushforward_bins_weights_by_target_point(self):
         sp = line_space([0.0, 0.4, 0.8], weights=[0.2, 0.3, 0.5])
         screen = line_space([0.0, 1.0])
-        pm = mc.pushforward_screen(sp, screen, [0, 0, 1])
-        assert pm.weights == pytest.approx([0.5, 0.5])
-        assert pm.total_mass == pytest.approx(1.0)
+        image = mc.pushforward_screen(sp, screen, [0, 0, 1])
+        assert isinstance(image, mc.FiniteMMSpace)
+        assert image.points == screen.points and image.dist is screen.dist
+        assert image.weights == pytest.approx([0.5, 0.5])
+        assert image.total_mass == pytest.approx(1.0)
 
-    def test_pushforward_space_of_a_real_map_is_a_line_space(self, two_point):
+    def test_image_of_a_real_map_is_a_line_space(self, two_point):
         lmap = mc.validate_lipschitz(two_point, None, [0.0, 1.0])
-        img = mc.pushforward_space(two_point, lmap)
+        img = mc.real_measure_as_space(mc.pushforward_real(two_point, lmap.values))
         assert img.dist[0, 1] == 1.0 and img.weights.sum() == pytest.approx(1.0)
+
+    def test_image_of_a_screen_map_is_a_space_on_the_screen(self, two_point):
+        lmap = mc.validate_lipschitz(two_point, two_point, [1, 1])
+        img = mc.pushforward_screen(two_point, lmap.target, lmap.values)
+        assert img.points == two_point.points
+        assert img.weights.tolist() == [0.0, two_point.total_mass]
+        out = mc.sep_pushforward_check(two_point, lmap, [0.5, 0.5])
+        assert out["target"].value == 0.0 and out["holds"]
 
 
 class TestPartialDiameterReal:
@@ -102,25 +112,24 @@ class TestPartialDiameterScreen:
             sp = random_space(rng, int(rng.integers(2, 8)))
             screen = random_space(rng, int(rng.integers(2, 6)))
             idx = rng.integers(0, len(screen.points), len(sp.points))
-            pm = mc.pushforward_screen(sp, screen, idx)
+            image = mc.pushforward_screen(sp, screen, idx)
             target = float(rng.uniform(0.2, 0.95))
-            got = mc.partial_diameter_screen(pm, target)
+            got = mc.partial_diameter_screen(image, target)
             # exhaustive: smallest subset diameter reaching the target mass
             ns = len(screen.points)
             best = np.inf
             for mask in range(1, 1 << ns):
                 sel = [i for i in range(ns) if mask >> i & 1]
-                if pm.weights[sel].sum() >= target:
+                if image.weights[sel].sum() >= target:
                     diam = max(screen.dist[i, j] for i in sel for j in sel)
                     best = min(best, diam)
             assert got == best
 
     def test_support_budget_guard(self):
         sp = line_space(np.linspace(0, 1, 25))
-        pm = mc.pushforward_screen(sp, sp, np.arange(25))
         with pytest.raises(mc.BudgetExceededError):
-            mc.partial_diameter_screen(pm, 0.9, support_budget=20)
-        val = mc.partial_diameter_screen(pm, 0.9, support_budget=25)
+            mc.partial_diameter_screen(sp, 0.9, support_budget=20)
+        val = mc.partial_diameter_screen(sp, 0.9, support_budget=25)
         assert np.isfinite(val)
 
 
@@ -224,9 +233,9 @@ class TestObsdiamScreen:
         br = mc.obsdiam_screen_estimate(sp, screen, 0.1, samples=16, seed=1)
         idx = np.asarray(br.witness["values"], dtype=int)
         mc.validate_lipschitz(sp, screen, idx)
-        pm = mc.pushforward_screen(sp, screen, idx)
+        image = mc.pushforward_screen(sp, screen, idx)
         m = sp.weights.sum()
-        assert mc.partial_diameter_screen(pm, m - 0.1) == br.lower
+        assert mc.partial_diameter_screen(image, m - 0.1) == br.lower
         assert br.lower <= br.upper
 
     def test_identity_partial_diameter_can_exceed_two_group_separation(self):
@@ -234,8 +243,7 @@ class TestObsdiamScreen:
         on a 16-cycle the identity map's partial diameter at mass 3/4 is 8,
         strictly above Sep(1/8, 1/8) = 7."""
         z16 = mc.generate(mc.FamilySpec("discrete_torus", 16, normalized=False))
-        pm = mc.pushforward_screen(z16, z16, np.arange(16))
-        pd = mc.partial_diameter_screen(pm, 0.75)
+        pd = mc.partial_diameter_screen(z16, 0.75)
         sep = mc.sep_exact(z16, [1 / 8, 1 / 8], budget=3**17)
         assert pd == 8.0 and sep.value == 7.0 and pd > sep.value
 

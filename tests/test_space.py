@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mmconc as mc
-from conftest import line_space, random_space
+from conftest import line_space, random_space, sorted_row_mass
 from mmconc.space import _ROW_BLOCK, _triangle_holds
 
 
@@ -224,10 +224,13 @@ class TestBalls:
             x = int(rng.integers(0, len(sp.points)))
             radii = np.sort(rng.uniform(0.0, sp.diameter, 6))
             masses = [mc.ball_mass(sp, x, r) for r in radii]
-            assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
-            assert mc.ball_mass(sp, x, sp.diameter) == pytest.approx(
-                sp.weights.sum(), abs=0
-            )
+            assert masses == [sorted_row_mass(sp, x, r) for r in radii]
+            assert all(a <= b for a, b in zip(masses, masses[1:]))
+            # the whole ball is the row total of the sorted-row sums, which
+            # can differ from the pairwise weights.sum() in the last place
+            full = mc.ball_mass(sp, x, sp.diameter)
+            assert full == sorted_row_mass(sp, x, np.inf)
+            assert full == pytest.approx(sp.weights.sum(), rel=1e-14, abs=0)
 
     def test_membership_symmetry(self):
         rng = np.random.default_rng(22)
