@@ -226,9 +226,12 @@ def default_screen_roster() -> tuple[tuple[str, FiniteMMSpace], ...]:
     constant and the trend column ends in exact zeros.  Before the
     cutoff the circle is coarse enough that maps wrapping all the way
     around exist for every n <= 6, keeping the column at its maximum
-    value 1/2.  Finer circles (e.g. 8 points) sit in a regime where the
-    achievable spread is non-monotone in n, which would make the column
-    useless as a decay diagnostic."""
+    value 1/2; the sampler reaches it for every n <= 6 at 32 samples per
+    cell as well as at the documented 64 (at 32, cube 4's torus6 cell
+    stays at 1/3 and square4 carries the supremum).  Finer circles (e.g.
+    8 points) sit in a regime where the achievable spread is
+    non-monotone in n, which would make the column useless as a decay
+    diagnostic."""
     torus6 = generate(FamilySpec("discrete_torus", 6))
     q = 0.25
     square = FiniteMMSpace(
@@ -306,6 +309,7 @@ def _member_rows(
                 "member": member, "n": spec.n, "screen": name, "kappa": kappa,
                 "obsdiam_lower": bracket.lower, "obsdiam_upper": bracket.upper,
                 "upper_source": bracket.upper_source,
+                "sampler_fallbacks": bracket.witness["fallbacks"],
                 "witness_center": None, "witness_ball_mass": None, "witness_residual": None,
             }
             if net is not None:

@@ -312,6 +312,7 @@ LEVY_CSV_COLUMNS = [
     "obsdiam_lower",
     "obsdiam_upper",
     "upper_source",
+    "sampler_fallbacks",
     "sep_lower",
     "sep_value",
     "sep_is_exact",

@@ -441,24 +441,40 @@ def sample_lipschitz_map(
     """One random 1-Lipschitz map source -> screen.
 
     Points are visited in a random order; each picks uniformly among the
-    screen points compatible with every assignment so far.  Dead ends
-    backtrack (bounded); if the budget runs out the constant map at a
-    random screen point is returned, which is always valid.
+    screen points compatible with every assignment so far.  A value that
+    leaves some later point with no compatible screen point is rejected
+    on the spot and the next candidate is tried; that is not a backtrack.
+    A backtrack happens only when a position runs out of candidates, and
+    at most max_backtrack of them (default 50 * n) are spent; when the
+    budget runs out the constant map at a random screen point is
+    returned, which is always valid.
 
     Compatibility is kept by forward checking on a stack of domains:
     domains[pos][k, s] says screen point s is compatible with every
     assignment before pos for the point order[pos + k], that is
     screen.dist[s, values[y]] <= space.dist[order[pos + k], y] for every
-    earlier y.  Assigning v at pos narrows the remaining rows by one
-    comparison against column v of the screen, and backtracking
-    truncates the stack.  The stack holds at most n(n+1)/2 * screen.n
-    bytes beside one n x n float copy of the distances (about 0.4 MB for
-    the 128-point cube into a 36-point screen).  The draws are those of a
-    scan over every earlier point: rng.permutation(n) for the order,
+    earlier y.  Trying v at pos narrows the remaining rows by one
+    comparison against column v of the screen; v is kept when every
+    narrowed row still has a True, and backtracking truncates the stack.
+    The stack holds at most n(n+1)/2 * screen.n bytes beside one n x n
+    float copy of the distances (about 0.4 MB for the 128-point cube into
+    a 36-point screen).  The draws are rng.permutation(n) for the order,
     rng.permutation of the ascending candidates whenever a position is
-    entered, and rng.integers(screen.n) for the constant fallback, so a
-    seed gives the same map as that scan.
+    entered, and rng.integers(screen.n) for the constant fallback.
     """
+    values = _search_lipschitz_map(space, screen, rng, max_backtrack)
+    if values is None:
+        return np.full(space.n, int(rng.integers(screen.n)), dtype=np.int64)
+    return values
+
+
+def _search_lipschitz_map(
+    space: FiniteMMSpace,
+    screen: FiniteMMSpace,
+    rng: np.random.Generator,
+    max_backtrack: int | None,
+) -> np.ndarray | None:
+    """The search behind sample_lipschitz_map; None where it falls back."""
     n = space.n
     if max_backtrack is None:
         max_backtrack = 50 * n
@@ -473,19 +489,24 @@ def sample_lipschitz_map(
     while pos < n:
         if len(options) == pos:
             options.append(rng.permutation(screen_ids[domains[pos][0]]))
+        while len(options[pos]):
+            v = int(options[pos][0])
+            narrowed = domains[pos][1:] & (screen.dist[:, v] <= dist[pos + 1:, pos, None])
+            if narrowed.any(axis=1).all():
+                break
+            options[pos] = options[pos][1:]
         if len(options[pos]) == 0:
             options.pop()
             if pos == 0 or backtracks >= max_backtrack:
-                return np.full(n, int(rng.integers(screen.n)), dtype=np.int64)
+                return None
             backtracks += 1
             pos -= 1
             del domains[pos + 1:]
             values[order[pos]] = -1
             options[pos] = options[pos][1:]
             continue
-        v = int(options[pos][0])
         values[order[pos]] = v
-        domains.append(domains[pos][1:] & (screen.dist[:, v] <= dist[pos + 1:, pos, None]))
+        domains.append(narrowed)
         pos += 1
     return values
 
@@ -508,18 +529,23 @@ def obsdiam_screen_estimate(
     [0, 0] without sampling.  Otherwise lower is the best partial
     diameter over sampled 1-Lipschitz maps (the constant map included, so
     0.0 is always achieved) and upper is the largest screen distance
-    <= diam X, valid for every 1-Lipschitz map, sampled or not.
+    <= diam X, valid for every 1-Lipschitz map, sampled or not.  The
+    witness records the samples drawn and how many of them ran out of
+    backtracks and fell back to a constant map (both 0 when no sampling
+    was needed).
     """
     m = space.total_mass
     if not 0.0 < kappa < m:
         raise ValueError(f"kappa must lie in (0, total mass {m})")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     target = m - kappa
     dists = screen.distinct_distances()
     delta = float(dists[0]) if len(dists) else math.inf
     # index-order sums, as pushforward_screen sums an atom
     comp_mass = np.bincount(_conflict_components(space.dist, delta), weights=space.weights)
     if comp_mass.max() >= target:
-        witness = {"kind": "screen_map", "values": [0] * space.n}
+        witness = {"kind": "screen_map", "values": [0] * space.n, "samples": 0, "fallbacks": 0}
         return Bracket(0.0, 0.0, witness, "one component of {d < min screen distance}")
     reachable = dists[dists <= space.diameter]
     upper = float(reachable[-1]) if len(reachable) else 0.0
@@ -529,8 +555,13 @@ def obsdiam_screen_estimate(
         source = "largest screen distance <= source diameter"
     best_val = 0.0
     best_map = np.zeros(space.n, dtype=np.int64)
+    fallbacks = 0
     for s in range(samples):
-        values = sample_lipschitz_map(space, screen, rng_for(seed, "screen-sample", s))
+        values = _search_lipschitz_map(space, screen, rng_for(seed, "screen-sample", s), None)
+        if values is None:
+            # the constant fallback has partial diameter 0: no better than best_val
+            fallbacks += 1
+            continue
         image = pushforward_screen(space, screen, values)
         val = partial_diameter_screen(image, target, support_budget)
         if math.isfinite(val) and val > best_val:
@@ -539,5 +570,10 @@ def obsdiam_screen_estimate(
         raise RuntimeError(
             f"inverted bracket: sampled lower {best_val!r} above certified upper {upper!r}"
         )
-    witness = {"kind": "screen_map", "values": [int(v) for v in best_map]}
+    witness = {
+        "kind": "screen_map",
+        "values": [int(v) for v in best_map],
+        "samples": samples,
+        "fallbacks": fallbacks,
+    }
     return Bracket(float(best_val), upper, witness, source)

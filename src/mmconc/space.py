@@ -263,7 +263,7 @@ def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
     """Indices y with d(center, y) <= radius; exact float comparison."""
     if not 0 <= center < space.n:
         raise IndexError(f"center {center} out of range for {space.n} points")
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
     return PointSet.from_mask(space.dist[center] <= radius)
 

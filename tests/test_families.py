@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from fractions import Fraction
 from math import comb
@@ -322,6 +324,19 @@ class TestRosterAndReport:
             own = [c["obsdiam_lower"] for c in rep.cells if c["member"] == sup["member"]]
             assert sup["roster_sup"] == max(own)
         assert rep.suprema[0]["roster_sup"] > 0.0 == rep.suprema[1]["roster_sup"]
+
+    def test_cells_report_their_sampler_fallbacks(self):
+        """Cube 6 into torus6 is the trend's hardest cell: at 32 samples
+        one map runs out of backtracks, and the column still reaches 1/2.
+        The fallback count goes into the cell and its CSV row."""
+        rep = mc.run_levy_experiment([mc.FamilySpec("hamming_cube", 6)], seed=0, samples=32)
+        fallbacks = {c["screen"]: c["sampler_fallbacks"] for c in rep.cells}
+        assert fallbacks == {"singleton": 0, "square4": 0, "torus6": 1}
+        assert rep.suprema[0]["roster_sup"] == pytest.approx(0.5, abs=1e-15)
+        rows = list(csv.DictReader(io.StringIO(mc.report_csv(rep.as_dict()))))
+        assert {r["screen"]: r["sampler_fallbacks"] for r in rows} == {
+            name: str(k) for name, k in fallbacks.items()
+        }
 
     def test_report_serializes_and_same_seed_reproduces(self):
         fam = [mc.FamilySpec("hamming_cube", 2)]

@@ -284,6 +284,26 @@ class TestObsdiamScreen:
         assert (br.lower, br.upper) == (sp.dist[0, 1], sp.dist[0, 1])
         assert br.upper_source != "screen diameter"
 
+    def test_negative_samples_are_refused(self):
+        torus8 = mc.generate(mc.FamilySpec("discrete_torus", 8))
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            mc.obsdiam_screen_estimate(torus8, torus8, 0.1, samples=-5)
+
+    def test_witness_counts_the_samples_that_fell_back(self, monkeypatch):
+        """Every sample that runs out of backtracks is counted; the
+        one-component shortcut draws none."""
+        cube3 = mc.generate(mc.FamilySpec("hamming_cube", 3))
+        torus6 = dict(mc.default_screen_roster())["torus6"]
+        br = mc.obsdiam_screen_estimate(cube3, torus6, 0.1, samples=8, seed=0)
+        assert (br.witness["samples"], br.witness["fallbacks"]) == (8, 0)
+        monkeypatch.setattr(mc.observable, "_search_lipschitz_map", lambda *args: None)
+        br = mc.obsdiam_screen_estimate(cube3, torus6, 0.1, samples=8, seed=0)
+        assert (br.witness["samples"], br.witness["fallbacks"]) == (8, 8)
+        assert br.lower == 0.0 and br.witness["values"] == [0] * cube3.n
+        cube7 = mc.generate(mc.FamilySpec("hamming_cube", 7))
+        br = mc.obsdiam_screen_estimate(cube7, torus6, 0.1, samples=8, seed=0)
+        assert (br.witness["samples"], br.witness["fallbacks"]) == (0, 0)
+
     def test_lower_above_upper_raises(self, two_point, monkeypatch):
         monkeypatch.setattr(mc.observable, "partial_diameter_screen", lambda *args: 9.0)
         with pytest.raises(RuntimeError, match="inverted bracket"):

@@ -244,6 +244,14 @@ class TestBalls:
                     )
 
 
+    @pytest.mark.parametrize("radius", [-0.5, float("nan")])
+    def test_both_ball_functions_refuse_a_negative_or_nan_radius(self, radius):
+        torus8 = mc.generate(mc.FamilySpec("discrete_torus", 8))
+        for ball in (mc.closed_ball, mc.ball_mass):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                ball(torus8, 0, radius)
+
+
 class TestNets:
     @given(st.integers(0, 2**31 - 1), st.floats(0.05, 0.9))
     def test_net_is_separated_and_covering(self, seed, eps):
