@@ -58,6 +58,7 @@ from .separation import (
     RealMeasure,
     SepResult,
     real_measure_as_space,
+    sep,
     sep_exact,
     sep_lower_bound,
     sep_real_quantile,

@@ -29,13 +29,7 @@ from .observable import (
     partial_diameter_real,
     partial_diameter_screen,
 )
-from .separation import (
-    BudgetExceededError,
-    DEFAULT_ASSIGNMENT_BUDGET,
-    sep_exact,
-    sep_lower_bound,
-    sep_real_quantile,
-)
+from .separation import BudgetExceededError, DEFAULT_ASSIGNMENT_BUDGET, sep, sep_real_quantile
 from .space import SpaceValidationError, build_net
 
 _FAMILY_KINDS = {"hamming": "hamming_cube", "torus": "discrete_torus"}
@@ -163,7 +157,7 @@ def _emit(report, args) -> None:
 
 
 def _run(args) -> dict:
-    for flag, least in (("effort", 0), ("samples", 0), ("workers", 1)):
+    for flag, least in (("effort", 0), ("samples", 0), ("workers", 1), ("budget", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise SpaceFileError(f"--{flag}", f"must be >= {least}")
@@ -183,14 +177,12 @@ def _run(args) -> dict:
         if len(args.kappa) < 2:
             raise SpaceFileError("--kappa", "sep needs at least two thresholds")
         report = {"command": "sep", "kappas": args.kappa, "budget": args.budget}
-        try:
-            res = sep_exact(space, args.kappa, args.budget)
-        except BudgetExceededError:
+        res = sep(space, args.kappa, args.budget, args.effort, args.seed)
+        if not res.exact:
             if args.effort is None:
-                raise
-            res = sep_lower_bound(space, args.kappa, effort=args.effort, seed=args.seed)
-            report["seed"] = args.seed
-            report["effort"] = args.effort
+                raise BudgetExceededError(f"sep_exact needs {len(args.kappa) + 1}^{space.n} "
+                                          f"assignments, over budget {args.budget}")
+            report.update(seed=args.seed, effort=args.effort)
         report.update(
             value=res.value,
             feasible=res.feasible,

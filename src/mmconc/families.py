@@ -29,13 +29,7 @@ from .observable import (
     pushforward_screen,
     validate_lipschitz,
 )
-from .separation import (
-    BudgetExceededError,
-    DEFAULT_ASSIGNMENT_BUDGET,
-    RealMeasure,
-    sep_exact,
-    sep_lower_bound,
-)
+from .separation import DEFAULT_ASSIGNMENT_BUDGET, RealMeasure, sep
 from .space import FiniteMMSpace, Net, build_net, validate_space
 
 __all__ = [
@@ -288,16 +282,10 @@ def _member_rows(
     space = generate(spec)
     sep_rows, cells, suprema = [], [], []
     for kappa in kappas:
-        lb = sep_lower_bound(
-            space, [kappa, kappa], effort=effort, seed=stable_seed(seed, "sep", spec.n, kappa)
-        )
-        try:
-            exact = sep_exact(space, [kappa, kappa], budget).value
-        except BudgetExceededError:
-            exact = None
+        res = sep(space, [kappa, kappa], budget, effort, stable_seed(seed, "sep", spec.n, kappa))
         sep_rows.append(
-            {"member": member, "n": spec.n, "kappa": kappa, "sep_lower": lb.value,
-             "sep_value": exact, "sep_is_exact": exact is not None}
+            {"member": member, "n": spec.n, "kappa": kappa, "sep_lower": res.value,
+             "sep_value": res.value if res.exact else None, "sep_is_exact": res.exact}
         )
         lowers = []
         for name, screen, net in roster:
@@ -342,9 +330,10 @@ def run_levy_experiment(
     """Trend experiment: how fast do observable diameters shrink along a
     family, measured against a fixed screen roster?
 
-    Per family member and kappa: separation lower bound (exact value too
-    when the assignment budget allows).  Per (member, screen, kappa):
-    an observable-diameter bracket and a ball-concentration diagnostic
+    Per family member and kappa: sep_lower, the best certified separation
+    lower bound from separation.sep, which is the exact value sep_value
+    when the assignment budget allows.  Per (member, screen, kappa): an
+    observable-diameter bracket and a ball-concentration diagnostic
     at the scale the roster's common doubling horizon allows (the
     largest eps with 32*eps <= 3*R).  The report also carries, per
     (member, kappa), the supremum of the lower bounds over the roster —
@@ -358,7 +347,7 @@ def run_levy_experiment(
     kappa) alone, so the report is byte-identical for any worker count.
     """
     for name, value, least in (("effort", effort, 0), ("samples", samples, 0),
-                               ("workers", workers, 1)):
+                               ("workers", workers, 1), ("budget", budget, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     if screens is None:

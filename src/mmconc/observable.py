@@ -28,6 +28,7 @@ from .separation import (
     _check_effort,
     _conflict_components,
     real_measure_as_space,
+    sep,
     sep_exact,
 )
 from .space import FiniteMMSpace
@@ -303,21 +304,13 @@ def lipschitz_candidates(
     """Candidate pool of exactly 1-Lipschitz real functions.
 
     Distance functions to singletons, to separation witnesses at kappa/2
-    and kappa/4 (skipped when the separation budget refuses), and to
+    and kappa/4 (none when the separation budget refuses), and to
     random subsets; the best few are refined by coordinate ascent that
     moves one value to an end of its feasible interval.  Deterministic
     for a fixed seed.
     """
     _check_effort(effort)
-    return _candidate_pool(space, kappa, effort, seed, budget, _half_sep(space, kappa, budget))
-
-
-def _half_sep(space: FiniteMMSpace, kappa: float, budget: int) -> SepResult | None:
-    """Sep(kappa/2, kappa/2), or None when the budget refuses it."""
-    try:
-        return sep_exact(space, [kappa / 2.0, kappa / 2.0], budget)
-    except BudgetExceededError:
-        return None
+    return _candidate_pool(space, kappa, effort, seed, budget, sep(space, [kappa / 2] * 2, budget))
 
 
 def _candidate_pool(
@@ -326,20 +319,18 @@ def _candidate_pool(
     effort: int,
     seed: int,
     budget: int,
-    half: SepResult | None,
+    half: SepResult,
 ) -> list[np.ndarray]:
-    """lipschitz_candidates, given its Sep(kappa/2, kappa/2) (None when
-    refused; Sep(kappa/4, kappa/4) then needs the same refused search)."""
+    """lipschitz_candidates, given its Sep(kappa/2, kappa/2)."""
     n = space.n
     m = space.total_mass
     target = m - kappa
     rng = rng_for(seed, "obsdiam-real", n)
     pool: list[np.ndarray] = [np.zeros(n)]
     pool += [space.dist[:, i].copy() for i in range(n)]
-    if half is not None:
-        for res in (half, sep_exact(space, [kappa / 4.0, kappa / 4.0], budget)):
-            for w in res.witnesses or ():
-                pool.append(_distance_function(space, list(w)))
+    for res in (half, sep(space, [kappa / 4] * 2, budget)):
+        for w in res.witnesses or ():
+            pool.append(_distance_function(space, list(w)))
     n_random = min(max(effort // 50, 8), 200)
     for _ in range(n_random):
         size = int(rng.integers(1, n + 1))
@@ -406,7 +397,7 @@ def obsdiam_real_bracket(
     target = m - kappa
     best_val = 0.0
     best_f: np.ndarray | None = None
-    half = _half_sep(space, kappa, budget)
+    half = sep(space, [kappa / 2] * 2, budget)
     for f in _candidate_pool(space, kappa, effort, seed, budget, half):
         val = partial_diameter_real(pushforward_real(space, f), target)
         if math.isfinite(val) and val > best_val:
@@ -415,12 +406,12 @@ def obsdiam_real_bracket(
         "kind": "function_values",
         "values": None if best_f is None else [float(v) for v in best_f],
     }
-    if half is None:
-        upper = math.inf
-        source = "separation budget exceeded"
-    else:
+    if half.exact:
         upper = half.value
         source = "separation at kappa/2 per slot"
+    else:
+        upper = math.inf
+        source = "separation budget exceeded"
     if best_val > upper:
         raise RuntimeError(
             f"inverted bracket: achieved lower {best_val!r} above certified upper {upper!r}"
@@ -517,7 +508,6 @@ def obsdiam_screen_estimate(
     kappa: float,
     samples: int = 64,
     seed: int = 0,
-    support_budget: int = DEFAULT_SCREEN_BUDGET,
 ) -> Bracket:
     """Bracket the observable diameter into a finite screen.
 
@@ -563,7 +553,7 @@ def obsdiam_screen_estimate(
             fallbacks += 1
             continue
         image = pushforward_screen(space, screen, values)
-        val = partial_diameter_screen(image, target, support_budget)
+        val = partial_diameter_screen(image, target)
         if math.isfinite(val) and val > best_val:
             best_val, best_map = val, values
     if best_val > upper:

@@ -29,6 +29,10 @@ points' weights added in ascending point index, starting from 0.0, as
 np.bincount adds them (_group_masses).  The heuristic's component
 seeding, its deficits and the witness checks all use sums made this way.
 
+sep is the one place that decides exact or bound: sep_exact within the
+assignment budget, past it sep_lower_bound when an effort is given and
+else the vacuous refusal.  sep_pushforward_check alone calls sep_exact.
+
 This module imports space and _numeric, never observable: separation of
 a pushforward image (sep_pushforward_check) lives where images are built.
 """
@@ -51,6 +55,7 @@ __all__ = [
     "RealMeasure",
     "SepResult",
     "real_measure_as_space",
+    "sep",
     "sep_exact",
     "sep_lower_bound",
     "sep_real_quantile",
@@ -524,3 +529,25 @@ def sep_lower_bound(
             raise RuntimeError(f"witness group {g} has mass {mass!r} below kappa {kappas[g]!r}")
     return SepResult(realized, True, False, witnesses, result.assignment)
 
+
+# ---------------------------------------------------------------------------
+# the front door
+
+
+def sep(
+    space: FiniteMMSpace,
+    kappas: Sequence[float],
+    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+    effort: int | None = None,
+    seed: int = 0,
+) -> SepResult:
+    """Separation, exact when (N+2)^n fits the budget (sep_exact); past
+    it sep_lower_bound at this effort and seed, or with effort None the
+    vacuous refusal SepResult(0.0, False, False, None, None), lower 0 and
+    no witness.  The gate depends on N and n only, not on the kappas."""
+    try:
+        return sep_exact(space, kappas, budget)
+    except BudgetExceededError:
+        if effort is None:
+            return SepResult(0.0, False, False, None, None)
+        return sep_lower_bound(space, kappas, effort, seed)

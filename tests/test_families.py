@@ -347,6 +347,19 @@ class TestRosterAndReport:
         parsed = json.loads(ja)
         assert "over roster" in parsed["meta"]["supremum_scope"]
 
+    def test_an_exact_sep_row_reports_its_value_as_the_lower_bound(self):
+        """sep_lower is the best certified lower bound: the exact value
+        inside the budget, the heuristic's past it (sep_value null)."""
+        fam = [mc.FamilySpec("hamming_cube", n) for n in (2, 3, 4)]
+        fam.append(mc.FamilySpec("discrete_torus", 12))
+        rep = mc.run_levy_experiment(fam, kappa_grid=[0.2, 0.1], seed=2, samples=0, effort=300)
+        assert [r["sep_is_exact"] for r in rep.sep_rows] == [True] * 4 + [False] * 2 + [True] * 2
+        for row in rep.sep_rows:
+            if row["sep_is_exact"]:
+                assert row["sep_lower"] == row["sep_value"]
+            else:
+                assert row["sep_value"] is None and row["sep_lower"] > 0.0
+
     def test_bad_samples_and_workers_are_refused(self):
         fam = [mc.FamilySpec("hamming_cube", 2)]
         with pytest.raises(ValueError, match="samples must be >= 0"):
@@ -354,3 +367,5 @@ class TestRosterAndReport:
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 mc.run_levy_experiment(fam, seed=0, workers=workers)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            mc.run_levy_experiment(fam, seed=0, budget=-1)

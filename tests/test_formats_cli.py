@@ -433,6 +433,14 @@ class TestCli:
         assert rc == 1 and not out
         assert err == "mmconc: --effort: must be >= 0\n"
 
+    def test_sep_refuses_a_negative_budget(self, capsys):
+        """An input error (exit 1), not a refusal of the search (exit 2)."""
+        argv = ["sep", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5", "--kappa", "0.5",
+                "--budget", "-1"]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err == "mmconc: --budget: must be >= 0\n"
+
     def test_trend_script_refuses_a_negative_effort(self):
         proc = subprocess.run(
             [sys.executable, str(TREND_SCRIPT), "--max-n", "2", "--effort", "-1"],
@@ -442,7 +450,7 @@ class TestCli:
         assert proc.stderr == "--effort: must be >= 0\n" and not proc.stdout
 
     @pytest.mark.parametrize("flag, value, least", [
-        ("samples", "-1", 0), ("workers", "0", 1), ("workers", "-1", 1),
+        ("samples", "-1", 0), ("workers", "0", 1), ("workers", "-1", 1), ("budget", "-1", 0),
     ])
     def test_levy_run_refuses_bad_samples_and_workers(self, flag, value, least, capsys):
         argv = ["levy-run", "--family", "hamming:2..3", "--seed", "0", f"--{flag}", value]

@@ -37,6 +37,40 @@ def reached_from(graph: dict[str, set[str]], module: str) -> set[str]:
     return reached
 
 
+class RefusalHandlers(ast.NodeVisitor):
+    """Names of the innermost functions holding an `except
+    BudgetExceededError` clause (`<module>` at top level)."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.found = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ExceptHandler(self, node):
+        caught = ast.walk(node.type) if node.type is not None else ()
+        names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in caught}
+        if "BudgetExceededError" in names:
+            self.found.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_budget_refusals_are_caught_only_by_the_front_door_and_the_cli():
+    """separation.sep decides exact or bound; cli.main turns a refusal
+    into exit code 2.  No other code catches a refusal."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        visitor = RefusalHandlers()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {f"{path.stem}.{name}" for name in visitor.found}
+    assert found == {"separation.sep", "cli.main"}
+
+
 def test_doubling_and_separation_never_import_observable():
     graph = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
     assert "observable" in graph and graph["families"] >= {"observable", "doubling"}

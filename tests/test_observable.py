@@ -184,7 +184,7 @@ class TestObsdiamReal:
             calls.append(list(kappas))
             return mc.sep_exact(space, kappas, budget)
 
-        monkeypatch.setattr(mc.observable, "sep_exact", counting)
+        monkeypatch.setattr(mc.separation, "sep_exact", counting)
         br = mc.obsdiam_real_bracket(sp, kap, effort=300, seed=6)
         assert calls == [[kap / 2, kap / 2], [kap / 4, kap / 4]]
         assert br.upper == mc.sep_exact(sp, [kap / 2, kap / 2]).value
@@ -195,17 +195,24 @@ class TestObsdiamReal:
         assert br.witness["values"] in [[float(v) for v in f] for f in pool]
 
     def test_budget_refusal_keeps_the_pool_and_an_infinite_upper(self, monkeypatch):
+        """Both halvings reach the exact search, and both are refused
+        there, so no search runs past the budget."""
         rng = np.random.default_rng(81)
         sp = random_space(rng, 6)
-        calls = []
+        calls, refused = [], []
 
         def counting(space, kappas, budget):
             calls.append(list(kappas))
-            return mc.sep_exact(space, kappas, budget)
+            try:
+                return mc.sep_exact(space, kappas, budget)
+            except mc.BudgetExceededError:
+                refused.append(list(kappas))
+                raise
 
-        monkeypatch.setattr(mc.observable, "sep_exact", counting)
+        monkeypatch.setattr(mc.separation, "sep_exact", counting)
         br = mc.obsdiam_real_bracket(sp, 0.2, effort=300, seed=7, budget=3**5)
-        assert calls == [[0.1, 0.1]]
+        assert calls == [[0.1, 0.1], [0.05, 0.05]]
+        assert refused == calls
         assert br.upper == math.inf and br.upper_source == "separation budget exceeded"
         pool = mc.lipschitz_candidates(sp, 0.2, effort=300, seed=7, budget=3**5)
         assert len(pool) > sp.n and br.lower > 0.0
@@ -214,7 +221,7 @@ class TestObsdiamReal:
         """A separation value below an achieved partial diameter is a bug,
         reported as such and never clamped into the bracket."""
         fake = mc.SepResult(0.5, True, True, None, None)
-        monkeypatch.setattr(mc.observable, "sep_exact", lambda *args: fake)
+        monkeypatch.setattr(mc.separation, "sep_exact", lambda *args: fake)
         with pytest.raises(RuntimeError, match="inverted bracket"):
             mc.obsdiam_real_bracket(two_point, 0.1)
 

@@ -50,8 +50,8 @@ TREND_DIGEST = "6360b913df93b49c8ca107f15b941788bf5c12140d428efa2260b0757626a2cd
 # at kappa_grid [0.2, 0.1, 0.1] (seed 3), and for those members with the
 # default roster plus a screen that doubling_profile rejects (seed 1)
 DOCUMENTED_DIGEST = "71fe07b4dc1916f76493caa75527b9c3e5b0c91f7c1187d5d3ab7f4b17ee80bd"
-REPEATED_KAPPA_DIGEST = "8ed79a64531a99acc3c97e82b36ce788ea620067396ae37debdb837ac7e77a9b"
-ERROR_SCREEN_DIGEST = "7256da73a96a0e0449f6fb3b8ed25019d1194440839e96d23bf5abb758e222aa"
+REPEATED_KAPPA_DIGEST = "035f7fa831c573e68aaba9d915b610e33f801f15d356f537c461fa8138c38943"
+ERROR_SCREEN_DIGEST = "34855bebf157c5ce7d19b9fadf3d3ea965b71f5461c587b3e1d5e12ae7e8063c"
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +577,34 @@ def test_sep_exact_equals_the_subset_oracle(case):
     result = mc.sep_exact(space, [ka, kb])
     assert result.value == oracles.sep_two_groups(space.dist, space.weights, ka, kb)
     assert result.feasible == (result.value > 0)
+
+
+# ---------------------------------------------------------------------------
+# the front door
+
+
+def test_sep_inside_the_budget_is_sep_exact():
+    """Value, witnesses and assignment, with or without an effort."""
+    rng = np.random.default_rng(15)
+    cases = [(cube(n), [0.1, 0.1]) for n in (2, 3)]
+    for _ in range(10):
+        space = random_l1_space(rng, int(rng.integers(2, 11)))  # 4^10 <= the budget
+        cases += [(space, ks) for ks in kappa_choices(rng, space.weights, int(rng.integers(2, 4)))]
+    for space, kappas in cases:
+        want = mc.sep_exact(space, kappas)
+        assert mc.sep(space, kappas) == want
+        assert mc.sep(space, kappas, effort=300, seed=4) == want
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sep_past_the_budget_is_the_heuristic_or_the_refusal(n):
+    space = cube(n)
+    with pytest.raises(mc.BudgetExceededError):
+        mc.sep_exact(space, [0.1, 0.1])
+    got = mc.sep(space, [0.1, 0.1], effort=2000, seed=9)
+    assert got == mc.sep_lower_bound(space, [0.1, 0.1], effort=2000, seed=9)
+    assert got.feasible and not got.exact
+    assert mc.sep(space, [0.1, 0.1]) == mc.SepResult(0.0, False, False, None, None)
 
 
 # ---------------------------------------------------------------------------
