@@ -30,7 +30,7 @@ from .observable import (
     partial_diameter_screen,
 )
 from .separation import BudgetExceededError, DEFAULT_ASSIGNMENT_BUDGET, sep, sep_real_quantile
-from .space import SpaceValidationError, build_net
+from .space import build_net
 
 _FAMILY_KINDS = {"hamming": "hamming_cube", "torus": "discrete_torus"}
 
@@ -180,8 +180,7 @@ def _run(args) -> dict:
         res = sep(space, args.kappa, args.budget, args.effort, args.seed)
         if not res.exact:
             if args.effort is None:
-                raise BudgetExceededError(f"sep_exact needs {len(args.kappa) + 1}^{space.n} "
-                                          f"assignments, over budget {args.budget}")
+                raise BudgetExceededError.assignments(len(args.kappa) + 1, space.n, args.budget)
             report.update(seed=args.seed, effort=args.effort)
         report.update(
             value=res.value,
@@ -316,9 +315,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"mmconc: refused: {err}", file=sys.stderr)
         return 2
-    except (SpaceFileError, SpaceValidationError) as err:
-        print(f"mmconc: {err}", file=sys.stderr)
-        return 1
     except ValueError as err:
         print(f"mmconc: {err}", file=sys.stderr)
         return 1

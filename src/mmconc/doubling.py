@@ -190,9 +190,10 @@ class Coloring:
         return len(self.classes)
 
 
-def color_net(space: FiniteMMSpace, net: Net, epsilon: float | None = None) -> Coloring:
-    """Partition the net into k classes, each 5*eps-separated, where k is
-    the maximum number of net members in a 5*eps ball around a member.
+def color_net(space: FiniteMMSpace, net: Net) -> Coloring:
+    """Partition the net into k classes, each 5*eps-separated (eps the
+    net's epsilon), where k is the maximum number of net members in a
+    5*eps ball around a member.
 
     Procedure: pick the anchor maximizing that count (ties: lowest
     index); name the members in its ball beta_1..beta_k in index order;
@@ -201,10 +202,8 @@ def color_net(space: FiniteMMSpace, net: Net, epsilon: float | None = None) -> C
     classes exhaust the net: an unassigned point would conflict with one
     distinct point per class, putting k+1 members in its own 5*eps ball.
     """
-    if epsilon is None:
-        epsilon = net.epsilon
     members = np.array(net.members.indices)
-    scale = 5.0 * epsilon
+    scale = 5.0 * net.epsilon
     close = space.dist[np.ix_(members, members)] <= scale
     counts = close.sum(axis=1)
     a = int(np.argmax(counts))  # first max = lowest point index (sorted)
@@ -229,7 +228,7 @@ def color_net(space: FiniteMMSpace, net: Net, epsilon: float | None = None) -> C
         raise RuntimeError(
             f"net coloring left {sorted(remaining)} unassigned; this is a bug"
         )
-    return Coloring(net, float(epsilon), int(members[a]), tuple(classes))
+    return Coloring(net, float(net.epsilon), int(members[a]), tuple(classes))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ fraction tables, shortest-path closure), so every generated space passes
 the validator's triangle check with zero tolerance and the canonical
 observables are exactly 1-Lipschitz.
 
+This module reads no files and never imports formats: a product's factor
+may be a space built elsewhere, such as a parsed document.
+
 Costs: a cube's metric is one lookup per pair in a popcount table.
 generate re-validates every space of up to _VALIDATE_CAP points; that
 triangle scan is O(n^3), about 2 s at 1,024 points on one core of a
@@ -54,10 +57,12 @@ _VALIDATE_CAP = 1024
 class FamilySpec:
     """Recipe for one generated space.
 
-    kind: hamming_cube | discrete_torus | weighted_graph | product |
-    custom_file.  n is the size parameter (cube dimension, torus length,
-    graph node count).  normalized divides the metric by its natural
-    scale so diameters stay bounded along the family.
+    kind: hamming_cube | discrete_torus | weighted_graph | product.  n is
+    the size parameter (cube dimension, torus length, graph node count).
+    normalized divides the metric by its natural scale so diameters stay
+    bounded along the family.  A product's factors are specs or spaces
+    already built, such as a parsed document; only a space document names
+    a file (formats reads its custom_file generators).
     """
 
     kind: str
@@ -65,8 +70,7 @@ class FamilySpec:
     normalized: bool = True
     weights: tuple[float, ...] | None = None  # None = uniform
     edges: tuple[tuple[int, int, float], ...] = ()
-    factors: tuple["FamilySpec", ...] = ()
-    path: str | None = None
+    factors: tuple["FamilySpec | FiniteMMSpace", ...] = ()
 
 
 def _uniform_or(spec: FamilySpec, n: int) -> np.ndarray:
@@ -143,7 +147,7 @@ def _weighted_graph(spec: FamilySpec) -> FiniteMMSpace:
 def _product(spec: FamilySpec) -> FiniteMMSpace:
     if len(spec.factors) < 2:
         raise ValueError("product needs at least two factors")
-    parts = [generate(f) for f in spec.factors]
+    parts = [f if isinstance(f, FiniteMMSpace) else generate(f) for f in spec.factors]
     total = math.prod(p.n for p in parts)
     if total > POINT_CAP:
         raise ValueError(f"product would have {total} points, cap is {POINT_CAP}")
@@ -171,12 +175,6 @@ def generate(spec: FamilySpec) -> FiniteMMSpace:
         "weighted_graph": _weighted_graph,
         "product": _product,
     }
-    if spec.kind == "custom_file":
-        if not spec.path:
-            raise ValueError("custom_file needs a path")
-        from .formats import parse_space
-
-        return parse_space(spec.path)
     if spec.kind not in makers:
         raise ValueError(f"unknown family kind {spec.kind!r}")
     space = makers[spec.kind](spec)

@@ -19,10 +19,14 @@ Real-measure document:
 
 Numbers must be JSON numbers (a string such as "1e0" or a boolean is
 refused with its pointer), a generator's n and edge ends integers, and
-normalized true or false.  A custom_file generator's path is read beside
-the document that names it and may not name a document being parsed,
-directly or through product factors.  An error inside the named document
-is reported at that path's pointer, followed by the file and its own error.
+normalized true or false.
+
+Only this module reads space documents.  A custom_file generator is read
+here, at the node that names it: its path is resolved beside the document
+that names it, may not name a document being parsed, directly or through
+product factors, and the space it holds goes to families.generate as a
+product factor.  An error inside the named document is reported at that
+path's pointer, followed by the file and its own error.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import io
 import json
 import math
 import os
-from contextvars import ContextVar
 from typing import Any
 
 import numpy as np
@@ -61,12 +64,6 @@ class SpaceFileError(ValueError):
 
 class _ReferenceCycle(SpaceFileError):
     """Reported where the loop closes, not at the paths that lead to it."""
-
-
-# real paths of the space documents being parsed, outermost first; a
-# custom_file generator that names one of them is a cycle, and a relative
-# path is resolved beside the innermost one
-_OPEN_PATHS: ContextVar[tuple[str, ...]] = ContextVar("open_space_documents", default=())
 
 
 def _refuse_non_numbers(values: Any, pointer: str, depth: int, index: tuple = ()) -> None:
@@ -111,8 +108,11 @@ def _load(source: str | dict) -> dict:
     return doc
 
 
-def _generator_spec(node: dict, pointer: str, refs: dict[str, str]) -> FamilySpec:
-    """Also records each resolved custom_file path's pointer in refs."""
+def _generator_spec(node: dict, pointer: str, opened: tuple[str, ...]) -> FamilySpec | FiniteMMSpace:
+    """The spec a generator node describes, or for a custom_file node the
+    space its document holds.  opened holds the real paths of the
+    documents being parsed, outermost first: a custom_file path is read
+    beside the innermost one and may not name any of them."""
     if not isinstance(node, dict) or "kind" not in node:
         raise SpaceFileError(pointer, "generator needs a 'kind'")
     kind = node["kind"]
@@ -122,7 +122,7 @@ def _generator_spec(node: dict, pointer: str, refs: dict[str, str]) -> FamilySpe
         if not isinstance(node.get(key, []), list):
             raise SpaceFileError(f"{pointer}/{key}", "must be a list")
     factors = tuple(
-        _generator_spec(f, f"{pointer}/factors[{i}]", refs)
+        _generator_spec(f, f"{pointer}/factors[{i}]", opened)
         for i, f in enumerate(node.get("factors", []))
     )
     edges = []
@@ -138,24 +138,24 @@ def _generator_spec(node: dict, pointer: str, refs: dict[str, str]) -> FamilySpe
     path = node.get("path")
     if path is not None and not isinstance(path, str):
         raise SpaceFileError(f"{pointer}/path", "must be a string")
-    if kind == "custom_file" and path:
-        opened = _OPEN_PATHS.get()
-        if opened:
-            path = os.path.join(os.path.dirname(opened[-1]), path)
-        if os.path.realpath(path) in opened:
-            raise _ReferenceCycle(f"{pointer}/path", f"cycle: {path} is a document being parsed")
-        refs.setdefault(path, f"{pointer}/path")
     normalized = node.get("normalized", True)
     if not isinstance(normalized, bool):
         raise SpaceFileError(f"{pointer}/normalized", "must be true or false")
-    return FamilySpec(
-        kind=kind,
-        n=_integer(node.get("n", 0), f"{pointer}/n"),
-        normalized=normalized,
-        edges=tuple(edges),
-        factors=factors,
-        path=path,
-    )
+    n = _integer(node.get("n", 0), f"{pointer}/n")
+    if kind != "custom_file":
+        return FamilySpec(kind, n, normalized, edges=tuple(edges), factors=factors)
+    if not path:
+        raise SpaceFileError(pointer, "custom_file needs a path")
+    if opened:
+        path = os.path.join(os.path.dirname(opened[-1]), path)
+    if os.path.realpath(path) in opened:
+        raise _ReferenceCycle(f"{pointer}/path", f"cycle: {path} is a document being parsed")
+    try:
+        return _parse_space_file(path, opened)
+    except _ReferenceCycle:
+        raise
+    except SpaceFileError as err:
+        raise SpaceFileError(f"{pointer}/path", f"in {path}: {err}") from err
 
 
 def parse_space(source: str | dict) -> FiniteMMSpace:
@@ -163,18 +163,15 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
     custom_file generator that names a document already being parsed,
     directly or through product factors, is refused as a cycle."""
     if isinstance(source, dict):
-        return _parse_space_doc(source)
-    token = _OPEN_PATHS.set(_OPEN_PATHS.get() + (os.path.realpath(source),))
-    try:
-        return _parse_space_doc(_load(source))
-    except SpaceFileError as err:
-        err.document = source  # lets a document that names this one point at the name
-        raise
-    finally:
-        _OPEN_PATHS.reset(token)
+        return _parse_space_doc(source, ())
+    return _parse_space_file(source, ())
 
 
-def _parse_space_doc(doc: dict) -> FiniteMMSpace:
+def _parse_space_file(path: str, opened: tuple[str, ...]) -> FiniteMMSpace:
+    return _parse_space_doc(_load(path), opened + (os.path.realpath(path),))
+
+
+def _parse_space_doc(doc: dict, opened: tuple[str, ...]) -> FiniteMMSpace:
     if doc.get("schema_version", 1) != 1:
         raise SpaceFileError("/schema_version", f"unsupported version {doc['schema_version']}")
     metric = doc.get("metric")
@@ -183,15 +180,13 @@ def _parse_space_doc(doc: dict) -> FiniteMMSpace:
     weights_field = doc.get("weights", "uniform")
 
     if "generator" in metric:
-        refs: dict[str, str] = {}
         try:
-            space = generate(_generator_spec(metric["generator"], "/metric/generator", refs))
+            space = _generator_spec(metric["generator"], "/metric/generator", opened)
+            if isinstance(space, FamilySpec):
+                space = generate(space)
+        except SpaceFileError:
+            raise
         except ValueError as err:
-            document = getattr(err, "document", None)
-            if document in refs and not isinstance(err, _ReferenceCycle):
-                raise SpaceFileError(refs[document], f"in {document}: {err}") from err
-            if isinstance(err, SpaceFileError):
-                raise
             raise SpaceFileError("/metric/generator", str(err)) from err
         if weights_field != "uniform":
             weights = _weights_array(weights_field, space.n)

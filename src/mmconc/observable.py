@@ -31,7 +31,7 @@ from .separation import (
     sep,
     sep_exact,
 )
-from .space import FiniteMMSpace
+from .space import FiniteMMSpace, _group_masses
 
 __all__ = [
     "Bracket",
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_SCREEN_BUDGET = 20  # support size for exact subset search
+_PUSHFORWARD_TOLERANCE = 1e-12  # absorbs float accumulation in group masses
 
 
 class LipschitzValidationError(ValueError):
@@ -122,10 +123,10 @@ def pushforward_real(space: FiniteMMSpace, values: np.ndarray | Sequence[float])
 
 def pushforward_screen(space: FiniteMMSpace, screen: FiniteMMSpace, indices) -> FiniteMMSpace:
     """The image space on the screen's points: each weight is its fiber's
-    weights added in point order (np.bincount), so the image's total mass
-    can differ from the source's in the last place."""
+    weights added in point order (_group_masses), so the image's total
+    mass can differ from the source's in the last place."""
     idx = np.asarray(indices, dtype=np.int64)
-    weights = np.bincount(idx, weights=space.weights, minlength=screen.n)
+    weights = _group_masses(space.weights, idx, screen.n)
     return FiniteMMSpace(screen.points, screen.dist, weights)
 
 
@@ -134,12 +135,11 @@ def sep_pushforward_check(
     lipschitz_map: LipschitzMap,
     kappas: Sequence[float],
     budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-    tolerance: float = 1e-12,
 ) -> dict:
     """Compare Sep of a pushforward image against Sep of the source.
 
     Returns {"holds", "source", "target"}; holds is Sep(f_* mu) <= Sep(mu)
-    + tolerance (the tolerance absorbs float accumulation in group masses).
+    + _PUSHFORWARD_TOLERANCE.
     """
     if lipschitz_map.is_real:
         image = real_measure_as_space(pushforward_real(space, lipschitz_map.values))
@@ -147,7 +147,7 @@ def sep_pushforward_check(
         image = pushforward_screen(space, lipschitz_map.target, lipschitz_map.values)
     down = sep_exact(image, kappas, budget)
     up = sep_exact(space, kappas, budget)
-    return {"holds": down.value <= up.value + tolerance, "source": up, "target": down}
+    return {"holds": down.value <= up.value + _PUSHFORWARD_TOLERANCE, "source": up, "target": down}
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def obsdiam_screen_estimate(
     dists = screen.distinct_distances()
     delta = float(dists[0]) if len(dists) else math.inf
     # index-order sums, as pushforward_screen sums an atom
-    comp_mass = np.bincount(_conflict_components(space.dist, delta), weights=space.weights)
+    comp_mass = _group_masses(space.weights, _conflict_components(space.dist, delta), 0)
     if comp_mass.max() >= target:
         witness = {"kind": "screen_map", "values": [0] * space.n, "samples": 0, "fallbacks": 0}
         return Bracket(0.0, 0.0, witness, "one component of {d < min screen distance}")

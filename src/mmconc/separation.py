@@ -24,10 +24,11 @@ is checked with one and/or on ints, and it draws its moves in blocks from
 one rng.integers call, which gives the moves of a scalar loop draw for
 draw.
 
-Group masses follow one summation convention: a group's mass is its
-points' weights added in ascending point index, starting from 0.0, as
-np.bincount adds them (_group_masses).  The heuristic's component
-seeding, its deficits and the witness checks all use sums made this way.
+Group masses follow one summation convention, space._group_masses: a
+group's mass is its points' weights added in ascending point index,
+starting from 0.0, as np.bincount adds them.  The heuristic's component
+seeding, its deficits, the witness checks and the merged atoms of a
+RealMeasure all use sums made this way.
 
 sep is the one place that decides exact or bound: sep_exact within the
 assignment budget, past it sep_lower_bound when an effort is given and
@@ -46,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import exact_triangle_closure, rng_for
-from .space import FiniteMMSpace, PointSet
+from .space import FiniteMMSpace, PointSet, _group_masses
 
 __all__ = [
     "BudgetExceededError",
@@ -70,6 +71,11 @@ _MOVE_BLOCK = 1024  # (point, label) pairs per rng call in the heuristic
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive routine would exceed its configured budget."""
+
+    @classmethod
+    def assignments(cls, n_labels: int, n: int, budget: int) -> "BudgetExceededError":
+        """sep_exact's refusal: n points, each in one of n_labels labels."""
+        return cls(f"sep_exact needs {n_labels}^{n} assignments, over budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +109,7 @@ class RealMeasure:
         if not np.isfinite(weights).all() or (weights < 0).any():
             raise ValueError("weights must be finite and >= 0")
         uniq, inverse = np.unique(positions, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, weights)
+        merged = _group_masses(weights, inverse, len(uniq))
         if merged.sum() <= 0:
             raise ValueError("total mass must be positive")
         return cls(uniq, merged)
@@ -192,14 +197,6 @@ class SepResult:
                 sub = space.dist[np.ix_(groups[a], groups[b])]
                 best = min(best, float(sub.min()))
         return best
-
-
-def _group_masses(weights: np.ndarray, assign: np.ndarray, n_labels: int) -> np.ndarray:
-    """Mass of every label 0..n_labels-1 of an assignment.  np.bincount
-    adds each point's weight in ascending index order, starting from 0.0;
-    this is the one mass convention every admissibility check in this
-    module shares."""
-    return np.bincount(assign, weights=weights, minlength=n_labels)
 
 
 def _check_kappas(kappas: Sequence[float]) -> list[float]:
@@ -349,9 +346,7 @@ def sep_exact(
     kappas = _check_kappas(kappas)
     n_labels = len(kappas) + 1
     if n_labels**space.n > budget:
-        raise BudgetExceededError(
-            f"sep_exact needs {n_labels}^{space.n} assignments, over budget {budget}"
-        )
+        raise BudgetExceededError.assignments(n_labels, space.n, budget)
     thresholds = space.distinct_distances()
     tables = _mass_tables(space.weights)
     lo, hi = 0, len(thresholds) - 1

@@ -1,4 +1,7 @@
-"""Finite metric measure spaces: validation, balls, and greedy nets."""
+"""Finite metric measure spaces: validation, balls, and greedy nets.
+
+The mass conventions live here: ball masses (_ball_mass_blocks) and
+per-label masses (_group_masses), which fibers, groups and components use."""
 
 from __future__ import annotations
 
@@ -249,13 +252,11 @@ def merge_coincident_points(
         same = np.flatnonzero((dist[i] == 0.0) & (owner < 0))
         owner[same] = len(keep)
         keep.append(i)
-    new_w = np.zeros(len(keep))
-    np.add.at(new_w, owner, weights)
     idx = np.array(keep)
     return (
         tuple(str(points[i]) for i in keep),
         dist[np.ix_(idx, idx)].copy(),
-        new_w,
+        _group_masses(weights, owner, len(keep)),
     )
 
 
@@ -285,6 +286,13 @@ def _ball_mass_blocks(space: FiniteMMSpace, radii, centers=None):
         for x, row in enumerate(rows):
             ends[x] = np.searchsorted(row, radii, side="right")
         yield np.take_along_axis(cum, ends - 1, axis=1)
+
+
+def _group_masses(weights: np.ndarray, labels: np.ndarray, n_labels: int) -> np.ndarray:
+    """Mass of each label of a labeling of the points, at least n_labels
+    entries.  The one per-label mass convention: np.bincount adds each
+    point's weight in ascending index order, starting from 0.0."""
+    return np.bincount(labels, weights=weights, minlength=n_labels)
 
 
 def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:

@@ -155,6 +155,28 @@ class TestSpaceFiles:
         assert mc.parse_space(str(b)).n == 9
         assert mc.parse_space(str(b)).n == 9  # nothing is left marked open
 
+    def test_a_product_takes_a_parsed_space_as_a_factor(self, tmp_path):
+        t4 = tmp_path / "t4.json"
+        t4.write_text(json.dumps({"metric": {"generator": {"kind": "discrete_torus", "n": 4}}}))
+        direct = mc.generate(mc.FamilySpec(
+            "product", factors=(mc.parse_space(str(t4)), mc.FamilySpec("hamming_cube", 2)),
+        ))
+        named = mc.parse_space({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "custom_file", "path": str(t4)}, {"kind": "hamming_cube", "n": 2},
+        ]}}})
+        assert named.points == direct.points
+        assert np.array_equal(named.dist, direct.dist)
+        assert np.array_equal(named.weights, direct.weights)
+
+    def test_a_custom_file_without_a_path_exits_one_at_its_node(self, tmp_path, capsys):
+        path = tmp_path / "nopath.json"
+        path.write_text(json.dumps({"metric": {"generator": {"kind": "product", "factors": [
+            {"kind": "hamming_cube", "n": 2}, {"kind": "custom_file"},
+        ]}}}))
+        rc, _, err = run_cli(["validate", "--space", str(path)], capsys)
+        assert rc == 1
+        assert err == "mmconc: /metric/generator/factors[1]: custom_file needs a path\n"
+
     @pytest.mark.parametrize("doc, pointer", [
         ({"metric": {"matrix": [["0", "1"], ["1", "0"]]}, "weights": [True, "1e0"]},
          "/metric/matrix[0, 0]"),

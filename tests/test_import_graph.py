@@ -76,3 +76,12 @@ def test_doubling_and_separation_never_import_observable():
     assert "observable" in graph and graph["families"] >= {"observable", "doubling"}
     for module in ("doubling", "separation"):
         assert "observable" not in reached_from(graph, module), module
+
+
+def test_the_package_import_graph_has_no_cycle():
+    """Imports inside functions count: a lazy import ties two modules
+    together as much as one at the top does."""
+    graph = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
+    assert "formats" not in graph["families"]
+    for module in graph:
+        assert module not in reached_from(graph, module), module

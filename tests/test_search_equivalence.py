@@ -489,6 +489,12 @@ def test_group_masses_add_in_ascending_index_order():
             assert got[g] == _sequential_mass(weights, members)
             order_visible += sum(float(weights[i]) for i in members[::-1]) != got[g]
     assert order_visible > 0
+    # coincident atoms of a real measure merge through the same routine
+    positions = rng.integers(0, 5, size=40).astype(float)
+    weights = 10.0 ** rng.uniform(-16, 0, size=40)
+    merged = mc.RealMeasure.from_atoms(positions, weights)
+    for g, x in enumerate(merged.positions):
+        assert merged.weights[g] == _sequential_mass(weights, np.flatnonzero(positions == x))
 
 
 # ---------------------------------------------------------------------------
