@@ -9,6 +9,7 @@ precondition fails).  Reports go to stdout or --out as canonical JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -45,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built on first use; parses share no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mmconc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

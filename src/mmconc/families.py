@@ -74,11 +74,14 @@ class FamilySpec:
 
 
 def _uniform_or(spec: FamilySpec, n: int) -> np.ndarray:
+    """Uniform weights, or the spec's; checked at any size, past _VALIDATE_CAP too."""
     if spec.weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(spec.weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got {w.shape}")
+    if not np.isfinite(w).all() or (w < 0.0).any() or w.sum() <= 0.0:
+        raise ValueError("weights must be finite and >= 0, with positive total mass")
     return w
 
 

@@ -25,6 +25,7 @@ from .separation import (
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
     SepResult,
+    _bisect_last,
     _check_effort,
     _conflict_components,
     real_measure_as_space,
@@ -218,10 +219,11 @@ def partial_diameter_screen(
 ) -> float:
     """Exact minimal diameter of a subset of an image with mass >= target_mass.
 
-    Scans candidate diameters (0 and the support's pairwise distances,
-    binary search) and decides each with an exact subset search.  The
-    full support always qualifies when target_mass <= total (its true
-    mass is the total by definition), so the answer is finite there.
+    Candidate diameters are 0 and the support's pairwise distances.  The
+    full support always qualifies when target_mass <= total (its true mass
+    is the total by definition), so the caps below its diameter are
+    bisected for the last one an exact subset search rejects; the answer
+    is the next cap up.
     """
     total = image.total_mass
     if target_mass > total:
@@ -236,24 +238,14 @@ def partial_diameter_screen(
         )
     dist = image.dist[np.ix_(support, support)]
     weights = image.weights[support]
-    if len(support) == 1:
-        return 0.0
     iu = np.triu_indices(len(support), k=1)
     caps = np.concatenate(([0.0], np.unique(dist[iu])))
-    # largest cap is the full-support diameter: always feasible here
-    lo, hi = 0, len(caps) - 1
-    best = float(caps[-1])
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        feasible = (mid == len(caps) - 1) or _clique_reaches(
-            dist, weights, float(caps[mid]), target_mass
-        )
-        if feasible:
-            best = float(caps[mid])
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best
+
+    def rejected(i: int) -> bool | None:
+        return None if _clique_reaches(dist, weights, float(caps[i]), target_mass) else True
+
+    last_rejected, _ = _bisect_last(len(caps) - 1, rejected)
+    return float(caps[last_rejected + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 Sep(X; k0, ..., kN) is the largest t such that disjoint nonempty groups
 X_0, ..., X_N with masses >= k_i can be chosen pairwise at distance >= t.
 On a finite space every positive optimum is realized by assigning each
-point to one group or discarding it, so sep_exact searches assignments.
+point to one group or discarding it, so the engines search assignments.
 Overlapping families only ever realize value 0, which we report as
 feasible=False with value 0.0.
+
+An engine is an attempt at one threshold, attempt(index, t): an
+assignment with groups pairwise >= t apart, or None.  One threshold search
+(_threshold_search) bisects the distinct distances for every engine and
+builds, checks and measures the witnesses of the last assignment found.
 
 The exact search (_feasible_assignment) keeps point sets as Python-int
 bitmasks: a point may join a group when no other group's reach (the
@@ -16,13 +21,12 @@ tables of subset masses (_mass_tables), summed in another order than the
 convention below, so they serve the prune only and carry a slack; no
 admissibility check reads them.
 
-The heuristic lower bound (sep_lower_bound, one _try_threshold per
-threshold of its binary search) seeds whole components of the conflict
-graph and then tries random single-point moves.  It keeps the same kind
-of bitmasks (a near mask per point, a member mask per label), so a move
-is checked with one and/or on ints, and it draws its moves in blocks from
-one rng.integers call, which gives the moves of a scalar loop draw for
-draw.
+The heuristic lower bound (_try_threshold) seeds whole components of
+the conflict graph and then tries random single-point moves.  It keeps
+the same kind of bitmasks (a near mask per point, a member mask per
+label), so a move is checked with one and/or on ints, and it draws its
+moves in blocks from one rng.integers call, which gives the moves of a
+scalar loop draw for draw.
 
 Group masses follow one summation convention, space._group_masses: a
 group's mass is its points' weights added in ascending point index,
@@ -40,9 +44,10 @@ a pushforward image (sep_pushforward_check) lives where images are built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -176,7 +181,7 @@ def real_measure_as_space(nu: RealMeasure) -> FiniteMMSpace:
 
 
 # ---------------------------------------------------------------------------
-# exact separation
+# the threshold search
 
 
 @dataclass(frozen=True)
@@ -186,17 +191,6 @@ class SepResult:
     exact: bool
     witnesses: tuple[PointSet, ...] | None
     assignment: tuple[int, ...] | None
-
-    def witness_min_distance(self, space: FiniteMMSpace) -> float:
-        if not self.witnesses:
-            return 0.0
-        best = math.inf
-        groups = [list(w) for w in self.witnesses]
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                sub = space.dist[np.ix_(groups[a], groups[b])]
-                best = min(best, float(sub.min()))
-        return best
 
 
 def _check_kappas(kappas: Sequence[float]) -> list[float]:
@@ -211,6 +205,48 @@ def _check_kappas(kappas: Sequence[float]) -> list[float]:
 def _check_effort(effort: int) -> None:
     if effort < 0:
         raise ValueError(f"effort must be >= 0, got {effort}")
+
+
+def _bisect_last(count: int, probe: Callable[[int], Any]) -> tuple[int, Any]:
+    """Last index in range(count) whose probe returns a result (not None),
+    with that result, or (-1, None); the probes should succeed on a
+    prefix.  A probe that is not monotone still sees the indices of a
+    binary search, in its order."""
+    lo, hi, best = 0, count - 1, (-1, None)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        result = probe(mid)
+        if result is None:
+            hi = mid - 1
+        else:
+            lo, best = mid + 1, (mid, result)
+    return best
+
+
+def _threshold_search(
+    space: FiniteMMSpace, kappas: list[float], exact: bool, attempt: Callable
+) -> SepResult:
+    """Bisect the distinct distances t with attempt(index, t), and turn
+    the last assignment found into checked witnesses (module docstring).
+    An exact attempt's realized gap is its threshold: exact feasibility
+    is monotone, so a larger gap would have been found."""
+    thresholds = space.distinct_distances()
+    _, assign = _bisect_last(len(thresholds), lambda i: attempt(i, float(thresholds[i])))
+    if assign is None:
+        return SepResult(0.0, False, exact, None, None)
+    groups = [np.flatnonzero(assign == g) for g in range(len(kappas))]
+    group_mass = _group_masses(space.weights, assign, len(kappas) + 1)
+    for g, kappa in enumerate(kappas):
+        mass = float(group_mass[g])
+        if mass < kappa:
+            raise RuntimeError(f"witness group {g} has mass {mass!r} below kappa {kappa!r}")
+    value = min(float(space.dist[np.ix_(a, b)].min()) for a, b in itertools.combinations(groups, 2))
+    witnesses = tuple(PointSet.of(members) for members in groups)
+    return SepResult(value, True, exact, witnesses, tuple(int(a) for a in assign))
+
+
+# ---------------------------------------------------------------------------
+# exact separation
 
 
 def _mass_tables(weights: np.ndarray) -> list[list[float]]:
@@ -347,27 +383,12 @@ def sep_exact(
     n_labels = len(kappas) + 1
     if n_labels**space.n > budget:
         raise BudgetExceededError.assignments(n_labels, space.n, budget)
-    thresholds = space.distinct_distances()
     tables = _mass_tables(space.weights)
-    lo, hi = 0, len(thresholds) - 1
-    best: tuple[float, np.ndarray] | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        assign = _feasible_assignment(
-            space.dist, space.weights, kappas, float(thresholds[mid]), tables
-        )
-        if assign is not None:
-            best = (float(thresholds[mid]), assign)
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best is None:
-        return SepResult(0.0, False, True, None, None)
-    value, assign = best
-    witnesses = tuple(
-        PointSet.of(np.flatnonzero(assign == g)) for g in range(len(kappas))
-    )
-    return SepResult(value, True, True, witnesses, tuple(int(a) for a in assign))
+
+    def attempt(_: int, t: float) -> np.ndarray | None:
+        return _feasible_assignment(space.dist, space.weights, kappas, t, tables)
+
+    return _threshold_search(space, kappas, True, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -490,39 +511,20 @@ def sep_lower_bound(
 ) -> SepResult:
     """Certified lower bound on the separation distance.
 
-    Binary-searches the candidate threshold over the distinct distances;
-    feasibility at each threshold is attempted heuristically, and any
-    returned value is re-verified from its witnesses, so value <=
+    The threshold search tries _try_threshold at each threshold, with
+    an rng drawn from the seed and the threshold's index, and the value
+    is the realized gap of the witnesses it returns, so value <=
     sep_exact always.  Deterministic for a fixed seed; exact=False.
-    effort is the number of moves per threshold (_try_threshold); at 0
-    only the component seeding runs.
+    effort is the number of moves per threshold; at 0 only the component
+    seeding runs.
     """
     kappas = _check_kappas(kappas)
     _check_effort(effort)
-    thresholds = space.distinct_distances()
-    lo, hi = 0, len(thresholds) - 1
-    best: np.ndarray | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        assign = _try_threshold(
-            space, kappas, float(thresholds[mid]), effort, rng_for(seed, mid, "sep-lb")
-        )
-        if assign is not None:
-            best = assign
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best is None:
-        return SepResult(0.0, False, False, None, None)
-    witnesses = tuple(PointSet.of(np.flatnonzero(best == g)) for g in range(len(kappas)))
-    result = SepResult(0.0, True, False, witnesses, tuple(int(a) for a in best))
-    realized = result.witness_min_distance(space)
-    group_mass = _group_masses(space.weights, best, len(kappas) + 1)
-    for g in range(len(kappas)):
-        mass = float(group_mass[g])
-        if mass < kappas[g]:
-            raise RuntimeError(f"witness group {g} has mass {mass!r} below kappa {kappas[g]!r}")
-    return SepResult(realized, True, False, witnesses, result.assignment)
+
+    def attempt(index: int, t: float) -> np.ndarray | None:
+        return _try_threshold(space, kappas, t, effort, rng_for(seed, index, "sep-lb"))
+
+    return _threshold_search(space, kappas, False, attempt)
 
 
 # ---------------------------------------------------------------------------

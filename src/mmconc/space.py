@@ -252,7 +252,7 @@ def merge_coincident_points(
         same = np.flatnonzero((dist[i] == 0.0) & (owner < 0))
         owner[same] = len(keep)
         keep.append(i)
-    idx = np.array(keep)
+    idx = np.array(keep, dtype=np.intp)
     return (
         tuple(str(points[i]) for i in keep),
         dist[np.ix_(idx, idx)].copy(),
@@ -291,8 +291,8 @@ def _ball_mass_blocks(space: FiniteMMSpace, radii, centers=None):
 def _group_masses(weights: np.ndarray, labels: np.ndarray, n_labels: int) -> np.ndarray:
     """Mass of each label of a labeling of the points, at least n_labels
     entries.  The one per-label mass convention: np.bincount adds each
-    point's weight in ascending index order, starting from 0.0."""
-    return np.bincount(labels, weights=weights, minlength=n_labels)
+    point's weight in ascending index order, from 0.0 (floats on no points)."""
+    return np.bincount(labels, weights=weights, minlength=n_labels).astype(np.float64, copy=False)
 
 
 def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:

@@ -43,6 +43,24 @@ class TestHammingCube:
             mc.generate(mc.FamilySpec("hamming_cube", 13))
 
 
+class TestSpecWeights:
+    @pytest.mark.parametrize("n", [8, 2048])  # 2,048 is past generate's re-validation cap
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), 0.0])
+    def test_bad_weights_are_refused_at_every_size(self, n, bad):
+        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+            mc.generate(mc.FamilySpec("discrete_torus", n, weights=(bad,) * n))
+
+    def test_one_negative_weight_among_good_ones_is_refused(self):
+        weights = (0.5,) * 2047 + (-0.5,)
+        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+            mc.generate(mc.FamilySpec("discrete_torus", 2048, weights=weights))
+
+    def test_zero_weights_with_positive_total_pass(self):
+        weights = (0.0,) * 2047 + (1.0,)
+        sp = mc.generate(mc.FamilySpec("discrete_torus", 2048, weights=weights))
+        assert sp.total_mass == 1.0
+
+
 class TestDiscreteTorus:
     @given(st.integers(3, 24))
     def test_arc_metric(self, n):

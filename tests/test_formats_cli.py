@@ -14,6 +14,7 @@ import pytest
 
 import mmconc as mc
 import mmconc.formats as formats
+from mmconc import cli
 from mmconc.cli import main
 from conftest import random_space
 
@@ -488,6 +489,22 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr == f"--{flag}: must be >= {least}\n" and not proc.stdout
+
+    def test_commands_in_one_process_print_what_separate_processes_print(self, capsys):
+        """The parser is built once per process; parses share no state."""
+        commands = [
+            ["sep", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5", "--kappa", "0.25"],
+            ["validate", "--space", f"{SPACES}/torus8.json"],
+            ["sep", "--space", f"{SPACES}/square4.json", "--kappa", "0.25", "--kappa", "0.25"],
+        ]
+        for argv in commands:
+            rc, out, err = run_cli(argv, capsys)
+            proc = subprocess.run(
+                [sys.executable, "-m", "mmconc.cli", *argv], capture_output=True, text=True
+            )
+            assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+            assert rc == 0 and out
+        assert cli._build_parser() is cli._build_parser()
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

@@ -85,3 +85,32 @@ def test_the_package_import_graph_has_no_cycle():
     assert "formats" not in graph["families"]
     for module in graph:
         assert module not in reached_from(graph, module), module
+
+
+def is_midpoint(node) -> bool:
+    """(lo + hi) // 2, the step of a binary search."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    )
+
+
+def test_the_package_holds_one_bisection_loop():
+    """Every threshold search (both separation engines and the screen
+    partial diameter) goes through separation._bisect_last."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in ast.walk(func):
+                if isinstance(loop, (ast.While, ast.For)) and any(
+                    is_midpoint(node) for node in ast.walk(loop)
+                ):
+                    found.append(f"{path.stem}.{func.name}")
+    assert found == ["separation._bisect_last"]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import mmconc as mc
-from mmconc.separation import _mass_tables
+from mmconc.separation import _bisect_last, _mass_tables
 from conftest import line_space, random_measure, random_space
 
 
@@ -113,6 +115,49 @@ class TestSepExact:
             mc.sep_exact(sp, [0.3, 0.3])
         r = mc.sep_exact(sp, [0.3, 0.3], budget=3**15)
         assert r.exact
+
+
+class TestThresholdSearch:
+    def test_bisect_last_visits_the_binary_search_order(self):
+        for count in range(9):
+            for good in range(count + 1):  # probes succeed on indices < good
+                seen = []
+
+                def probe(i):
+                    seen.append(i)
+                    return f"r{i}" if i < good else None
+
+                index, result = _bisect_last(count, probe)
+                assert (index, result) == ((good - 1, f"r{good - 1}") if good else (-1, None))
+                lo, hi, order = 0, count - 1, []
+                while lo <= hi:
+                    mid = (lo + hi) // 2
+                    order.append(mid)
+                    lo, hi = (mid + 1, hi) if mid < good else (lo, mid - 1)
+                assert seen == order
+
+    def test_exact_value_is_the_witnesses_gap_and_groups_hold_their_kappas(self):
+        rng = np.random.default_rng(43)
+        spaces = [random_space(rng, int(rng.integers(2, 9))) for _ in range(30)]
+        spaces += [mc.generate(mc.FamilySpec("hamming_cube", n)) for n in (2, 3)]
+        checked = 0
+        for sp in spaces:
+            m = sp.weights.sum()
+            for groups in (2, 3):
+                kappas = [float(k) for k in rng.uniform(0.0, m / (groups + 1), size=groups)]
+                r = mc.sep(sp, kappas)
+                assert r.exact
+                if not r.feasible:
+                    assert r.value == 0.0 and r.witnesses is None
+                    continue
+                members = [w.indices for w in r.witnesses]
+                gap = min(group_distance(sp, a, b) for a, b in itertools.combinations(members, 2))
+                assert r.value == gap
+                for g, kappa in zip(members, kappas):
+                    # ascending index order from 0.0, the group-mass convention
+                    assert sum(float(sp.weights[i]) for i in g) >= kappa
+                checked += 1
+        assert checked > 40
 
 
 class TestSepLowerBound:

@@ -94,6 +94,12 @@ class TestValidateSpace:
         assert mw[0] == pytest.approx(0.5)
         mc.validate_space(labels, mdist, mw)  # merged space is valid
 
+    def test_merge_of_no_points_gives_three_empty_results(self):
+        labels, mdist, mw = mc.merge_coincident_points((), np.zeros((0, 0)), [])
+        assert labels == ()
+        assert mdist.shape == (0, 0) and mdist.dtype == np.float64
+        assert mw.shape == (0,) and mw.dtype == np.float64
+
 
 def hub_loop_triangle(dist: np.ndarray):
     """Reference: the triangle inequality one hub at a time, with the
