@@ -1,10 +1,10 @@
 """Doubling profiles, ball-mass ratio bounds, packing and net coloring.
 
-The profile stores the minimal pointwise doubling constant on a radius
-grid, so "does (X, mu) belong to the doubling class with constant C up
-to horizon R?" reduces to a gridwise comparison.  The ratio bound and
-the packing bound are theorems for these constants: a violation in the
-checkers is a bug, never data.
+The profile records the minimal pointwise doubling constant at every
+half-distance up to a horizon; other radii are computed directly, and a
+coloring or a concentration witness takes its scale from its net.  The
+ratio bound and the packing bound are theorems for these constants: a
+violation in the checkers is a bug, never data.
 
 Every ball mass here follows the one convention of space._ball_mass_blocks
 (cumulative sums along sorted rows); the concentration witness reads them
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +35,12 @@ __all__ = [
 ]
 
 
-def _doubling_constants(space: FiniteMMSpace, radii: np.ndarray) -> np.ndarray:
+def _doubling_constants(space: FiniteMMSpace, radii: Sequence[float]) -> np.ndarray:
     """Minimal C(r) with mass(B(x,2r)) <= C * mass(B(x,r)) for all x, per r,
-    reduced over one block of centers at a time."""
+    reduced over one block of centers at a time.  Each r is read off the
+    sorted rows on its own, so C(r) does not depend on the other radii."""
     radii = np.asarray(radii, dtype=np.float64)
     best = np.zeros(len(radii))
-    if not len(radii):
-        return best
     for masses in _ball_mass_blocks(space, np.concatenate((radii, 2.0 * radii))):
         ratios = masses[:, len(radii) :] / masses[:, : len(radii)]
         np.maximum(best, ratios.max(axis=0), out=best)
@@ -50,9 +49,9 @@ def _doubling_constants(space: FiniteMMSpace, radii: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DoublingProfile:
-    """Minimal doubling constants of a space on a radius grid, valid up
-    to the horizon.  Off-grid radii are computed on demand, so the grid
-    is a cache of interesting radii, not a limitation."""
+    """Minimal doubling constants of a space at every half-distance within
+    (0, horizon]: a record of doubling_profile's one grid.  Other radii,
+    such as the ladder rungs of lemma_constant, are computed directly."""
 
     space: FiniteMMSpace
     horizon: float
@@ -63,62 +62,23 @@ class DoublingProfile:
         self.radii.setflags(write=False)
         self.values.setflags(write=False)
 
-    def _constants(self, radii: np.ndarray) -> np.ndarray:
-        """Constants at positive radii: grid values where stored, the rest
-        computed together in one pass over the sorted rows."""
-        hit = np.searchsorted(self.radii, radii)
-        on_grid = hit < len(self.radii)
-        on_grid[on_grid] = self.radii[hit[on_grid]] == radii[on_grid]
-        out = np.empty(len(radii))
-        out[on_grid] = self.values[hit[on_grid]]
-        out[~on_grid] = _doubling_constants(self.space, radii[~on_grid])
-        return out
 
-    def constant_at(self, radius: float) -> float:
-        if radius <= 0.0:
-            raise ValueError("radius must be > 0")
-        return float(self._constants(np.array([float(radius)]))[0])
-
-    def refined(self, extra_radii: Sequence[float]) -> "DoublingProfile":
-        extra = np.asarray(sorted(set(float(r) for r in extra_radii)))
-        if (extra <= 0.0).any():
-            raise ValueError("radii must be > 0")
-        merged = np.unique(np.concatenate((self.radii, extra)))
-        return DoublingProfile(self.space, self.horizon, merged, self._constants(merged))
-
-    def dominated_by(self, constant: float | Callable[[float], float]) -> bool:
-        """Membership test against a user-supplied constant or table."""
-        if callable(constant):
-            return all(v <= constant(float(r)) for r, v in zip(self.radii, self.values))
-        return bool((self.values <= constant).all())
-
-
-def doubling_profile(
-    space: FiniteMMSpace,
-    horizon: float | None = None,
-    radii: Sequence[float] | None = None,
-) -> DoublingProfile:
-    """Minimal doubling constants on a grid of radii within (0, horizon].
-
-    The default grid is the distinct half-distances, where the outer
-    ball's composition changes; horizon defaults to the diameter (1.0
-    for a single point, where every constant is 1 anyway).  Requires
-    all weights positive so every ratio has a positive denominator.
+def doubling_profile(space: FiniteMMSpace, horizon: float | None = None) -> DoublingProfile:
+    """Minimal doubling constants at the distinct half-distances within
+    (0, horizon], where the outer ball's composition changes; horizon
+    defaults to the diameter (1.0 for a single point, where every
+    constant is 1 anyway).  Requires all weights positive so every ratio
+    has a positive denominator.
     """
     zero = np.flatnonzero(space.weights <= 0.0)
     if len(zero):
         raise ValueError(f"doubling needs positive weights; zero at indices {zero[:10].tolist()}")
     if horizon is None:
         horizon = space.diameter if space.diameter > 0.0 else 1.0
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError("horizon must be > 0")
-    if radii is None:
-        halves = space.distinct_distances() / 2.0
-        grid = halves[(halves > 0.0) & (halves <= horizon)]
-    else:
-        grid = np.unique(np.asarray([float(r) for r in radii]))
-        if len(grid) and (grid[0] <= 0.0 or grid[-1] > horizon):
-            raise ValueError("grid radii must lie in (0, horizon]")
+    halves = space.distinct_distances() / 2.0
+    grid = halves[(halves > 0.0) & (halves <= horizon)]
     return DoublingProfile(space, float(horizon), grid, _doubling_constants(space, grid))
 
 
@@ -137,7 +97,7 @@ def lemma_constant(profile: DoublingProfile, r1: float, r2: float) -> float:
     rungs = [r1]
     while rungs[-1] < 2.0 * r2:
         rungs.append(rungs[-1] * 2.0)
-    return float(profile._constants(np.array(rungs)).max())
+    return float(_doubling_constants(profile.space, rungs).max())
 
 
 def ratio_bound(profile: DoublingProfile, r1: float, r2: float) -> float:
@@ -162,7 +122,7 @@ def packing_bound_check(profile: DoublingProfile, net: Net, epsilon: float) -> P
     Requires 32*epsilon <= 3*horizon, which is exactly what the ladder
     needs (its top rung is 32*epsilon/3).  holds=False means a bug.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
     if 32.0 * epsilon > 3.0 * profile.horizon:
         raise ValueError(
@@ -178,10 +138,9 @@ def packing_bound_check(profile: DoublingProfile, net: Net, epsilon: float) -> P
 
 @dataclass(frozen=True)
 class Coloring:
-    """Partition of a net into 5*epsilon-separated classes."""
+    """Partition of a net into classes 5 * net.epsilon apart."""
 
     net: Net
-    epsilon: float
     anchor: int
     classes: tuple[PointSet, ...]
 
@@ -228,7 +187,7 @@ def color_net(space: FiniteMMSpace, net: Net) -> Coloring:
         raise RuntimeError(
             f"net coloring left {sorted(remaining)} unassigned; this is a bug"
         )
-    return Coloring(net, float(net.epsilon), int(members[a]), tuple(classes))
+    return Coloring(net, int(members[a]), tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -239,23 +198,18 @@ class ConcentrationWitness:
 
 
 def concentration_witness(
-    image: FiniteMMSpace,
-    net: Net,
-    epsilon: float,
-    mass_floor: float,
+    image: FiniteMMSpace, net: Net, mass_floor: float
 ) -> ConcentrationWitness | None:
     """Locate where a pushforward image concentrates, if anywhere.
 
     Picks the net member whose 2*eps ball carries the most image mass
-    (ties: lowest index).  If that mass reaches mass_floor, returns the
-    member and the mass left outside its 3*eps ball — the residual a
-    concentrating sequence drives to 0: row total minus 3*eps ball mass.
-    Otherwise None.
+    (ties: lowest index), eps the net's.  If that mass reaches mass_floor,
+    returns the member and the mass left outside its 3*eps ball — the
+    residual a concentrating sequence drives to 0: row total minus 3*eps
+    ball mass.  Otherwise None.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
     members = list(net.members)
-    radii = (2.0 * epsilon, 3.0 * epsilon, math.inf)
+    radii = (2.0 * net.epsilon, 3.0 * net.epsilon, math.inf)
     masses = np.concatenate(list(_ball_mass_blocks(image, radii, members)))
     best = int(np.argmax(masses[:, 0]))
     ball2, ball3, total = masses[best]

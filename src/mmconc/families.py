@@ -98,8 +98,7 @@ def _hamming_cube(spec: FamilySpec) -> FiniteMMSpace:
     table = subadditive_table(n, 1.0, float(n)) if spec.normalized else np.arange(n + 1, dtype=np.float64)
     dist = table[ham]
     labels = tuple(format(i, f"0{n}b") for i in range(size))
-    weights = np.full(size, 0.5**n) if spec.weights is None else _uniform_or(spec, size)
-    return FiniteMMSpace(labels, dist, weights)
+    return FiniteMMSpace(labels, dist, _uniform_or(spec, size))
 
 
 def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
@@ -110,8 +109,7 @@ def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
     raw = np.abs(idx[:, None] - idx[None, :])
     arcs = np.minimum(raw, n - raw)
     if spec.normalized:
-        table = subadditive_table(n // 2, 1.0, float(n)) if n >= 2 else np.zeros(1)
-        dist = table[arcs]
+        dist = subadditive_table(n // 2, 1.0, float(n))[arcs]
     else:
         dist = arcs.astype(np.float64)
     labels = tuple(str(i) for i in range(n))
@@ -268,7 +266,7 @@ class LevyReport:
 def _member_rows(
     member: int,
     spec: FamilySpec,
-    roster: list[tuple[str, FiniteMMSpace, Net | None]],
+    roster: list[tuple[str, FiniteMMSpace, Net]],
     kappas: list[float],
     effort: int,
     seed: int,
@@ -301,13 +299,12 @@ def _member_rows(
                 "sampler_fallbacks": bracket.witness["fallbacks"],
                 "witness_center": None, "witness_ball_mass": None, "witness_residual": None,
             }
-            if net is not None:
-                values = np.asarray(bracket.witness["values"], dtype=np.int64)
-                image = pushforward_screen(space, screen, values)
-                wit = concentration_witness(image, net, net.epsilon, space.total_mass / 6.0)
-                if wit is not None:
-                    cell.update(witness_center=screen.points[wit.center],
-                                witness_ball_mass=wit.ball_mass, witness_residual=wit.residual)
+            values = np.asarray(bracket.witness["values"], dtype=np.int64)
+            image = pushforward_screen(space, screen, values)
+            wit = concentration_witness(image, net, space.total_mass / 6.0)
+            if wit is not None:
+                cell.update(witness_center=screen.points[wit.center],
+                            witness_ball_mass=wit.ball_mass, witness_residual=wit.residual)
             cells.append(cell)
             lowers.append(bracket.lower)
         if lowers:
@@ -373,7 +370,7 @@ def run_levy_experiment(
     common_r = min(horizons) if horizons else None
     eps = 3.0 * common_r / 32.0 if common_r else None
     roster = [
-        (name, screen, None if eps is None else build_net(screen, eps))
+        (name, screen, build_net(screen, eps))  # eps is None only when no screen is profiled
         for (name, screen), row in zip(screens, screen_rows)
         if "error" not in row
     ]

@@ -42,7 +42,7 @@ import numpy as np
 
 from .families import FamilySpec, generate
 from .separation import RealMeasure
-from .space import FiniteMMSpace, SpaceValidationError, validate_space
+from .space import FiniteMMSpace, SpaceValidationError, _check_weights, validate_space
 
 __all__ = [
     "SpaceFileError",
@@ -189,11 +189,13 @@ def _parse_space_doc(doc: dict, opened: tuple[str, ...]) -> FiniteMMSpace:
         except ValueError as err:
             raise SpaceFileError("/metric/generator", str(err)) from err
         if weights_field != "uniform":
+            # the metric was checked where it was made; the weights need only theirs
             weights = _weights_array(weights_field, space.n)
             try:
-                space = validate_space(space.points, space.dist.copy(), weights)
+                _check_weights(weights)
             except SpaceValidationError as err:
                 raise SpaceFileError("/weights", f"validation failed: {err}") from err
+            space = FiniteMMSpace(space.points, space.dist, weights)
         return space
 
     if "matrix" not in metric:

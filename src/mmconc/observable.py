@@ -163,6 +163,8 @@ def partial_diameter_real(nu: RealMeasure, target_mass: float) -> float:
     exceeds the total mass.  All window masses are prefix-sum differences
     of the measure's one sequential prefix array.
     """
+    if math.isnan(target_mass):
+        raise ValueError("target_mass must be a number, got nan")
     prefix = nu.prefix
     total = nu.total_mass
     if target_mass > total:
@@ -225,6 +227,8 @@ def partial_diameter_screen(
     bisected for the last one an exact subset search rejects; the answer
     is the next cap up.
     """
+    if math.isnan(target_mass):
+        raise ValueError("target_mass must be a number, got nan")
     total = image.total_mass
     if target_mass > total:
         return math.inf

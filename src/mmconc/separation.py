@@ -154,7 +154,7 @@ def sep_real_quantile(nu: RealMeasure, kappa: float) -> QuantileGap:
     mass((-inf, a0]) >= kappa, mass([b0, inf)) >= kappa, and
     mass([a0, b0]) >= total - 2*kappa whenever the gap is not degenerate.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be > 0")
     prefix = nu.prefix
     m = nu.total_mass

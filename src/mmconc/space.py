@@ -5,6 +5,7 @@ per-label masses (_group_masses), which fibers, groups and components use."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -160,6 +161,25 @@ def _check_triangle(dist: np.ndarray, add, counts) -> None:
             counts["triangle"] += len(bad) - len(shown)
 
 
+def _weight_violations(weights: np.ndarray) -> list[Violation]:
+    """The weight axioms: finite, >= 0, with positive total mass."""
+    if not np.isfinite(weights).all():
+        return [Violation("nonfinite_weight", (int(i),), f"w={weights[i]!r}")
+                for (i,) in np.argwhere(~np.isfinite(weights))[:_MAX_REPORTED]]
+    found = [Violation("negative_weight", (int(i),), f"w={weights[i]!r}")
+             for (i,) in np.argwhere(weights < 0.0)[:_MAX_REPORTED]]
+    if len(weights) and weights.sum() <= 0.0:
+        found.append(Violation("zero_total_mass", (), f"total mass {weights.sum()!r} is not positive"))
+    return found
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    """validate_space's weight axioms alone, with no second metric scan."""
+    found = _weight_violations(weights)
+    if found:
+        raise SpaceValidationError(found, dict(Counter(v.kind for v in found)))
+
+
 def validate_space(
     points: Sequence[str],
     dist: np.ndarray | Sequence[Sequence[float]],
@@ -217,14 +237,8 @@ def validate_space(
         if not violations and not _triangle_holds(dist):
             _check_triangle(dist, add, counts)
 
-    if not np.isfinite(weights).all():
-        for (i,) in np.argwhere(~np.isfinite(weights))[:_MAX_REPORTED]:
-            add("nonfinite_weight", (int(i),), f"w={weights[i]!r}")
-    else:
-        for (i,) in np.argwhere(weights < 0.0)[:_MAX_REPORTED]:
-            add("negative_weight", (int(i),), f"w={weights[i]!r}")
-        if n and weights.sum() <= 0.0:
-            add("zero_total_mass", (), f"total mass {weights.sum()!r} is not positive")
+    for v in _weight_violations(weights):
+        add(v.kind, v.indices, v.detail)
 
     if violations:
         raise SpaceValidationError(violations, counts)
@@ -310,36 +324,25 @@ class Net:
 
     epsilon: float
     members: PointSet
-    scan_order: tuple[int, ...]
 
 
-def build_net(
-    space: FiniteMMSpace,
-    epsilon: float,
-    scan_order: Sequence[int] | None = None,
-) -> Net:
-    """Greedy scan in scan_order (default index order): admit a point iff
-    it is at distance >= epsilon from every point admitted so far.
+def build_net(space: FiniteMMSpace, epsilon: float) -> Net:
+    """Greedy scan in index order: admit a point iff it is at distance
+    >= epsilon from every point admitted so far.
 
     The >= convention means a point exactly epsilon away still joins the
     net; maximality (every rejected point within < epsilon of a member)
     holds because rejection is exactly the complementary comparison.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    if scan_order is None:
-        order = list(range(space.n))
-    else:
-        order = [int(i) for i in scan_order]
-        if sorted(order) != list(range(space.n)):
-            raise ValueError("scan_order must be a permutation of all point indices")
     admitted: list[int] = []
     near = np.full(space.n, np.inf)  # distance to the nearest admitted point
-    for i in order:
+    for i in range(space.n):
         if near[i] >= epsilon:
             admitted.append(i)
             np.minimum(near, space.dist[i], out=near)
-    return Net(float(epsilon), PointSet.of(admitted), tuple(order))
+    return Net(float(epsilon), PointSet.of(admitted))
 
 
 def packing_multiplicity(space: FiniteMMSpace, net: Net, center: int, radius: float) -> int:

@@ -107,7 +107,7 @@ def _empirical_ratio_floor(sp, r1, r2):
 
 
 def _coloring_is_valid(sp, net, col):
-    scale = 5.0 * col.epsilon
+    scale = 5.0 * col.net.epsilon
     seen = set()
     for cls in col.classes:
         for p in cls:

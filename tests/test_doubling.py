@@ -9,6 +9,7 @@ import pytest
 
 import mmconc as mc
 from conftest import random_space, sorted_row, sorted_row_mass
+from mmconc.doubling import _doubling_constants
 from mmconc.space import _ROW_BLOCK
 
 
@@ -20,7 +21,7 @@ def torus(n: int, normalized: bool = False, weights=None) -> mc.FiniteMMSpace:
 
 def check_coloring(space, net, coloring):
     """Independent verification: disjoint, exhaustive, each class 5e-separated."""
-    scale = 5.0 * coloring.epsilon
+    scale = 5.0 * coloring.net.epsilon
     seen = []
     for cls in coloring.classes:
         for p in cls:
@@ -59,7 +60,7 @@ class TestProfile:
     def test_eight_cycle_doubling_constant_at_one(self):
         prof = mc.doubling_profile(torus(8))
         # B(x,2) has 5 points, B(x,1) has 3, uniform mass: C(1) = 5/3
-        assert prof.constant_at(1.0) == 5 / 3
+        assert dict(zip(prof.radii, prof.values))[1.0] == 5 / 3
 
     def test_values_are_minimal_and_attained(self):
         rng = np.random.default_rng(91)
@@ -80,13 +81,6 @@ class TestProfile:
         prof = mc.doubling_profile(sp)
         want = sorted({d / 2 for d in np.unique(sp.dist) if 0 < d / 2 <= prof.horizon})
         assert list(prof.radii) == want
-
-    def test_refined_grid_and_off_grid_queries_agree(self):
-        sp = torus(8)
-        prof = mc.doubling_profile(sp)
-        fresh = prof.constant_at(0.7)  # off-grid: computed on demand
-        refined = prof.refined([0.7])
-        assert refined.constant_at(0.7) == fresh
 
     def test_sorted_row_masses_bit_for_bit(self):
         rng = np.random.default_rng(96)
@@ -128,23 +122,21 @@ class TestProfile:
         assert np.array_equal(prof.values, want)
 
     def test_off_grid_and_refined_values_equal_grid_values(self):
+        """Constants computed directly at any subset of the grid radii, alone
+        or beside off-grid radii as lemma_constant's rungs are, equal the
+        profile's values there: each radius is read off the sorted rows on
+        its own, so the profile needs no lookup of its grid."""
         rng = np.random.default_rng(98)
         spaces = [random_space(rng, 9), torus(16), mc.generate(mc.FamilySpec("hamming_cube", 5))]
         for sp in spaces:
             full = mc.doubling_profile(sp)
-            coarse = mc.doubling_profile(sp, radii=full.radii[::3])
-            for r, v in zip(full.radii, full.values):
-                assert full.constant_at(r) == v
-                assert coarse.constant_at(r) == v  # off-grid for two in three
-            refined = coarse.refined(full.radii)
-            assert np.array_equal(refined.radii, full.radii)
-            assert np.array_equal(refined.values, full.values)
-
-    def test_dominated_by_constant_and_callable(self):
-        prof = mc.doubling_profile(torus(8))
-        assert prof.dominated_by(10.0)
-        assert not prof.dominated_by(1.0)
-        assert prof.dominated_by(lambda r: 5.0)
+            for _ in range(6):
+                pick = np.flatnonzero(rng.random(len(full.radii)) < 0.5)
+                rng.shuffle(pick)
+                off = rng.uniform(0.0, full.horizon, 3)
+                got = _doubling_constants(sp, np.concatenate((full.radii[pick], off)))
+                assert np.array_equal(got[: len(pick)], full.values[pick])
+                assert np.array_equal(got[len(pick) :], _doubling_constants(sp, off))
 
     def test_requires_positive_weights(self):
         sp = mc.generate(mc.FamilySpec("hamming_cube", 2))
@@ -161,7 +153,7 @@ class TestLadderAndRatio:
     def test_ladder_includes_the_base_rung(self):
         prof = mc.doubling_profile(torus(16))
         for r1, r2 in [(0.25, 4.0), (0.5, 2.0), (1.0, 3.0)]:
-            assert mc.lemma_constant(prof, r1, r2) >= prof.constant_at(r1)
+            assert mc.lemma_constant(prof, r1, r2) >= _doubling_constants(prof.space, [r1])[0]
 
     def test_ladder_rejects_bad_radii(self):
         prof = mc.doubling_profile(torus(16))
@@ -251,10 +243,10 @@ class TestColoring:
             assert col.k == max(counts)
 
 
-def rescanning_net(space, epsilon, order):
+def rescanning_net(space, epsilon):
     """Reference: the greedy net that rescans every admitted point."""
     admitted = []
-    for i in order:
+    for i in range(space.n):
         if not admitted or space.dist[i, admitted].min() >= epsilon:
             admitted.append(i)
     return tuple(sorted(admitted))
@@ -280,9 +272,9 @@ def rescanning_classes(space, members, anchor_betas, scale):
 
 
 class TestScansMatchTheRescanningLoops:
-    def _check(self, sp, eps, order=None):
-        net = mc.build_net(sp, eps, scan_order=order)
-        assert net.members.indices == rescanning_net(sp, eps, net.scan_order)
+    def _check(self, sp, eps):
+        net = mc.build_net(sp, eps)
+        assert net.members.indices == rescanning_net(sp, eps)
         col = mc.color_net(sp, net)
         members = list(net.members.indices)
         betas = [m for m in members if sp.dist[col.anchor, m] <= 5.0 * eps]
@@ -294,8 +286,7 @@ class TestScansMatchTheRescanningLoops:
         for _ in range(40):
             sp = random_space(rng, int(rng.integers(1, 40)))
             eps = float(rng.uniform(0.02, 0.6)) * max(sp.diameter, 1.0)
-            order = rng.permutation(sp.n) if rng.random() < 0.5 else None
-            self._check(sp, eps, order)
+            self._check(sp, eps)
 
     def test_cube_nine(self):
         sp = mc.generate(mc.FamilySpec("hamming_cube", 9))
@@ -323,7 +314,7 @@ class TestConcentrationWitness:
             image = mc.pushforward_screen(sp, screen, idx)
             eps = float(rng.uniform(0.05, 0.4))
             net = mc.build_net(screen, eps)
-            w = mc.concentration_witness(image, net, eps, mass_floor=0.0)
+            w = mc.concentration_witness(image, net, mass_floor=0.0)
             assert w is not None
             ball2 = sorted_row_mass(image, w.center, 2 * eps)
             ball3 = sorted_row_mass(image, w.center, 3 * eps)
@@ -338,23 +329,22 @@ class TestConcentrationWitness:
         sp = random_space(rng, 7)
         image = mc.pushforward_screen(sp, sp, np.arange(7))
         net = mc.build_net(sp, 0.2)
-        w = mc.concentration_witness(image, net, 0.2, 0.0)
+        w = mc.concentration_witness(image, net, 0.0)
         ball3 = image.weights[sp.dist[w.center] <= 0.6].sum()
         assert w.residual <= image.total_mass - ball3 + 1e-12
 
     def test_below_floor_returns_none(self, two_point):
         image = mc.pushforward_screen(two_point, two_point, [0, 1])
-        net = mc.build_net(two_point, 0.5)
-        assert mc.concentration_witness(image, net, 0.1, mass_floor=0.9) is None
+        net = mc.build_net(two_point, 0.1)
+        assert mc.concentration_witness(image, net, mass_floor=0.9) is None
 
     def test_residual_can_rise_when_the_best_center_switches(self):
         """The reported residual is not monotone in epsilon: enlarging the
         ball can hand the argmax to a different cluster with more mass
         far away.  Pinned so the behavior stays documented."""
         sp = self._cluster_space()
-        net = mc.build_net(sp, 2.0)
-        lo = mc.concentration_witness(sp, net, 2.0, 0.05)
-        hi = mc.concentration_witness(sp, net, 2.1, 0.05)
+        lo = mc.concentration_witness(sp, mc.build_net(sp, 2.0), 0.05)
+        hi = mc.concentration_witness(sp, mc.build_net(sp, 2.1), 0.05)
         assert lo.center == 0 and hi.center == 2  # argmax moved clusters
         assert hi.residual > lo.residual
 

@@ -14,6 +14,7 @@ import pytest
 
 import mmconc as mc
 import mmconc.formats as formats
+import mmconc.space
 from mmconc import cli
 from mmconc.cli import main
 from conftest import random_space
@@ -168,6 +169,41 @@ class TestSpaceFiles:
         assert named.points == direct.points
         assert np.array_equal(named.dist, direct.dist)
         assert np.array_equal(named.weights, direct.weights)
+
+    def test_generator_weights_do_not_rescan_the_metric(self, tmp_path, monkeypatch):
+        """Explicit weights on a generated or named metric get the weight
+        axioms only: the metric is scanned for triangles exactly as often
+        as with "uniform" weights, once up to 1,024 points and never past
+        that, and bad weights are reported at /weights with the message a
+        full validation gives."""
+        scans = []
+        scan = mmconc.space._triangle_holds
+
+        def counted(dist):
+            scans.append(len(dist))
+            return scan(dist)
+
+        monkeypatch.setattr(mmconc.space, "_triangle_holds", counted)
+        t8 = tmp_path / "t8.json"
+        t8.write_text(json.dumps(mc.serialize_space(mc.generate(mc.FamilySpec("discrete_torus", 8)))))
+        cases = [({"kind": "hamming_cube", "n": 4}, 16, [16]),
+                 ({"kind": "hamming_cube", "n": 11}, 2048, []),
+                 ({"kind": "custom_file", "path": str(t8)}, 8, [8])]
+        for generator, n, want in cases:
+            for weights in ("uniform", [1.0 / n] * n):
+                scans.clear()
+                sp = mc.parse_space({"metric": {"generator": generator}, "weights": weights})
+                assert scans == want
+                assert np.array_equal(sp.weights, np.full(n, 1.0 / n))
+        cube4 = mc.generate(mc.FamilySpec("hamming_cube", 4))
+        for bad in ([-1.0] + [0.1] * 15, [np.nan] + [0.1] * 15, [0.0] * 16):
+            with pytest.raises(mc.SpaceFileError) as err:
+                mc.parse_space({"metric": {"generator": {"kind": "hamming_cube", "n": 4}},
+                                "weights": bad})
+            with pytest.raises(mc.SpaceValidationError) as full:
+                mc.validate_space(cube4.points, cube4.dist, bad)
+            assert err.value.pointer == "/weights"
+            assert str(err.value) == f"/weights: validation failed: {full.value}"
 
     def test_a_custom_file_without_a_path_exits_one_at_its_node(self, tmp_path, capsys):
         path = tmp_path / "nopath.json"
@@ -463,6 +499,24 @@ class TestCli:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 1 and not out
         assert err == "mmconc: --budget: must be >= 0\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["color", "--space", f"{SPACES}/torus8.json", "--epsilon", "nan"], "epsilon must be > 0"),
+        (["net", "--space", f"{SPACES}/torus8.json", "--epsilon", "nan"], "epsilon must be > 0"),
+        (["doubling", "--space", f"{SPACES}/torus8.json", "--radius", "nan"], "horizon must be > 0"),
+        (["partial-diam", "--space", f"{SPACES}/torus8.json", "--target-mass", "nan"],
+         "target_mass must be a number, got nan"),
+        (["partial-diam", "--space", f"{SPACES}/measure_four_atoms.json", "--target-mass", "nan"],
+         "target_mass must be a number, got nan"),
+        (["sep-real", "--space", f"{SPACES}/measure_four_atoms.json", "--kappa", "nan"],
+         "kappa must be > 0"),
+    ])
+    def test_a_nan_scale_or_mass_exits_one(self, argv, message, capsys):
+        """NaN fails every comparison, so each check is written to fail it
+        too; no report (and no non-JSON NaN token) is printed."""
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err == f"mmconc: {message}\n"
 
     def test_trend_script_refuses_a_negative_effort(self):
         proc = subprocess.run(

@@ -274,16 +274,10 @@ class TestNets:
             if x not in members:
                 assert min(sp.dist[x, m] for m in members) < eps
 
-    def test_default_scan_order_is_index_order(self, unit_interval_grid):
-        net = mc.build_net(unit_interval_grid, 0.3)
-        assert net.scan_order == tuple(range(5))
-        assert net.members.indices[0] == 0  # first point always enters
-
-    def test_scan_order_changes_the_greedy_outcome(self):
-        sp = line_space([0.0, 0.3, 0.45, 1.0])
-        fwd = mc.build_net(sp, 0.3)
-        rev = mc.build_net(sp, 0.3, scan_order=[3, 2, 1, 0])
-        assert set(fwd.members.indices) != set(rev.members.indices)
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_a_scale_that_is_not_positive_is_refused(self, unit_interval_grid, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            mc.build_net(unit_interval_grid, epsilon)
 
     def test_threshold_comparison_is_exact(self):
         # members at distance exactly epsilon are both kept: >= convention
