@@ -18,6 +18,7 @@ O(n^3) per pass.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +34,7 @@ from .observable import (
     validate_lipschitz,
 )
 from .separation import DEFAULT_ASSIGNMENT_BUDGET, RealMeasure, sep
-from .space import FiniteMMSpace, Net, build_net, validate_space
+from .space import FiniteMMSpace, Net, _check_weights, build_net, validate_space
 
 __all__ = [
     "FamilySpec",
@@ -80,8 +81,7 @@ def _uniform_or(spec: FamilySpec, n: int) -> np.ndarray:
     w = np.asarray(spec.weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got {w.shape}")
-    if not np.isfinite(w).all() or (w < 0.0).any() or w.sum() <= 0.0:
-        raise ValueError("weights must be finite and >= 0, with positive total mass")
+    _check_weights(w)
     return w
 
 
@@ -155,12 +155,15 @@ def _product(spec: FamilySpec) -> FiniteMMSpace:
     space = parts[0]
     for nxt in parts[1:]:
         a, b = space.n, nxt.n
+        labels = tuple(f"{p}|{q}" for p in space.points for q in nxt.points)
+        repeated = [label for label, k in Counter(labels).items() if k > 1]
+        if repeated:
+            raise ValueError(f"product labels collide: {repeated[0]!r} names more than one point")
         dist = floor_sum(
             np.repeat(np.repeat(space.dist, b, axis=0), b, axis=1),
             np.tile(nxt.dist, (a, a)),
         )
         dist = exact_triangle_closure(dist)
-        labels = tuple(f"{p}|{q}" for p in space.points for q in nxt.points)
         weights = np.outer(space.weights, nxt.weights).ravel()
         space = FiniteMMSpace(labels, dist, weights)
     if spec.weights is not None:

@@ -259,12 +259,17 @@ def partial_diameter_screen(
 @dataclass(frozen=True)
 class Bracket:
     """Certified two-sided estimate: lower is achieved by the stored
-    witness, upper states its own provenance."""
+    witness, upper states its own provenance.  A bracket whose lower
+    is not <= its upper is a bug, refused when it is built."""
 
     lower: float
     upper: float
     witness: dict
     upper_source: str
+
+    def __post_init__(self):
+        if not self.lower <= self.upper:  # NaN fails too
+            raise RuntimeError(f"inverted bracket: lower {self.lower!r} above upper {self.upper!r}")
 
 
 def _lipschitz_repair(values: np.ndarray, dist: np.ndarray, passes: int = 6) -> np.ndarray | None:
@@ -408,10 +413,6 @@ def obsdiam_real_bracket(
     else:
         upper = math.inf
         source = "separation budget exceeded"
-    if best_val > upper:
-        raise RuntimeError(
-            f"inverted bracket: achieved lower {best_val!r} above certified upper {upper!r}"
-        )
     return Bracket(float(best_val), float(upper), witness, source)
 
 
@@ -552,10 +553,6 @@ def obsdiam_screen_estimate(
         val = partial_diameter_screen(image, target)
         if math.isfinite(val) and val > best_val:
             best_val, best_map = val, values
-    if best_val > upper:
-        raise RuntimeError(
-            f"inverted bracket: sampled lower {best_val!r} above certified upper {upper!r}"
-        )
     witness = {
         "kind": "screen_map",
         "values": [int(v) for v in best_map],

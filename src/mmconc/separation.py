@@ -52,7 +52,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ._numeric import exact_triangle_closure, rng_for
-from .space import FiniteMMSpace, PointSet, _group_masses
+from .space import FiniteMMSpace, PointSet, _check_weights, _group_masses
 
 __all__ = [
     "BudgetExceededError",
@@ -104,20 +104,18 @@ class RealMeasure:
 
     @classmethod
     def from_atoms(cls, positions, weights) -> "RealMeasure":
-        """Merge coincident positions (fiber weights add) and sort."""
+        """Merge coincident positions (fiber weights add) and sort.  The
+        weights obey a space's weight axioms (space._check_weights), so
+        no atoms at all is refused too."""
         positions = np.asarray(positions, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if positions.shape != weights.shape or positions.ndim != 1:
             raise ValueError("positions and weights must be equal-length 1-D arrays")
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ValueError("weights must be finite and >= 0")
+        _check_weights(weights)
         uniq, inverse = np.unique(positions, return_inverse=True)
-        merged = _group_masses(weights, inverse, len(uniq))
-        if merged.sum() <= 0:
-            raise ValueError("total mass must be positive")
-        return cls(uniq, merged)
+        return cls(uniq, _group_masses(weights, inverse, len(uniq)))
 
     @property
     def prefix(self) -> np.ndarray:

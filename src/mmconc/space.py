@@ -5,7 +5,6 @@ per-label masses (_group_masses), which fibers, groups and components use."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -25,7 +24,7 @@ __all__ = [
     "validate_space",
 ]
 
-_MAX_REPORTED = 50  # per violation kind; the report records the true count
+_MAX_REPORTED = 50  # rows listed per violation kind; every row is counted
 _ROW_BLOCK = 64  # rows per pass of the row scans below; their buffers stay 64 x n
 
 
@@ -49,6 +48,33 @@ class SpaceValidationError(ValueError):
         if len(violations) > 10:
             lines.append(f"  ... {len(violations) - 10} more recorded")
         super().__init__("\n".join(lines))
+
+
+class _Findings:
+    """The one recorder of axiom violations: it lists the first
+    _MAX_REPORTED rows of each kind and counts all of them."""
+
+    def __init__(self):
+        self.violations: list[Violation] = []
+        self.counts: dict[str, int] = {}
+
+    def record(self, kind: str, rows, detail: str, values=None) -> None:
+        """Record rows, the offending index tuples of one kind in report
+        order.  A listed row's detail is formatted with its indices as i, j,
+        k and values(*row), each printed as repr(float(v)); without values
+        it is the text as given."""
+        seen = self.counts.get(kind, 0)
+        for row in rows[: max(_MAX_REPORTED - seen, 0)]:
+            row = tuple(int(i) for i in row)
+            text = detail if values is None else detail.format(
+                *(repr(float(v)) for v in values(*row)), **dict(zip("ijk", row)))
+            self.violations.append(Violation(kind, row, text))
+        if len(rows):
+            self.counts[kind] = seen + len(rows)
+
+    def raise_if_any(self) -> None:
+        if self.counts:
+            raise SpaceValidationError(self.violations, self.counts)
 
 
 @dataclass(frozen=True)
@@ -140,44 +166,31 @@ def _triangle_holds(dist: np.ndarray) -> bool:
     return True
 
 
-def _check_triangle(dist: np.ndarray, add, counts) -> None:
+def _check_triangle(dist: np.ndarray, found: _Findings) -> None:
     """Triangle inequality in plain float64 sums, one hub row at a time
-    (memory stays O(n^2) even for a few thousand points).  Lists the first
-    _MAX_REPORTED violations in hub order and counts all of them;
-    validate_space runs it only after _triangle_holds fails."""
-    n = dist.shape[0]
-    for j in range(n):
+    (memory stays O(n^2) even for a few thousand points).  Records every
+    violation in hub order; validate_space runs it only after
+    _triangle_holds fails."""
+    for j in range(dist.shape[0]):
         slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
-        bad = np.argwhere(slack > 0.0)
-        shown = bad[: max(_MAX_REPORTED - counts.get("triangle", 0), 0)]
-        for i, k in shown:
-            add(
-                "triangle",
-                (int(i), int(j), int(k)),
-                f"d[{i},{k}]={dist[i, k]!r} > d[{i},{j}] + d[{j},{k}]"
-                f" = {dist[i, j] + dist[j, k]!r}",
-            )
-        if len(bad) > len(shown):
-            counts["triangle"] += len(bad) - len(shown)
+        found.record("triangle", np.insert(np.argwhere(slack > 0.0), 1, j, axis=1),
+                     "d[{i},{k}]={} > d[{i},{j}] + d[{j},{k}] = {}",
+                     lambda i, j, k: (dist[i, k], dist[i, j] + dist[j, k]))
 
 
-def _weight_violations(weights: np.ndarray) -> list[Violation]:
-    """The weight axioms: finite, >= 0, with positive total mass."""
+def _check_weights(weights: np.ndarray, found: _Findings | None = None) -> None:
+    """The weight axioms: finite, >= 0, with positive total mass.  Raises
+    what they and validate_space's earlier findings, if given, record."""
+    found = _Findings() if found is None else found
     if not np.isfinite(weights).all():
-        return [Violation("nonfinite_weight", (int(i),), f"w={weights[i]!r}")
-                for (i,) in np.argwhere(~np.isfinite(weights))[:_MAX_REPORTED]]
-    found = [Violation("negative_weight", (int(i),), f"w={weights[i]!r}")
-             for (i,) in np.argwhere(weights < 0.0)[:_MAX_REPORTED]]
-    if len(weights) and weights.sum() <= 0.0:
-        found.append(Violation("zero_total_mass", (), f"total mass {weights.sum()!r} is not positive"))
-    return found
-
-
-def _check_weights(weights: np.ndarray) -> None:
-    """validate_space's weight axioms alone, with no second metric scan."""
-    found = _weight_violations(weights)
-    if found:
-        raise SpaceValidationError(found, dict(Counter(v.kind for v in found)))
+        found.record("nonfinite_weight", np.argwhere(~np.isfinite(weights)), "w={}",
+                     lambda i: (weights[i],))
+    else:
+        found.record("negative_weight", np.argwhere(weights < 0.0), "w={}", lambda i: (weights[i],))
+        if weights.sum() <= 0.0:
+            found.record("zero_total_mass", [()], "total mass {} is not positive",
+                         lambda: (weights.sum(),))
+    found.raise_if_any()
 
 
 def validate_space(
@@ -186,8 +199,8 @@ def validate_space(
     weights: np.ndarray | Sequence[float],
 ) -> FiniteMMSpace:
     """Check every finite-mm-space axiom and return the space, or raise
-    SpaceValidationError listing each violated axiom with the offending
-    index tuple.
+    SpaceValidationError listing the first _MAX_REPORTED offending index
+    tuples of each violated axiom and counting all of them.
 
     Axioms: labels unique; dist square/finite, exactly symmetric, zero
     diagonal, positive off-diagonal, triangle inequality under float64
@@ -197,51 +210,37 @@ def validate_space(
     dist = np.asarray(dist, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     n = len(points)
-    violations: list[Violation] = []
-    counts: dict[str, int] = {}
-
-    def add(kind: str, indices: tuple[int, ...], detail: str) -> None:
-        if counts.get(kind, 0) < _MAX_REPORTED:
-            violations.append(Violation(kind, indices, detail))
-        counts[kind] = counts.get(kind, 0) + 1
+    found = _Findings()
 
     if n == 0:
-        add("empty", (), "a space needs at least one point")
+        found.record("empty", [()], "a space needs at least one point")
     if len(set(points)) != n:
         dupes = [p for p in set(points) if points.count(p) > 1]
-        add("duplicate_label", (), f"repeated labels: {dupes[:5]}")
+        found.record("duplicate_label", [()], f"repeated labels: {dupes[:5]}")
 
     if dist.shape != (n, n):
-        add("shape", (), f"dist has shape {dist.shape}, expected {(n, n)}")
-        raise SpaceValidationError(violations, counts)
+        found.record("shape", [()], f"dist has shape {dist.shape}, expected {(n, n)}")
+        found.raise_if_any()
     if weights.shape != (n,):
-        add("shape", (), f"weights has shape {weights.shape}, expected {(n,)}")
-        raise SpaceValidationError(violations, counts)
+        found.record("shape", [()], f"weights has shape {weights.shape}, expected {(n,)}")
+        found.raise_if_any()
 
     if not np.isfinite(dist).all():
-        for i, j in np.argwhere(~np.isfinite(dist))[:_MAX_REPORTED]:
-            add("nonfinite_distance", (int(i), int(j)), f"d={dist[i, j]!r}")
+        found.record("nonfinite_distance", np.argwhere(~np.isfinite(dist)), "d={}",
+                     lambda i, j: (dist[i, j],))
     else:
-        for i, j in np.argwhere(dist != dist.T)[:_MAX_REPORTED]:
-            add("asymmetry", (int(i), int(j)), f"{dist[i, j]!r} != {dist[j, i]!r}")
-        for (i,) in np.argwhere(np.diag(dist) != 0.0)[:_MAX_REPORTED]:
-            add("nonzero_diagonal", (int(i),), f"d[{i},{i}]={dist[i, i]!r}")
+        found.record("asymmetry", np.argwhere(dist != dist.T), "{} != {}",
+                     lambda i, j: (dist[i, j], dist[j, i]))
+        found.record("nonzero_diagonal", np.argwhere(np.diag(dist) != 0.0), "d[{i},{i}]={}",
+                     lambda i: (dist[i, i],))
         off = dist.copy()
         np.fill_diagonal(off, 1.0)
-        for i, j in np.argwhere(off <= 0.0)[:_MAX_REPORTED]:
-            add(
-                "nonpositive_distance",
-                (int(i), int(j)),
-                f"d={dist[i, j]!r} between distinct points",
-            )
-        if not violations and not _triangle_holds(dist):
-            _check_triangle(dist, add, counts)
+        found.record("nonpositive_distance", np.argwhere(off <= 0.0),
+                     "d={} between distinct points", lambda i, j: (dist[i, j],))
+        if not found.counts and not _triangle_holds(dist):
+            _check_triangle(dist, found)
 
-    for v in _weight_violations(weights):
-        add(v.kind, v.indices, v.detail)
-
-    if violations:
-        raise SpaceValidationError(violations, counts)
+    _check_weights(weights, found)
     return FiniteMMSpace(points, dist.copy(), weights.copy())
 
 

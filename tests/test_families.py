@@ -47,13 +47,20 @@ class TestSpecWeights:
     @pytest.mark.parametrize("n", [8, 2048])  # 2,048 is past generate's re-validation cap
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), 0.0])
     def test_bad_weights_are_refused_at_every_size(self, n, bad):
-        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+        with pytest.raises(mc.SpaceValidationError) as err:
             mc.generate(mc.FamilySpec("discrete_torus", n, weights=(bad,) * n))
+        if bad == 0.0:
+            assert err.value.counts == {"zero_total_mass": 1}
+        else:
+            kind = "negative_weight" if bad < 0.0 else "nonfinite_weight"
+            assert err.value.counts[kind] == n
 
     def test_one_negative_weight_among_good_ones_is_refused(self):
         weights = (0.5,) * 2047 + (-0.5,)
-        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+        with pytest.raises(mc.SpaceValidationError) as err:
             mc.generate(mc.FamilySpec("discrete_torus", 2048, weights=weights))
+        assert err.value.counts == {"negative_weight": 1}
+        assert err.value.violations[0].indices == (2047,)
 
     def test_zero_weights_with_positive_total_pass(self):
         weights = (0.0,) * 2047 + (1.0,)
@@ -166,6 +173,24 @@ class TestProduct:
         b = sp.points.index("11|1")
         assert sp.dist[a, b] == 3.0
         mc.validate_space(sp.points, sp.dist, sp.weights)
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (32, 33)])
+    def test_colliding_labels_are_refused_before_the_closure(self, a, b, monkeypatch):
+        """'a|b' then 'c' and 'a' then 'b|c' both name 'a|b|c'.  The product
+        refuses this at every size, past generate's re-validation cap too,
+        before it builds a metric, so no closure runs."""
+        closures = []
+        monkeypatch.setattr(families, "exact_triangle_closure", closures.append)
+
+        def relabeled(n, labels):
+            sp = mc.generate(mc.FamilySpec("discrete_torus", n))
+            return mc.FiniteMMSpace(tuple(labels), sp.dist.copy(), sp.weights.copy())
+
+        left = relabeled(a, ["a|b"] + [str(i) for i in range(1, a - 1)] + ["a"])
+        right = relabeled(b, ["c", "b|c"] + [str(i) for i in range(2, b)])
+        with pytest.raises(ValueError, match=r"product labels collide: 'a\|b\|c'"):
+            mc.generate(mc.FamilySpec("product", factors=(left, right)))
+        assert closures == []
 
 
 def bit_loop_hamming(n: int) -> np.ndarray:

@@ -319,6 +319,18 @@ class TestCli:
         rc, _, err = run_cli(["validate", "--space", str(bad)], capsys)
         assert rc == 1 and err
 
+    def test_violation_details_print_plain_floats(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1,
+            "metric": {"matrix": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]},
+            "weights": [0.5, 0.75, -0.25],
+        }))
+        rc, _, err = run_cli(["validate", "--space", str(bad)], capsys)
+        assert rc == 1
+        assert "d[0,2]=5.0 > d[0,1] + d[1,2] = 2.0" in err and "w=-0.25" in err
+        assert "np.float64" not in err
+
     def test_sep_reports_label_witnesses(self, capsys):
         rc, out, _ = run_cli(
             ["sep", "--space", f"{SPACES}/twopoint.json",

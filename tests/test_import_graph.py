@@ -114,3 +114,40 @@ def test_the_package_holds_one_bisection_loop():
                 ):
                     found.append(f"{path.stem}.{func.name}")
     assert found == ["separation._bisect_last"]
+
+
+class Constructions(ast.NodeVisitor):
+    """Scopes (`module.Class.function`) of every call to one of `names`."""
+
+    def __init__(self, module: str, names: set[str]):
+        self.scope = [module]
+        self.names = names
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in self.names:
+            self.found.append((name, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_violations_are_built_only_by_the_recorder():
+    """Every axiom violation goes through space._Findings, which lists
+    and counts it; nothing else builds a Violation or raises a
+    SpaceValidationError of its own."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        visitor = Constructions(path.stem, {"Violation", "SpaceValidationError"})
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.update(visitor.found)
+    assert found == {
+        ("Violation", "space._Findings.record"),
+        ("SpaceValidationError", "space._Findings.raise_if_any"),
+    }

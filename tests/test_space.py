@@ -94,6 +94,29 @@ class TestValidateSpace:
         assert mw[0] == pytest.approx(0.5)
         mc.validate_space(labels, mdist, mw)  # merged space is valid
 
+    def test_every_violation_of_every_kind_is_counted(self):
+        """Each kind lists its first 50 offending rows and counts all of them."""
+        torus = mc.generate(mc.FamilySpec("discrete_torus", 80))
+        row_nan, skewed, diagonal = torus.dist.copy(), torus.dist.copy(), torus.dist.copy()
+        row_nan[0, 1:] = np.nan
+        skewed[0, 1:] += 1e-3  # 79 pairs, each unequal both ways
+        np.fill_diagonal(diagonal, 0.5)
+        cases = [
+            (torus.dist, -np.ones(80), {"negative_weight": 80, "zero_total_mass": 1}),
+            (torus.dist, np.full(80, np.nan), {"nonfinite_weight": 80}),
+            (row_nan, torus.weights, {"nonfinite_distance": 79}),
+            (skewed, torus.weights, {"asymmetry": 158}),
+            (diagonal, torus.weights, {"nonzero_diagonal": 80}),
+            (np.zeros((80, 80)), torus.weights, {"nonpositive_distance": 80 * 79}),
+        ]
+        for dist, weights, counts in cases:
+            with pytest.raises(mc.SpaceValidationError) as err:
+                mc.validate_space(torus.points, dist, weights)
+            assert err.value.counts == counts
+            for kind, count in counts.items():
+                listed = [v for v in err.value.violations if v.kind == kind]
+                assert len(listed) == min(count, 50)
+
     def test_merge_of_no_points_gives_three_empty_results(self):
         labels, mdist, mw = mc.merge_coincident_points((), np.zeros((0, 0)), [])
         assert labels == ()
@@ -115,8 +138,8 @@ def hub_loop_triangle(dist: np.ndarray):
                     mc.Violation(
                         "triangle",
                         (int(i), int(j), int(k)),
-                        f"d[{i},{k}]={dist[i, k]!r} > d[{i},{j}] + d[{j},{k}]"
-                        f" = {dist[i, j] + dist[j, k]!r}",
+                        f"d[{i},{k}]={float(dist[i, k])!r} > d[{i},{j}] + d[{j},{k}]"
+                        f" = {float(dist[i, j] + dist[j, k])!r}",
                     )
                 )
     return violations, ({"triangle": count} if count else {})
