@@ -73,7 +73,6 @@ from .space import (
     build_net,
     closed_ball,
     merge_coincident_points,
-    packing_multiplicity,
     validate_space,
 )
 

@@ -269,6 +269,11 @@ def parse_real_measure(source: str | dict) -> RealMeasure:
             raise SpaceFileError(f"/atoms[{i}]", f"not numeric: {err}") from err
     try:
         return RealMeasure.from_atoms(np.array(positions), np.array(weights))
+    except SpaceValidationError as err:
+        # from_atoms checks the weights before merging, so indices are atom indices
+        first = err.violations[0]
+        field = "/atoms" if first.kind == "zero_total_mass" else f"/atoms[{first.indices[0]}, 1]"
+        raise SpaceFileError(field, str(err)) from err
     except ValueError as err:
         raise SpaceFileError("/atoms", str(err)) from err
 

@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_SCREEN_BUDGET = 20  # support size for exact subset search
-_PUSHFORWARD_TOLERANCE = 1e-12  # absorbs float accumulation in group masses
 
 
 class LipschitzValidationError(ValueError):
@@ -140,7 +139,9 @@ def sep_pushforward_check(
     """Compare Sep of a pushforward image against Sep of the source.
 
     Returns {"holds", "source", "target"}; holds is Sep(f_* mu) <= Sep(mu)
-    + _PUSHFORWARD_TOLERANCE.
+    compared exactly.  Each Sep is an entry of its space's distance
+    matrix, which a validated map cannot stretch; a mass rounding would
+    move Sep by a whole distance step, past any tolerance.
     """
     if lipschitz_map.is_real:
         image = real_measure_as_space(pushforward_real(space, lipschitz_map.values))
@@ -148,7 +149,7 @@ def sep_pushforward_check(
         image = pushforward_screen(space, lipschitz_map.target, lipschitz_map.values)
     down = sep_exact(image, kappas, budget)
     up = sep_exact(space, kappas, budget)
-    return {"holds": down.value <= up.value + _PUSHFORWARD_TOLERANCE, "source": up, "target": down}
+    return {"holds": down.value <= up.value, "source": up, "target": down}
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +273,12 @@ class Bracket:
             raise RuntimeError(f"inverted bracket: lower {self.lower!r} above upper {self.upper!r}")
 
 
-def _lipschitz_repair(values: np.ndarray, dist: np.ndarray, passes: int = 6) -> np.ndarray | None:
-    """Clamp values onto the Lipschitz polytope; candidates produced here
-    are already feasible up to an ulp, so this converges immediately.
-    Returns None if it fails to (defensive)."""
+def _lipschitz_repair(values: np.ndarray, dist: np.ndarray) -> np.ndarray | None:
+    """Clamp a copy of values onto the Lipschitz polytope in at most six
+    passes; candidates produced here are already feasible up to an ulp,
+    so this converges at once.  Returns None if it fails to (defensive)."""
     f = values.copy()
-    n = len(f)
-    for _ in range(passes):
+    for _ in range(6):
         spread = np.abs(f[:, None] - f[None, :])
         if not (spread > dist).any():
             return f
@@ -306,12 +306,13 @@ def lipschitz_candidates(
 
     Distance functions to singletons, to separation witnesses at kappa/2
     and kappa/4 (none when the separation budget refuses), and to
-    random subsets; the best few are refined by coordinate ascent that
-    moves one value to an end of its feasible interval.  Deterministic
-    for a fixed seed.
+    random subsets, each repaired once on entry; the best few are
+    refined by coordinate ascent that moves one value to an end of its
+    feasible interval.  Deterministic for a fixed seed.
     """
     _check_effort(effort)
-    return _candidate_pool(space, kappa, effort, seed, budget, sep(space, [kappa / 2] * 2, budget))
+    half = sep(space, [kappa / 2] * 2, budget)
+    return [f for _, f in _candidate_pool(space, kappa, effort, seed, budget, half)]
 
 
 def _candidate_pool(
@@ -321,34 +322,34 @@ def _candidate_pool(
     seed: int,
     budget: int,
     half: SepResult,
-) -> list[np.ndarray]:
-    """lipschitz_candidates, given its Sep(kappa/2, kappa/2)."""
+) -> list[tuple[float, np.ndarray]]:
+    """lipschitz_candidates, given its Sep(kappa/2, kappa/2), as pairs
+    (partial diameter at m - kappa, f), each scored once; a non-finite
+    score is -inf, so it is never the best."""
     n = space.n
-    m = space.total_mass
-    target = m - kappa
+    target = space.total_mass - kappa
     rng = rng_for(seed, "obsdiam-real", n)
-    pool: list[np.ndarray] = [np.zeros(n)]
-    pool += [space.dist[:, i].copy() for i in range(n)]
+    raw: list[np.ndarray] = [np.zeros(n)]
+    raw += [space.dist[:, i] for i in range(n)]
     for res in (half, sep(space, [kappa / 4] * 2, budget)):
         for w in res.witnesses or ():
-            pool.append(_distance_function(space, list(w)))
+            raw.append(_distance_function(space, list(w)))
     n_random = min(max(effort // 50, 8), 200)
     for _ in range(n_random):
         size = int(rng.integers(1, n + 1))
         subset = rng.choice(n, size=size, replace=False)
-        pool.append(_distance_function(space, subset))
+        raw.append(_distance_function(space, subset))
 
     def objective(f: np.ndarray) -> float:
         val = partial_diameter_real(pushforward_real(space, f), target)
         return val if math.isfinite(val) else -math.inf
 
+    repaired = (_lipschitz_repair(f, space.dist) for f in raw)
+    pool = [(objective(f), f) for f in repaired if f is not None]
     # coordinate-ascent refinement of the strongest starts
-    scored = sorted(pool, key=objective, reverse=True)
-    refined: list[np.ndarray] = []
+    refined: list[tuple[float, np.ndarray]] = []
     evals = 0
-    for start in scored[:4]:
-        f = start.copy()
-        best = objective(f)
+    for best, f in sorted(pool, key=lambda pair: pair[0], reverse=True)[:4]:
         improved = True
         while improved and evals < effort:
             improved = False
@@ -368,13 +369,8 @@ def _candidate_pool(
                         best, f, improved = val, g, True
                 if evals >= effort:
                     break
-        refined.append(f)
-    out = []
-    for f in pool + refined:
-        g = _lipschitz_repair(f, space.dist)
-        if g is not None:
-            out.append(g)
-    return out
+        refined.append((best, f.copy()))
+    return pool + refined
 
 
 def obsdiam_real_bracket(
@@ -386,22 +382,21 @@ def obsdiam_real_bracket(
 ) -> Bracket:
     """Bracket the observable diameter into the line at deficit kappa.
 
-    lower: best partial diameter of a pushforward over the candidate
-    pool (achieved, witness stored).  upper: separation at kappa/2 in
-    each slot, which dominates every 1-Lipschitz image's partial
-    diameter; +inf with a note when the separation budget refuses.
+    lower: first best partial diameter of a pushforward over the
+    candidate pool, each repaired and scored once (achieved, witness
+    stored).  upper: separation at kappa/2 in each slot, which dominates
+    every 1-Lipschitz image's partial diameter; +inf with a note when
+    the separation budget refuses.
     """
     m = space.total_mass
     if not 0.0 < kappa < m:
         raise ValueError(f"kappa must lie in (0, total mass {m})")
     _check_effort(effort)
-    target = m - kappa
     best_val = 0.0
     best_f: np.ndarray | None = None
     half = sep(space, [kappa / 2] * 2, budget)
-    for f in _candidate_pool(space, kappa, effort, seed, budget, half):
-        val = partial_diameter_real(pushforward_real(space, f), target)
-        if math.isfinite(val) and val > best_val:
+    for val, f in _candidate_pool(space, kappa, effort, seed, budget, half):
+        if val > best_val:
             best_val, best_f = val, f
     witness = {
         "kind": "function_values",

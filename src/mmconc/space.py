@@ -20,7 +20,6 @@ __all__ = [
     "build_net",
     "closed_ball",
     "merge_coincident_points",
-    "packing_multiplicity",
     "validate_space",
 ]
 
@@ -342,11 +341,3 @@ def build_net(space: FiniteMMSpace, epsilon: float) -> Net:
             admitted.append(i)
             np.minimum(near, space.dist[i], out=near)
     return Net(float(epsilon), PointSet.of(admitted))
-
-
-def packing_multiplicity(space: FiniteMMSpace, net: Net, center: int, radius: float) -> int:
-    """Number of net members inside the closed ball around a net member."""
-    members = list(net.members)
-    if center not in net.members:
-        raise ValueError(f"center {center} is not a net member")
-    return int((space.dist[center, members] <= radius).sum())

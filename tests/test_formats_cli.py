@@ -263,6 +263,19 @@ class TestSpaceFiles:
             mc.parse_real_measure({"atoms": atoms})
         assert info.value.pointer == pointer
 
+    @pytest.mark.parametrize("atoms, pointer", [
+        ([[0.0, 0.5], [1.0, -0.5]], "/atoms[1, 1]"),
+        ([[0.0, 1.0], [1.0, float("nan")]], "/atoms[1, 1]"),
+        ([[0.0, -1.0], [1.0, 0.5], [0.0, -1.0]], "/atoms[0, 1]"),  # before coincident atoms merge
+        ([[0.0, 0.0], [1.0, 0.0]], "/atoms"),
+        ([[0.0, 0.5], [1.0]], "/atoms[1]"),
+    ])
+    def test_an_atom_error_exits_one_pointing_at_the_atom(self, tmp_path, capsys, atoms, pointer):
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps({"atoms": atoms}))
+        rc, out, err = run_cli(["sep-real", "--space", str(path), "--kappa", "0.1"], capsys)
+        assert rc == 1 and out == "" and err.startswith(f"mmconc: {pointer}: ")
+
     def test_unknown_schema_version_is_rejected(self):
         with pytest.raises(mc.SpaceFileError):
             mc.parse_space({"schema_version": 2, "points": [], "metric": {}})

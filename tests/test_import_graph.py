@@ -151,3 +151,14 @@ def test_violations_are_built_only_by_the_recorder():
         ("Violation", "space._Findings.record"),
         ("SpaceValidationError", "space._Findings.raise_if_any"),
     }
+
+
+def test_the_line_bracket_reads_its_scores_from_the_pool():
+    """observable._candidate_pool scores each candidate once; the
+    bracket neither pushes a candidate forward nor scores it again."""
+    path = PACKAGE / "observable.py"
+    visitor = Constructions("observable", {"partial_diameter_real", "pushforward_real"})
+    visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    scopes = {scope for _, scope in visitor.found}
+    assert "observable._candidate_pool.objective" in scopes
+    assert "observable.obsdiam_real_bracket" not in scopes

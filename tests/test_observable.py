@@ -217,6 +217,54 @@ class TestObsdiamReal:
         pool = mc.lipschitz_candidates(sp, 0.2, effort=300, seed=7, budget=3**5)
         assert len(pool) > sp.n and br.lower > 0.0
 
+    @pytest.mark.parametrize("effort", [0, 300])
+    def test_each_candidate_is_scored_once(self, monkeypatch, effort):
+        """One partial diameter per raw candidate, one per refinement
+        evaluation (a move the repair accepts), and none beside them."""
+        rng = np.random.default_rng(82)
+        sp = random_space(rng, 8)
+        kap = 0.2
+        raw = 1 + sp.n + 8  # zero, singletons, random subsets (effort // 50 <= 8)
+        raw += sum(len(mc.sep(sp, [k, k]).witnesses or ()) for k in (kap / 2, kap / 4))
+        scored, repaired = [], []
+        score, repair = mc.observable.partial_diameter_real, mc.observable._lipschitz_repair
+
+        def counting_score(nu, target):
+            scored.append(target)
+            return score(nu, target)
+
+        def counting_repair(values, dist):
+            out = repair(values, dist)
+            repaired.append(out is not None)
+            return out
+
+        monkeypatch.setattr(mc.observable, "partial_diameter_real", counting_score)
+        monkeypatch.setattr(mc.observable, "_lipschitz_repair", counting_repair)
+        mc.obsdiam_real_bracket(sp, kap, effort=effort, seed=3)
+        assert all(repaired[:raw]) and len(repaired) >= raw
+        evals = sum(repaired[raw:])
+        assert len(scored) == raw + evals
+        assert evals == 0 if effort == 0 else 0 < evals <= effort
+
+    def test_lower_is_the_first_best_candidate_in_pool_order(self):
+        """Symmetric spaces tie many candidates; the bracket keeps the
+        first of the best, and no witness when no candidate beats 0."""
+        rng = np.random.default_rng(83)
+        spaces = [random_space(rng, 6), line_space([0.0, 1.0, 2.0, 3.0])]
+        spaces += [mc.generate(mc.FamilySpec("discrete_torus", 8))]
+        spaces += [mc.generate(mc.FamilySpec("hamming_cube", 3)), line_space([0.0, 1.0])]
+        for sp, kap in itertools.product(spaces, (0.1, 0.3, 0.6)):  # 0 on the two points at 0.6
+            m = sp.total_mass
+            br = mc.obsdiam_real_bracket(sp, kap, effort=300, seed=8)
+            pool = mc.lipschitz_candidates(sp, kap, effort=300, seed=8)
+            scores = [mc.partial_diameter_real(mc.pushforward_real(sp, f), m - kap) for f in pool]
+            best = max(scores)
+            assert br.lower == best
+            if best > 0.0:
+                assert br.witness["values"] == [float(v) for v in pool[scores.index(best)]]
+            else:
+                assert br.witness["values"] is None
+
     def test_lower_above_upper_raises(self, two_point, monkeypatch):
         """A separation value below an achieved partial diameter is a bug,
         reported as such and never clamped into the bracket."""

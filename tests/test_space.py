@@ -307,13 +307,3 @@ class TestNets:
         sp = line_space([0.0, 0.5, 1.0])
         net = mc.build_net(sp, 0.5)
         assert net.members.indices == (0, 1, 2)
-
-    def test_packing_multiplicity_counts_net_points_in_ball(self):
-        sp = line_space(np.linspace(0.0, 1.0, 11))
-        net = mc.build_net(sp, 0.2)
-        mult = mc.packing_multiplicity(sp, net, net.members.indices[0], 0.45)
-        inside = [
-            m for m in net.members.indices
-            if sp.dist[net.members.indices[0], m] <= 0.45
-        ]
-        assert mult == len(inside)
