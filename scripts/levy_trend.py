@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from mmconc import FamilySpec, report_csv, report_json, run_levy_experiment
+from mmconc.families import HAMMING_CAP
 
 
 def parse_args():
@@ -48,6 +49,11 @@ def main():
     for flag, least in (("effort", 0), ("samples", 0), ("workers", 1)):
         if getattr(args, flag) < least:
             sys.exit(f"--{flag}: must be >= {least}")
+    for flag in ("min_n", "max_n"):
+        if not 1 <= getattr(args, flag) <= HAMMING_CAP:
+            sys.exit(f"--{flag.replace('_', '-')}: must be in 1..{HAMMING_CAP}")
+    if args.min_n > args.max_n:
+        sys.exit("--min-n: must be <= --max-n")
     kappas = args.kappa or [0.1]
     family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
     report = run_levy_experiment(

@@ -203,11 +203,19 @@ def coordinate_mean_map(space: FiniteMMSpace) -> LipschitzMap:
 
 def binomial_mean_measure(n: int) -> RealMeasure:
     """Image of the uniform cube measure under the coordinate mean,
-    computed directly from binomial counts (no 2^n-point space)."""
+    computed directly from binomial counts (no 2^n-point space).  Each
+    weight is C(n, k) / 2^n as one correctly rounded integer division, so
+    no count is converted to a float first (that overflows from n = 1,030
+    on); C(n, k) is built from C(n, k - 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     table = subadditive_table(n, 1.0, float(n))
-    weights = np.array([math.comb(n, k) * 0.5**n for k in range(n + 1)])
+    points = 1 << n
+    weights = np.empty(n + 1)
+    count = 1
+    for k in range(n + 1):
+        weights[k] = count / points
+        count = count * (n - k) // (k + 1)
     return RealMeasure.from_atoms(table[: n + 1].copy(), weights)
 
 

@@ -167,7 +167,7 @@ def partial_diameter_real(nu: RealMeasure, target_mass: float) -> float:
     if math.isnan(target_mass):
         raise ValueError("target_mass must be a number, got nan")
     prefix = nu.prefix
-    total = nu.total_mass
+    total = float(prefix[-1])  # nu.total_mass, without a second cumsum
     if target_mass > total:
         return math.inf
     if target_mass <= 0.0:
@@ -511,10 +511,18 @@ def obsdiam_screen_estimate(
     [0, 0] without sampling.  Otherwise lower is the best partial
     diameter over sampled 1-Lipschitz maps (the constant map included, so
     0.0 is always achieved) and upper is the largest screen distance
-    <= diam X, valid for every 1-Lipschitz map, sampled or not.  The
-    witness records the samples drawn and how many of them ran out of
-    backtracks and fell back to a constant map (both 0 when no sampling
-    was needed).
+    <= diam X, valid for every 1-Lipschitz map, sampled or not.
+
+    Two exact rules skip work that cannot change the bracket.  A sampled
+    map whose image support has diameter <= the best so far is not
+    scored, since the whole support qualifies and bounds its partial
+    diameter (a support over DEFAULT_SCREEN_BUDGET is always scored, so
+    its refusal still raises).  Sampling stops once lower reaches upper,
+    where no map can beat it.  The witness is the first map reaching the
+    best value; it records the samples drawn and how many of them ran
+    out of backtracks and fell back to a constant map (both 0 when no
+    sampling was needed), so a closed bracket may draw fewer than
+    samples.
     """
     m = space.total_mass
     if not 0.0 < kappa < m:
@@ -537,21 +545,28 @@ def obsdiam_screen_estimate(
         source = "largest screen distance <= source diameter"
     best_val = 0.0
     best_map = np.zeros(space.n, dtype=np.int64)
-    fallbacks = 0
-    for s in range(samples):
-        values = _search_lipschitz_map(space, screen, rng_for(seed, "screen-sample", s), None)
+    drawn = fallbacks = 0
+    while drawn < samples and best_val < upper:  # no map beats upper: closed
+        values = _search_lipschitz_map(space, screen, rng_for(seed, "screen-sample", drawn), None)
+        drawn += 1
         if values is None:
             # the constant fallback has partial diameter 0: no better than best_val
             fallbacks += 1
             continue
         image = pushforward_screen(space, screen, values)
+        support = np.flatnonzero(image.weights > 0.0)
+        if (
+            len(support) <= DEFAULT_SCREEN_BUDGET
+            and screen.dist[np.ix_(support, support)].max() <= best_val
+        ):
+            continue  # the whole support qualifies, so its diameter bounds the score
         val = partial_diameter_screen(image, target)
         if math.isfinite(val) and val > best_val:
             best_val, best_map = val, values
     witness = {
         "kind": "screen_map",
         "values": [int(v) for v in best_map],
-        "samples": samples,
+        "samples": drawn,
         "fallbacks": fallbacks,
     }
     return Bracket(float(best_val), upper, witness, source)

@@ -155,7 +155,7 @@ def sep_real_quantile(nu: RealMeasure, kappa: float) -> QuantileGap:
     if not kappa > 0:
         raise ValueError("kappa must be > 0")
     prefix = nu.prefix
-    m = nu.total_mass
+    m = float(prefix[-1])  # nu.total_mass, without a second cumsum
     if kappa >= m:
         return QuantileGap(math.inf, -math.inf, 0.0, True)
     # first atom where cumulative-through exceeds kappa

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 import pytest
@@ -285,6 +285,26 @@ class TestCoordinateMean:
             direct = mc.binomial_mean_measure(n)
             assert np.array_equal(via_cube.positions, direct.positions)
             assert np.array_equal(via_cube.weights, direct.weights)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 52, 53, 200, 511, 1000, 1022, 1023, 1024, 1029])
+    def test_weights_equal_the_float_count_formula_where_it_is_finite(self, n):
+        """Up to n = 1,029 every count C(n, k) converts to a float, and
+        C(n, k) * 0.5**n rounds to the same weight as the exact division."""
+        want = np.array([comb(n, k) * 0.5**n for k in range(n + 1)])
+        assert mc.binomial_mean_measure(n).weights.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1030, 4096])
+    def test_weights_stay_finite_past_the_float_range_of_the_counts(self, n):
+        """C(n, n/2) passes the float range from n = 1,030 on; each weight
+        is the correctly rounded C(n, k) / 2^n all the same."""
+        nu = mc.binomial_mean_measure(n)
+        assert len(nu) == n + 1
+        assert np.isfinite(nu.weights).all() and (nu.weights >= 0.0).all()
+        half = n // 2
+        assert nu.weights[half] == comb(n, half) / 2**n
+        assert nu.weights[0] == nu.weights[n] == 2.0**-n  # 0.0 at n = 4,096
+        assert fsum(nu.weights) == 1.0
+        assert nu.total_mass == pytest.approx(1.0, abs=1e-14)
 
 
 def binomial_width_oracle(n: int) -> Fraction:

@@ -551,6 +551,22 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "--effort: must be >= 0\n" and not proc.stdout
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-n", "13"], "--max-n: must be in 1..12"),
+        (["--max-n", "0"], "--max-n: must be in 1..12"),
+        (["--min-n", "0"], "--min-n: must be in 1..12"),
+        (["--min-n", "-3", "--max-n", "2"], "--min-n: must be in 1..12"),
+        (["--min-n", "13", "--max-n", "13"], "--min-n: must be in 1..12"),
+        (["--min-n", "5", "--max-n", "3"], "--min-n: must be <= --max-n"),
+    ])
+    def test_trend_script_refuses_sizes_outside_the_cube_range(self, argv, message):
+        """Refused before any cube is built: no traceback, no empty table."""
+        proc = subprocess.run(
+            [sys.executable, str(TREND_SCRIPT), *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == message + "\n" and not proc.stdout
+
     @pytest.mark.parametrize("flag, value, least", [
         ("samples", "-1", 0), ("workers", "0", 1), ("workers", "-1", 1), ("budget", "-1", 0),
     ])

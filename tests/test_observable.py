@@ -345,12 +345,15 @@ class TestObsdiamScreen:
             mc.obsdiam_screen_estimate(torus8, torus8, 0.1, samples=-5)
 
     def test_witness_counts_the_samples_that_fell_back(self, monkeypatch):
-        """Every sample that runs out of backtracks is counted; the
-        one-component shortcut draws none."""
+        """Every sample drawn that runs out of backtracks is counted; a
+        bracket that closes stops drawing, and the one-component shortcut
+        draws none."""
         cube3 = mc.generate(mc.FamilySpec("hamming_cube", 3))
         torus6 = dict(mc.default_screen_roster())["torus6"]
         br = mc.obsdiam_screen_estimate(cube3, torus6, 0.1, samples=8, seed=0)
-        assert (br.witness["samples"], br.witness["fallbacks"]) == (8, 0)
+        # the first map already reaches upper, torus6's diameter
+        assert br.lower == br.upper == torus6.diameter
+        assert (br.witness["samples"], br.witness["fallbacks"]) == (1, 0)
         monkeypatch.setattr(mc.observable, "_search_lipschitz_map", lambda *args: None)
         br = mc.obsdiam_screen_estimate(cube3, torus6, 0.1, samples=8, seed=0)
         assert (br.witness["samples"], br.witness["fallbacks"]) == (8, 8)
@@ -360,9 +363,19 @@ class TestObsdiamScreen:
         assert (br.witness["samples"], br.witness["fallbacks"]) == (0, 0)
 
     def test_lower_above_upper_raises(self, two_point, monkeypatch):
-        monkeypatch.setattr(mc.observable, "partial_diameter_screen", lambda *args: 9.0)
+        """A score above upper is refused when the bracket is built.  The
+        first seeded map of two_point is constant and is never scored; the
+        second is not, so two samples reach the stub."""
+        scored = []
+
+        def stub(*args):
+            scored.append(args)
+            return 9.0
+
+        monkeypatch.setattr(mc.observable, "partial_diameter_screen", stub)
         with pytest.raises(RuntimeError, match="inverted bracket"):
-            mc.obsdiam_screen_estimate(two_point, line_space([0.0, 1.0]), 0.1, samples=1)
+            mc.obsdiam_screen_estimate(two_point, line_space([0.0, 1.0]), 0.1, samples=2)
+        assert len(scored) == 1
 
     def test_bracket_holds_the_exhaustive_maximum_on_tiny_spaces(self):
         """Independent oracle: enumerate every map of a space of at most 5

@@ -7,7 +7,9 @@ references below rescan every assigned point at each step (the exact
 search with numpy minima over group members); the separation references
 are the earlier implementations, and the sampler reference follows the
 sampler's rule of rejecting a value that leaves a later point with no
-compatible screen point, found by rescanning.  They are kept here,
+compatible screen point, found by rescanning.  The screen bracket
+reference scores every sampled map and draws every sample, with no skip
+and no stop at closure.  They are kept here,
 test-only, so that every seeded map and assignment can be compared bit
 for bit.  The trend report digests pin the end-to-end output of the same
 searches, and `sep_exact` is checked against the subset oracle of the
@@ -27,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
 from mmconc._numeric import rng_for, stable_seed
+from mmconc.observable import DEFAULT_SCREEN_BUDGET, _search_lipschitz_map
 from mmconc.separation import (
     _MASS_SLACK,
     _MOVE_BLOCK,
@@ -49,7 +52,7 @@ TREND_DIGEST = "6360b913df93b49c8ca107f15b941788bf5c12140d428efa2260b0757626a2cd
 # equal at workers 1, 2 and 8), for members [hamming 3, hamming 3, torus 12]
 # at kappa_grid [0.2, 0.1, 0.1] (seed 3), and for those members with the
 # default roster plus a screen that doubling_profile rejects (seed 1)
-DOCUMENTED_DIGEST = "71fe07b4dc1916f76493caa75527b9c3e5b0c91f7c1187d5d3ab7f4b17ee80bd"
+DOCUMENTED_DIGEST = "c3a6dcd46d9787caf11717c42c21117566d4c5c2e85f17f05d97980ae5afa3fc"
 REPEATED_KAPPA_DIGEST = "035f7fa831c573e68aaba9d915b610e33f801f15d356f537c461fa8138c38943"
 ERROR_SCREEN_DIGEST = "34855bebf157c5ce7d19b9fadf3d3ea965b71f5461c587b3e1d5e12ae7e8063c"
 
@@ -97,6 +100,42 @@ def reference_sample_lipschitz_map(space, screen, rng, max_backtrack=None):
             continue
         pos += 1
     return values
+
+
+def reference_screen_bracket(space, screen, kappa, samples, seed):
+    """obsdiam_screen_estimate's sampling loop without its two shortcuts:
+    every sample is drawn and every non-constant map is scored."""
+    target = space.total_mass - kappa
+    dists = screen.distinct_distances()
+    delta = float(dists[0]) if len(dists) else math.inf
+    comp_mass = _group_masses(space.weights, _conflict_components(space.dist, delta), 0)
+    if comp_mass.max() >= target:
+        witness = {"kind": "screen_map", "values": [0] * space.n, "samples": 0, "fallbacks": 0}
+        return mc.Bracket(0.0, 0.0, witness, "one component of {d < min screen distance}")
+    reachable = dists[dists <= space.diameter]
+    upper = float(reachable[-1]) if len(reachable) else 0.0
+    if upper == screen.diameter:
+        source = "screen diameter"
+    else:
+        source = "largest screen distance <= source diameter"
+    best_val = 0.0
+    best_map = np.zeros(space.n, dtype=np.int64)
+    fallbacks = 0
+    for s in range(samples):
+        values = _search_lipschitz_map(space, screen, rng_for(seed, "screen-sample", s), None)
+        if values is None:
+            fallbacks += 1
+            continue
+        val = mc.partial_diameter_screen(mc.pushforward_screen(space, screen, values), target)
+        if math.isfinite(val) and val > best_val:
+            best_val, best_map = val, values
+    witness = {
+        "kind": "screen_map",
+        "values": [int(v) for v in best_map],
+        "samples": samples,
+        "fallbacks": fallbacks,
+    }
+    return mc.Bracket(float(best_val), upper, witness, source)
 
 
 def _sequential_mass(weights, members):
@@ -343,6 +382,125 @@ def test_sampler_matches_reference_on_one_point_spaces():
         assert_same_map(cube(3), one_point(), ("scr1", seed))
         assert_same_map(random_l1_space(rng, 6), one_point(), ("scr1-l1", seed))
         assert_same_map(one_point(), one_point(), ("both1", seed))
+
+
+# ---------------------------------------------------------------------------
+# screen bracket
+
+
+def assert_same_bracket(space, screen, kappa, samples, seed):
+    got = mc.obsdiam_screen_estimate(space, screen, kappa, samples=samples, seed=seed)
+    want = reference_screen_bracket(space, screen, kappa, samples, seed)
+    assert (got.lower, got.upper, got.upper_source) == (want.lower, want.upper, want.upper_source)
+    assert got.witness["values"] == want.witness["values"]
+    assert got.witness["samples"] <= samples
+    assert got.witness["fallbacks"] <= want.witness["fallbacks"]
+    if got.witness["samples"] < samples:
+        assert got.lower == got.upper  # only a closed bracket stops early
+    if got.lower < got.upper:
+        assert got.witness == want.witness
+    return got
+
+
+def test_screen_bracket_matches_the_full_sampling_loop():
+    """Same lower, upper, source and witness map on random spaces into
+    every screen; only a closed bracket may draw fewer samples."""
+    rng = np.random.default_rng(18)
+    roster = screens()
+    stopped = opened = 0
+    for i in range(30):
+        space = random_l1_space(rng, int(rng.integers(2, 12)))
+        targets = roster + [("l1", random_l1_space(rng, int(rng.integers(2, 7))))]
+        for name, screen in targets:
+            kappa = float(rng.choice([0.05, 0.1, 0.25]))
+            br = assert_same_bracket(space, screen, kappa, 16, ("bracket", i, name))
+            stopped += br.witness["samples"] < 16
+            opened += br.lower < br.upper
+    assert stopped and opened  # both branches are exercised
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_screen_bracket_matches_the_full_sampling_loop_on_cubes(n):
+    for name, screen in screens():
+        for seed in range(2):
+            assert_same_bracket(cube(n), screen, 0.1, 32, ("cube-bracket", n, name, seed))
+
+
+def test_only_maps_whose_support_beats_the_best_are_scored(monkeypatch):
+    """partial_diameter_screen runs exactly on the drawn maps whose image
+    support has diameter above the best score so far."""
+    rng = np.random.default_rng(19)
+    scored = []
+    real = mc.partial_diameter_screen
+
+    def recording(image, target_mass):
+        val = real(image, target_mass)
+        scored.append((image.weights, val))
+        return val
+
+    monkeypatch.setattr(mc.observable, "partial_diameter_screen", recording)
+    cases = [(cube(4), screen) for _, screen in screens()]
+    cases += [(random_l1_space(rng, 9), screen) for _, screen in screens()]
+    skipped = 0
+    for i, (space, screen) in enumerate(cases):
+        scored.clear()
+        br = mc.obsdiam_screen_estimate(space, screen, 0.1, samples=24, seed=("count", i))
+        best, want = 0.0, []
+        for s in range(br.witness["samples"]):
+            stream = rng_for(("count", i), "screen-sample", s)
+            values = _search_lipschitz_map(space, screen, stream, None)
+            if values is None:
+                continue
+            image = mc.pushforward_screen(space, screen, values)
+            support = np.flatnonzero(image.weights > 0.0)
+            if screen.dist[np.ix_(support, support)].max() <= best:
+                skipped += 1
+                continue
+            val = real(image, space.total_mass - 0.1)
+            want.append((image.weights, val))
+            if math.isfinite(val):
+                best = max(best, val)
+        assert len(scored) == len(want), i
+        for (got_w, got_v), (want_w, want_v) in zip(scored, want):
+            assert np.array_equal(got_w, want_w) and got_v == want_v
+        assert best == br.lower
+    assert skipped
+
+
+def budget_case():
+    """A 22-point discrete space into a screen of 22 points 1/2 apart and
+    one point 1 from all of them (upper 1), and the maps to draw."""
+    n = DEFAULT_SCREEN_BUDGET + 2
+    space = mc.validate_space(
+        tuple(f"p{i}" for i in range(n)), 1.0 - np.eye(n), np.full(n, 1.0 / n)
+    )
+    dist = np.full((n + 1, n + 1), 0.5)
+    dist[n, :] = dist[:, n] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    screen = mc.validate_space(tuple(f"s{i}" for i in range(n + 1)), dist, np.full(n + 1, 1.0))
+    two_atoms = np.zeros(n, dtype=np.int64)
+    two_atoms[0] = 1  # partial diameter 1/2 at mass 0.99
+    far = np.zeros(n, dtype=np.int64)
+    far[0] = n  # partial diameter 1 = upper: closes the bracket
+    spread = np.arange(n, dtype=np.int64)  # support 22, diameter 1/2
+    return space, screen, two_atoms, far, spread
+
+
+def test_a_support_over_the_budget_before_closure_still_raises(monkeypatch):
+    space, screen, two_atoms, far, spread = budget_case()
+    maps = iter([two_atoms, spread])
+    monkeypatch.setattr(mc.observable, "_search_lipschitz_map", lambda *args: next(maps))
+    with pytest.raises(mc.BudgetExceededError):
+        mc.obsdiam_screen_estimate(space, screen, 0.01, samples=2)
+
+
+def test_a_support_over_the_budget_after_closure_is_never_drawn(monkeypatch):
+    space, screen, two_atoms, far, spread = budget_case()
+    maps = iter([two_atoms, far, spread])
+    monkeypatch.setattr(mc.observable, "_search_lipschitz_map", lambda *args: next(maps))
+    br = mc.obsdiam_screen_estimate(space, screen, 0.01, samples=3)
+    assert (br.lower, br.upper, br.witness["samples"]) == (1.0, 1.0, 2)
+    assert br.witness["values"] == far.tolist()
 
 
 # ---------------------------------------------------------------------------
