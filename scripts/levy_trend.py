@@ -7,7 +7,9 @@ cube dimension: the exact two-group separation, the roster supremum of the
 observable-diameter lower bounds, and the per-screen brackets.  The roster
 supremum column should never increase with the dimension.
 
-Deterministic for a fixed seed, regardless of --workers.
+Deterministic for a fixed seed, regardless of --workers.  The flags get
+the CLI's count checks and the cube sizes the library's size rule, so an
+input `mmconc levy-run` refuses is refused here with the same words.
 
 Usage:
   python3 scripts/levy_trend.py
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from mmconc import FamilySpec, report_csv, report_json, run_levy_experiment
-from mmconc.families import HAMMING_CAP
+from mmconc.cli import check_flags
 
 
 def parse_args():
@@ -46,47 +48,36 @@ def parse_args():
 
 def main():
     args = parse_args()
-    for flag, least in (("effort", 0), ("samples", 0), ("workers", 1)):
-        if getattr(args, flag) < least:
-            sys.exit(f"--{flag}: must be >= {least}")
-    for flag in ("min_n", "max_n"):
-        if not 1 <= getattr(args, flag) <= HAMMING_CAP:
-            sys.exit(f"--{flag.replace('_', '-')}: must be in 1..{HAMMING_CAP}")
-    if args.min_n > args.max_n:
-        sys.exit("--min-n: must be <= --max-n")
     kappas = args.kappa or [0.1]
-    family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
-    report = run_levy_experiment(
-        family,
-        kappa_grid=kappas,
-        seed=args.seed,
-        samples=args.samples,
-        effort=args.effort,
-        workers=args.workers,
-    )
+    try:
+        check_flags(args)
+        family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
+        report = run_levy_experiment(
+            family,
+            kappa_grid=kappas,
+            seed=args.seed,
+            samples=args.samples,
+            effort=args.effort,
+            workers=args.workers,
+        )
+    except ValueError as err:
+        sys.exit(str(err))
 
+    # a repeated kappa repeats its rows (same seeds), so any of them prints the same
+    seps = {(r["member"], r["kappa"]): r for r in report.sep_rows}
+    sups = {(r["member"], r["kappa"]): r["roster_sup"] for r in report.suprema}
+    cells = {(c["member"], c["screen"], c["kappa"]): c for c in report.cells}
     screens = [row["screen"] for row in report.screens]
     for kappa in kappas:
         print(f"\nkappa = {kappa}")
-        header = f"{'n':>3} {'sep':>10} {'roster sup':>11}"
-        for name in screens:
-            header += f" {name + ' [lo, up]':>22}"
-        print(header)
+        columns = "".join(f" {name + ' [lo, up]':>22}" for name in screens)
+        print(f"{'n':>3} {'sep':>10} {'roster sup':>11}{columns}")
         for member, spec in enumerate(family):
-            sep = next(
-                r for r in report.sep_rows if r["member"] == member and r["kappa"] == kappa
-            )
-            sup = next(
-                r for r in report.suprema if r["member"] == member and r["kappa"] == kappa
-            )
+            sep = seps[member, kappa]
             sep_txt = f"{sep['sep_value']:.4f}" if sep["sep_is_exact"] else f">={sep['sep_lower']:.4f}"
-            line = f"{spec.n:>3} {sep_txt:>10} {sup['roster_sup']:>11.4f}"
+            line = f"{spec.n:>3} {sep_txt:>10} {sups[member, kappa]:>11.4f}"
             for name in screens:
-                cell = next(
-                    c
-                    for c in report.cells
-                    if c["member"] == member and c["screen"] == name and c["kappa"] == kappa
-                )
+                cell = cells[member, name, kappa]
                 bracket = f"[{cell['obsdiam_lower']:.4f}, {cell['obsdiam_upper']:.4f}]"
                 line += f" {bracket:>22}"
             print(line)

@@ -1,4 +1,5 @@
-"""Float helpers shared by the metric generators and experiment drivers.
+"""Float helpers shared by the metric generators and experiment drivers,
+and the floors of their count arguments.
 
 Distance matrices are compared with plain float64 arithmetic everywhere
 (no tolerances), so generated metrics must satisfy their axioms *exactly*
@@ -60,7 +61,8 @@ def exact_triangle_closure(dist: np.ndarray) -> np.ndarray:
     passes until a pass changes nothing; every change lowers an entry, so
     the passes end.  The input is expected to be triangle-consistent up
     to rounding already: one or two passes usually suffice, but shortest
-    paths over many uneven hops can take ten.
+    paths over many uneven hops can take ten.  Its callers are the product
+    metric and separation.real_measure_as_space.
 
     Hub j can lower an entry only if an entry of row j or column j fell
     since j last ran, so a pass visits only those dirty hubs.  The hubs
@@ -82,6 +84,17 @@ def exact_triangle_closure(dist: np.ndarray) -> np.ndarray:
                 dirty |= mask.any(axis=1) | mask.any(axis=0)
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
+
+
+# the least value of each count argument, for the library and the CLI's flags
+COUNT_FLOORS = {"effort": 0, "samples": 0, "workers": 1, "budget": 0}
+
+
+def check_counts(**counts: int | None) -> None:
+    """Refuse a count below its floor in COUNT_FLOORS (None: not given)."""
+    for name, value in counts.items():
+        if value is not None and value < COUNT_FLOORS[name]:
+            raise ValueError(f"{name} must be >= {COUNT_FLOORS[name]}, got {value}")
 
 
 def stable_seed(*parts) -> int:

@@ -13,8 +13,9 @@ import functools
 import os
 import sys
 
+from ._numeric import COUNT_FLOORS, check_counts
 from .doubling import color_net, doubling_profile
-from .families import FamilySpec, default_screen_roster, run_levy_experiment
+from .families import FamilySpec, run_levy_experiment
 from .formats import (
     SpaceFileError,
     _load,
@@ -131,7 +132,7 @@ def _parse_family(text: str) -> list[FamilySpec]:
         kind = _FAMILY_KINDS[kind_key]
         if ".." in sizes_text:
             lo, hi = sizes_text.split("..")
-            sizes = list(range(int(lo), int(hi) + 1))
+            sizes = range(int(lo), int(hi) + 1)
         else:
             sizes = [int(s) for s in sizes_text.split(",")]
     except (ValueError, KeyError) as err:
@@ -140,8 +141,6 @@ def _parse_family(text: str) -> list[FamilySpec]:
             f"expected kind:lo..hi or kind:a,b,c with kind in "
             f"{sorted(_FAMILY_KINDS)}; got {text!r} ({err})",
         ) from err
-    if not sizes:
-        raise SpaceFileError("--family", "no sizes given")
     return [FamilySpec(kind, n) for n in sizes]
 
 
@@ -158,11 +157,17 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
+def check_flags(args) -> None:
+    """Refuse a count flag below its floor at the flag (the trend script too)."""
+    for flag, least in COUNT_FLOORS.items():
+        try:
+            check_counts(**{flag: getattr(args, flag, None)})
+        except ValueError:
+            raise SpaceFileError(f"--{flag}", f"must be >= {least}") from None
+
+
 def _run(args) -> dict:
-    for flag, least in (("effort", 0), ("samples", 0), ("workers", 1), ("budget", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < least:
-            raise SpaceFileError(f"--{flag}", f"must be >= {least}")
+    check_flags(args)
     if args.command == "validate":
         space = parse_space(args.space)
         return {
@@ -180,18 +185,12 @@ def _run(args) -> dict:
             raise SpaceFileError("--kappa", "sep needs at least two thresholds")
         report = {"command": "sep", "kappas": args.kappa, "budget": args.budget}
         res = sep(space, args.kappa, args.budget, args.effort, args.seed)
-        if not res.exact:
+        if res.refusal is not None:
             if args.effort is None:
-                raise BudgetExceededError.assignments(len(args.kappa) + 1, space.n, args.budget)
+                raise BudgetExceededError(res.refusal)
             report.update(seed=args.seed, effort=args.effort)
-        report.update(
-            value=res.value,
-            feasible=res.feasible,
-            exact=res.exact,
-            witnesses=None
-            if res.witnesses is None
-            else [_labels(space, w) for w in res.witnesses],
-        )
+        witnesses = None if res.witnesses is None else [_labels(space, w) for w in res.witnesses]
+        report.update(value=res.value, feasible=res.feasible, exact=res.exact, witnesses=witnesses)
         return report
 
     if args.command == "sep-real":
@@ -286,15 +285,10 @@ def _run(args) -> dict:
         if args.seed is None:
             raise SpaceFileError("--seed", "levy-run requires an explicit seed")
         family = _parse_family(args.family)
-        screens = None
-        if args.screen:
-            screens = [
-                (os.path.splitext(os.path.basename(p))[0], parse_space(p))
-                for p in args.screen
-            ]
+        screens = [(os.path.splitext(os.path.basename(p))[0], parse_space(p)) for p in args.screen or ()]
         report = run_levy_experiment(
             family,
-            screens=screens,
+            screens=screens or None,
             kappa_grid=args.kappa or [0.1],
             effort=args.effort,
             seed=args.seed,

@@ -119,11 +119,12 @@ def packing_bound_check(profile: DoublingProfile, net: Net, epsilon: float) -> P
     5*epsilon ball around a member is at most 2^(4*C)*C^2 where C is the
     ladder constant between epsilon/3 and 16*epsilon/3.
 
-    Requires 32*epsilon <= 3*horizon, which is exactly what the ladder
-    needs (its top rung is 32*epsilon/3).  holds=False means a bug.
+    Requires epsilon to be the net's own (build_net refuses one that is
+    not > 0) and 32*epsilon <= 3*horizon, which is exactly what the
+    ladder needs (its top rung is 32*epsilon/3).  holds=False means a bug.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be > 0")
+    if epsilon != net.epsilon:
+        raise ValueError(f"epsilon {epsilon} is not the net's {net.epsilon}")
     if 32.0 * epsilon > 3.0 * profile.horizon:
         raise ValueError(
             f"packing bound needs 32*epsilon <= 3*horizon; got epsilon={epsilon}, "

@@ -1,18 +1,18 @@
 """Standard space families and the concentration-trend experiment.
 
 Generated metrics are exactly subadditive at float level (repaired
-fraction tables, shortest-path closure), so every generated space passes
-the validator's triangle check with zero tolerance and the canonical
-observables are exactly 1-Lipschitz.
+fraction tables, shortest paths on an integer grid, the product's
+closure), so every generated space passes the validator's triangle check
+with zero tolerance and the canonical observables are exactly 1-Lipschitz.
 
 This module reads no files and never imports formats: a product's factor
 may be a space built elsewhere, such as a parsed document.
 
-Costs: a cube's metric is one lookup per pair in a popcount table.
-generate re-validates every space of up to _VALIDATE_CAP points; that
-triangle scan is O(n^3), about 2 s at 1,024 points on one core of a
-2-vCPU Xeon.  The exact closure behind weighted_graph and product is
-O(n^3) per pass.
+Costs: a cube's metric is one lookup per pair in a popcount table, a
+weighted graph's two dijkstra runs.  generate re-validates every space of
+up to _VALIDATE_CAP points; that triangle scan is O(n^3), about 2 s at
+1,024 points on one core of a 2-vCPU Xeon.  The exact closure behind the
+product is O(n^3) per pass.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from ._numeric import exact_triangle_closure, floor_sum, stable_seed, subadditive_table
+from ._numeric import check_counts, exact_triangle_closure, floor_sum, stable_seed, subadditive_table
 from .doubling import concentration_witness, doubling_profile
 from .observable import (
     LipschitzMap,
@@ -46,12 +46,14 @@ __all__ = [
     "run_levy_experiment",
 ]
 
-HAMMING_CAP = 12
 POINT_CAP = 4096
-GRAPH_CAP = 1024  # the exact closure of the shortest paths is O(n^3) per pass
+# the largest size n of each kind with at most POINT_CAP points
+_MAX_SIZE = {"hamming_cube": POINT_CAP.bit_length() - 1,  # 2^n points
+             "discrete_torus": POINT_CAP, "weighted_graph": POINT_CAP}
 # generate re-validates up to this size: the O(n^3) triangle scan takes
 # about 2 s at 1,024 points on one core, and 8x that at 2,048
 _VALIDATE_CAP = 1024
+_GRID_BITS = 50  # a weighted graph's edge unit is 2^-50 of its scale
 
 
 @dataclass(frozen=True)
@@ -63,34 +65,50 @@ class FamilySpec:
     normalized divides the metric by its natural scale so diameters stay
     bounded along the family.  A product's factors are specs or spaces
     already built, such as a parsed document; only a space document names
-    a file (formats reads its custom_file generators).
+    a file (formats reads its custom_file generators).  A spec that breaks
+    its kind's size rule (_points) is refused when it is made.
     """
 
     kind: str
     n: int = 0
     normalized: bool = True
-    weights: tuple[float, ...] | None = None  # None = uniform
+    weights: tuple[float, ...] | None = None  # None = the kind's own
     edges: tuple[tuple[int, int, float], ...] = ()
     factors: tuple["FamilySpec | FiniteMMSpace", ...] = ()
 
+    def __post_init__(self):
+        _points(self)
 
-def _uniform_or(spec: FamilySpec, n: int) -> np.ndarray:
-    """Uniform weights, or the spec's; checked at any size, past _VALIDATE_CAP too."""
-    if spec.weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(spec.weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"expected {n} weights, got {w.shape}")
-    _check_weights(w)
-    return w
+
+def _points(spec: FamilySpec) -> int:
+    """The number of points of the space a spec describes, once its size
+    rule holds: n in 1.._MAX_SIZE[kind], or for a product two or more
+    factors (specs or spaces) and at most POINT_CAP points in all."""
+    if spec.kind == "product":
+        total = math.prod(f.n if isinstance(f, FiniteMMSpace) else _points(f) for f in spec.factors)
+        if len(spec.factors) < 2 or total > POINT_CAP:
+            raise ValueError(f"a product needs two or more factors and at most {POINT_CAP} "
+                             f"points; got {len(spec.factors)} with {total} points")
+        return total
+    if spec.kind not in _MAX_SIZE:
+        raise ValueError(f"unknown family kind {spec.kind!r}")
+    if not 1 <= spec.n <= _MAX_SIZE[spec.kind]:
+        raise ValueError(f"{spec.kind} size must be in 1..{_MAX_SIZE[spec.kind]}, got {spec.n}")
+    return 1 << spec.n if spec.kind == "hamming_cube" else spec.n
+
+
+def _with_weights(space: FiniteMMSpace, weights) -> FiniteMMSpace:
+    """The space with explicit weights, checked at any size (the metric
+    keeps its checks).  A spec's weights and a document's come this way."""
+    w = np.asarray(weights, dtype=np.float64)
+    _check_weights(w, space.n)
+    return FiniteMMSpace(space.points, space.dist, w)
 
 
 def _hamming_cube(spec: FamilySpec) -> FiniteMMSpace:
     n = spec.n
-    if not 1 <= n <= HAMMING_CAP:
-        raise ValueError(f"hamming_cube size must be in 1..{HAMMING_CAP}, got {n}")
     size = 1 << n
-    codes = np.arange(size, dtype=np.uint16)  # HAMMING_CAP <= 16
+    codes = np.arange(size, dtype=np.uint16)  # 2^n <= POINT_CAP <= 2^16
     pop = np.zeros(size, dtype=np.uint8)  # pop[c] = number of set bits of c
     for bit in range(n):
         pop[1 << bit : 2 << bit] = pop[: 1 << bit] + 1
@@ -98,13 +116,11 @@ def _hamming_cube(spec: FamilySpec) -> FiniteMMSpace:
     table = subadditive_table(n, 1.0, float(n)) if spec.normalized else np.arange(n + 1, dtype=np.float64)
     dist = table[ham]
     labels = tuple(format(i, f"0{n}b") for i in range(size))
-    return FiniteMMSpace(labels, dist, _uniform_or(spec, size))
+    return FiniteMMSpace(labels, dist, np.full(size, 1.0 / size))
 
 
 def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
     n = spec.n
-    if not 1 <= n <= POINT_CAP:
-        raise ValueError(f"discrete_torus size must be in 1..{POINT_CAP}, got {n}")
     idx = np.arange(n, dtype=np.int16)  # POINT_CAP < 2**15
     raw = np.abs(idx[:, None] - idx[None, :])
     arcs = np.minimum(raw, n - raw)
@@ -113,45 +129,45 @@ def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
     else:
         dist = arcs.astype(np.float64)
     labels = tuple(str(i) for i in range(n))
-    return FiniteMMSpace(labels, dist, _uniform_or(spec, n))
+    return FiniteMMSpace(labels, dist, np.full(n, 1.0 / n))
 
 
 def _weighted_graph(spec: FamilySpec) -> FiniteMMSpace:
+    """Shortest paths over edge lengths rounded down to whole units of
+    2^-_GRID_BITS of the scale (the float diameter when normalized, else
+    the power of two above it), refusing an edge of zero units.  Paths stay
+    below 2^53 units, so dijkstra adds exactly and the scaling back is by a
+    power of two: a float64 metric with no closure.  Peak memory is two
+    n x n float arrays, about 290 MB at POINT_CAP nodes."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
     n = spec.n
-    if not 1 <= n <= GRAPH_CAP:
-        raise ValueError(f"weighted_graph size must be in 1..{GRAPH_CAP}, got {n}")
-    if n > 1 and not spec.edges:
-        raise ValueError("weighted_graph needs edges")
-    rows, cols, vals = [], [], []
     for i, j, w in spec.edges:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"bad edge ({i}, {j})")
         if not (math.isfinite(w) and w > 0):
             raise ValueError(f"edge ({i}, {j}) needs a positive finite length, got {w}")
-        rows += [i, j]
-        cols += [j, i]
-        vals += [w, w]
-    graph = coo_matrix((vals, (rows, cols)), shape=(n, n))
+    i, j, w = np.array(spec.edges, dtype=np.float64).reshape(-1, 3).T
+    graph = coo_matrix((w, (i.astype(np.intp), j.astype(np.intp))), shape=(n, n))
+    graph = (graph + graph.T).tocoo()  # undirected; parallel edges add
     dist = dijkstra(graph, directed=False)
     if not np.isfinite(dist).all():
         raise ValueError("graph is not connected")
-    if spec.normalized and dist.max() > 0:
-        dist = dist / dist.max()
-    dist = exact_triangle_closure(dist)
+    top = float(dist.max())  # 0 only for one node, which has no edges to scale
+    scale = top if spec.normalized else 2.0 ** math.frexp(top)[1]
+    graph.data = np.floor(graph.data / scale * 2.0**_GRID_BITS)
+    if not graph.data.all():
+        k = int(np.argmin(graph.data))
+        raise ValueError(f"edge ({graph.row[k]}, {graph.col[k]}) is under 2^-{_GRID_BITS} of {scale!r}")
+    dist = dijkstra(graph, directed=False)
+    dist *= 2.0**-_GRID_BITS * (1.0 if spec.normalized else scale)
     labels = tuple(str(i) for i in range(n))
-    return FiniteMMSpace(labels, dist, _uniform_or(spec, n))
+    return FiniteMMSpace(labels, dist, np.full(n, 1.0 / n))
 
 
 def _product(spec: FamilySpec) -> FiniteMMSpace:
-    if len(spec.factors) < 2:
-        raise ValueError("product needs at least two factors")
     parts = [f if isinstance(f, FiniteMMSpace) else generate(f) for f in spec.factors]
-    total = math.prod(p.n for p in parts)
-    if total > POINT_CAP:
-        raise ValueError(f"product would have {total} points, cap is {POINT_CAP}")
     space = parts[0]
     for nxt in parts[1:]:
         a, b = space.n, nxt.n
@@ -166,22 +182,21 @@ def _product(spec: FamilySpec) -> FiniteMMSpace:
         dist = exact_triangle_closure(dist)
         weights = np.outer(space.weights, nxt.weights).ravel()
         space = FiniteMMSpace(labels, dist, weights)
-    if spec.weights is not None:
-        space = FiniteMMSpace(space.points, space.dist.copy(), _uniform_or(spec, space.n))
     return space
 
 
 def generate(spec: FamilySpec) -> FiniteMMSpace:
-    """Build the space a FamilySpec describes (deterministic)."""
+    """Build the space a FamilySpec describes (deterministic); explicit
+    weights replace the kind's own (_with_weights)."""
     makers = {
         "hamming_cube": _hamming_cube,
         "discrete_torus": _discrete_torus,
         "weighted_graph": _weighted_graph,
         "product": _product,
     }
-    if spec.kind not in makers:
-        raise ValueError(f"unknown family kind {spec.kind!r}")
     space = makers[spec.kind](spec)
+    if spec.weights is not None:
+        space = _with_weights(space, spec.weights)
     if space.n <= _VALIDATE_CAP:
         validate_space(space.points, space.dist, space.weights)
     return space
@@ -287,8 +302,8 @@ def _member_rows(
     """Sep rows, screen cells and roster suprema of one family member,
     from one generation of its space.  Rows come out in report order: sep
     rows by kappa, cells by (screen, kappa), suprema in kappa_grid order;
-    both sorts are stable, so repeated kappas and screen names keep the
-    order of the loops below."""
+    both sorts are stable, so repeated kappas keep the order of the loops
+    below."""
     space = generate(spec)
     sep_rows, cells, suprema = [], [], []
     for kappa in kappas:
@@ -354,27 +369,25 @@ def run_levy_experiment(
     and the screens and their eps-nets, built once here, go to the job
     as objects.  Every cell draws from a seed of (seed, n, screen name,
     kappa) alone, so the report is byte-identical for any worker count.
+    The counts, the family (nonempty; its members met their size rules
+    when made) and the screen names (no two alike) are checked first.
     """
-    for name, value, least in (("effort", effort, 0), ("samples", samples, 0),
-                               ("workers", workers, 1), ("budget", budget, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    check_counts(effort=effort, samples=samples, workers=workers, budget=budget)
+    if not family:
+        raise ValueError("the family has no members")
     if screens is None:
         screens = list(default_screen_roster())
+    repeated = [name for name, k in Counter(name for name, _ in screens).items() if k > 1]
+    if repeated:
+        raise ValueError(f"screen name {repeated[0]!r} is given more than once")
     screen_rows = []
     horizons = []
     for name, screen in screens:
         try:
             profile = doubling_profile(screen)
-            screen_rows.append(
-                {
-                    "screen": name,
-                    "points": screen.n,
-                    "diameter": screen.diameter,
-                    "horizon": profile.horizon,
-                    "max_doubling": float(profile.values.max()) if len(profile.values) else 1.0,
-                }
-            )
+            worst = float(profile.values.max()) if len(profile.values) else 1.0
+            screen_rows.append({"screen": name, "points": screen.n, "diameter": screen.diameter,
+                                "horizon": profile.horizon, "max_doubling": worst})
             horizons.append(profile.horizon)
         except ValueError as err:
             screen_rows.append({"screen": name, "error": str(err)})
@@ -397,7 +410,7 @@ def run_levy_experiment(
         results = list(map(job, range(len(family)), family))
     sep_rows, cells, suprema = ([row for part in results for row in part[i]] for i in range(3))
     meta = {
-        "kind": family[0].kind if family else None,
+        "kind": family[0].kind,
         "sizes": [s.n for s in family],
         "kappa_grid": kappas,
         "seed": seed,

@@ -40,9 +40,9 @@ from typing import Any
 
 import numpy as np
 
-from .families import FamilySpec, generate
+from .families import FamilySpec, _with_weights, generate
 from .separation import RealMeasure
-from .space import FiniteMMSpace, SpaceValidationError, _check_weights, validate_space
+from .space import FiniteMMSpace, SpaceValidationError, validate_space
 
 __all__ = [
     "SpaceFileError",
@@ -188,15 +188,12 @@ def _parse_space_doc(doc: dict, opened: tuple[str, ...]) -> FiniteMMSpace:
             raise
         except ValueError as err:
             raise SpaceFileError("/metric/generator", str(err)) from err
-        if weights_field != "uniform":
-            # the metric was checked where it was made; the weights need only theirs
-            weights = _weights_array(weights_field, space.n)
-            try:
-                _check_weights(weights)
-            except SpaceValidationError as err:
-                raise SpaceFileError("/weights", f"validation failed: {err}") from err
-            space = FiniteMMSpace(space.points, space.dist, weights)
-        return space
+        if weights_field == "uniform":
+            return space
+        try:
+            return _with_weights(space, _weights_array(weights_field, space.n))
+        except SpaceValidationError as err:
+            raise SpaceFileError("/weights", f"validation failed: {err}") from err
 
     if "matrix" not in metric:
         raise SpaceFileError("/metric", "needs 'matrix' or 'generator'")

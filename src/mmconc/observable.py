@@ -19,14 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import rng_for
+from ._numeric import check_counts, rng_for
 from .separation import (
     BudgetExceededError,
     DEFAULT_ASSIGNMENT_BUDGET,
     RealMeasure,
     SepResult,
     _bisect_last,
-    _check_effort,
     _conflict_components,
     real_measure_as_space,
     sep,
@@ -88,21 +87,18 @@ def validate_lipschitz(
 ) -> LipschitzMap:
     """Certify 1-Lipschitzness by checking every pair exactly; raises
     LipschitzValidationError naming the worst offending pair."""
+    vals = np.asarray(values, dtype=np.float64 if target is None else np.int64)
+    if vals.shape != (source.n,):
+        what = "real value" if target is None else "target index"
+        raise ValueError(f"need one {what} per point, got shape {vals.shape}")
     if target is None:
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != (source.n,):
-            raise ValueError(f"need one real value per point, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("map values must be finite")
         spread = np.abs(vals[:, None] - vals[None, :])
     else:
-        idx = np.asarray(values, dtype=np.int64)
-        if idx.shape != (source.n,):
-            raise ValueError(f"need one target index per point, got shape {idx.shape}")
-        if idx.min(initial=0) < 0 or idx.max(initial=0) >= target.n:
+        if vals.min(initial=0) < 0 or vals.max(initial=0) >= target.n:
             raise ValueError("target indices out of range")
-        vals = idx
-        spread = target.dist[np.ix_(idx, idx)]
+        spread = target.dist[np.ix_(vals, vals)]
     excess = spread - source.dist
     np.fill_diagonal(excess, -np.inf)
     worst = np.unravel_index(np.argmax(excess), excess.shape)
@@ -156,6 +152,15 @@ def sep_pushforward_check(
 # partial diameters
 
 
+def _trivial_partial_diameter(target_mass: float, total: float) -> float | None:
+    """+inf above the total, 0.0 at or below 0, else None; NaN is refused."""
+    if math.isnan(target_mass):
+        raise ValueError("target_mass must be a number, got nan")
+    if target_mass > total:
+        return math.inf
+    return 0.0 if target_mass <= 0.0 else None
+
+
 def partial_diameter_real(nu: RealMeasure, target_mass: float) -> float:
     """Smallest width of an interval holding mass >= target_mass.
 
@@ -164,14 +169,9 @@ def partial_diameter_real(nu: RealMeasure, target_mass: float) -> float:
     exceeds the total mass.  All window masses are prefix-sum differences
     of the measure's one sequential prefix array.
     """
-    if math.isnan(target_mass):
-        raise ValueError("target_mass must be a number, got nan")
+    if (trivial := _trivial_partial_diameter(target_mass, nu.total_mass)) is not None:
+        return trivial
     prefix = nu.prefix
-    total = float(prefix[-1])  # nu.total_mass, without a second cumsum
-    if target_mass > total:
-        return math.inf
-    if target_mass <= 0.0:
-        return 0.0
     pos = nu.positions
     best = math.inf
     i = 0
@@ -228,13 +228,8 @@ def partial_diameter_screen(
     bisected for the last one an exact subset search rejects; the answer
     is the next cap up.
     """
-    if math.isnan(target_mass):
-        raise ValueError("target_mass must be a number, got nan")
-    total = image.total_mass
-    if target_mass > total:
-        return math.inf
-    if target_mass <= 0.0:
-        return 0.0
+    if (trivial := _trivial_partial_diameter(target_mass, image.total_mass)) is not None:
+        return trivial
     support = np.flatnonzero(image.weights > 0.0)
     if len(support) > support_budget:
         raise BudgetExceededError(
@@ -271,6 +266,14 @@ class Bracket:
     def __post_init__(self):
         if not self.lower <= self.upper:  # NaN fails too
             raise RuntimeError(f"inverted bracket: lower {self.lower!r} above upper {self.upper!r}")
+
+
+def _check_kappa(space: FiniteMMSpace, kappa: float) -> float:
+    """The total mass m of the space, once kappa is checked to lie in (0, m)."""
+    m = space.total_mass
+    if not 0.0 < kappa < m:
+        raise ValueError(f"kappa must lie in (0, total mass {m})")
+    return m
 
 
 def _lipschitz_repair(values: np.ndarray, dist: np.ndarray) -> np.ndarray | None:
@@ -310,7 +313,7 @@ def lipschitz_candidates(
     refined by coordinate ascent that moves one value to an end of its
     feasible interval.  Deterministic for a fixed seed.
     """
-    _check_effort(effort)
+    check_counts(effort=effort)
     half = sep(space, [kappa / 2] * 2, budget)
     return [f for _, f in _candidate_pool(space, kappa, effort, seed, budget, half)]
 
@@ -388,10 +391,8 @@ def obsdiam_real_bracket(
     every 1-Lipschitz image's partial diameter; +inf with a note when
     the separation budget refuses.
     """
-    m = space.total_mass
-    if not 0.0 < kappa < m:
-        raise ValueError(f"kappa must lie in (0, total mass {m})")
-    _check_effort(effort)
+    _check_kappa(space, kappa)
+    check_counts(effort=effort)
     best_val = 0.0
     best_f: np.ndarray | None = None
     half = sep(space, [kappa / 2] * 2, budget)
@@ -524,12 +525,8 @@ def obsdiam_screen_estimate(
     sampling was needed), so a closed bracket may draw fewer than
     samples.
     """
-    m = space.total_mass
-    if not 0.0 < kappa < m:
-        raise ValueError(f"kappa must lie in (0, total mass {m})")
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    target = m - kappa
+    target = _check_kappa(space, kappa) - kappa
+    check_counts(samples=samples)
     dists = screen.distinct_distances()
     delta = float(dists[0]) if len(dists) else math.inf
     # index-order sums, as pushforward_screen sums an atom

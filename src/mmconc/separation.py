@@ -36,7 +36,8 @@ RealMeasure all use sums made this way.
 
 sep is the one place that decides exact or bound: sep_exact within the
 assignment budget, past it sep_lower_bound when an effort is given and
-else the vacuous refusal.  sep_pushforward_check alone calls sep_exact.
+else the vacuous refusal; a result past the budget carries sep_exact's
+refusal.  sep_pushforward_check alone calls sep_exact.
 
 This module imports space and _numeric, never observable: separation of
 a pushforward image (sep_pushforward_check) lives where images are built.
@@ -46,12 +47,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._numeric import exact_triangle_closure, rng_for
+from ._numeric import check_counts, exact_triangle_closure, rng_for
 from .space import FiniteMMSpace, PointSet, _check_weights, _group_masses
 
 __all__ = [
@@ -77,11 +78,6 @@ _MOVE_BLOCK = 1024  # (point, label) pairs per rng call in the heuristic
 class BudgetExceededError(RuntimeError):
     """An exhaustive routine would exceed its configured budget."""
 
-    @classmethod
-    def assignments(cls, n_labels: int, n: int, budget: int) -> "BudgetExceededError":
-        """sep_exact's refusal: n points, each in one of n_labels labels."""
-        return cls(f"sep_exact needs {n_labels}^{n} assignments, over budget {budget}")
-
 
 # ---------------------------------------------------------------------------
 # measures on the real line
@@ -91,16 +87,19 @@ class BudgetExceededError(RuntimeError):
 class RealMeasure:
     """Finitely many atoms on the line, positions strictly increasing.
 
-    All mass arithmetic goes through one sequential prefix-sum array so
-    quantile and partial-diameter comparisons stay mutually consistent.
+    All mass arithmetic goes through one sequential prefix-sum array,
+    built once, so quantile and partial-diameter comparisons agree.
     """
 
     positions: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    # prefix[k] = weights[0] + ... + weights[k-1], sequential order
+    prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.positions.setflags(write=False)
-        self.weights.setflags(write=False)
+        object.__setattr__(self, "prefix", np.concatenate(([0.0], np.cumsum(self.weights))))
+        for array in (self.positions, self.weights, self.prefix):
+            array.setflags(write=False)
 
     @classmethod
     def from_atoms(cls, positions, weights) -> "RealMeasure":
@@ -113,14 +112,9 @@ class RealMeasure:
             raise ValueError("positions and weights must be equal-length 1-D arrays")
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
-        _check_weights(weights)
+        _check_weights(weights, len(positions))
         uniq, inverse = np.unique(positions, return_inverse=True)
         return cls(uniq, _group_masses(weights, inverse, len(uniq)))
-
-    @property
-    def prefix(self) -> np.ndarray:
-        # prefix[k] = weights[0] + ... + weights[k-1], sequential order
-        return np.concatenate(([0.0], np.cumsum(self.weights)))
 
     @property
     def total_mass(self) -> float:
@@ -155,7 +149,7 @@ def sep_real_quantile(nu: RealMeasure, kappa: float) -> QuantileGap:
     if not kappa > 0:
         raise ValueError("kappa must be > 0")
     prefix = nu.prefix
-    m = float(prefix[-1])  # nu.total_mass, without a second cumsum
+    m = nu.total_mass
     if kappa >= m:
         return QuantileGap(math.inf, -math.inf, 0.0, True)
     # first atom where cumulative-through exceeds kappa
@@ -189,6 +183,7 @@ class SepResult:
     exact: bool
     witnesses: tuple[PointSet, ...] | None
     assignment: tuple[int, ...] | None
+    refusal: str | None = None  # sep_exact's refusal text, on a result sep gave past the budget
 
 
 def _check_kappas(kappas: Sequence[float]) -> list[float]:
@@ -198,11 +193,6 @@ def _check_kappas(kappas: Sequence[float]) -> list[float]:
     if any(k < 0 or not math.isfinite(k) for k in ks):
         raise ValueError("kappas must be finite and >= 0")
     return ks
-
-
-def _check_effort(effort: int) -> None:
-    if effort < 0:
-        raise ValueError(f"effort must be >= 0, got {effort}")
 
 
 def _bisect_last(count: int, probe: Callable[[int], Any]) -> tuple[int, Any]:
@@ -380,7 +370,7 @@ def sep_exact(
     kappas = _check_kappas(kappas)
     n_labels = len(kappas) + 1
     if n_labels**space.n > budget:
-        raise BudgetExceededError.assignments(n_labels, space.n, budget)
+        raise BudgetExceededError(f"sep_exact needs {n_labels}^{space.n} assignments, over budget {budget}")
     tables = _mass_tables(space.weights)
 
     def attempt(_: int, t: float) -> np.ndarray | None:
@@ -517,7 +507,7 @@ def sep_lower_bound(
     seeding runs.
     """
     kappas = _check_kappas(kappas)
-    _check_effort(effort)
+    check_counts(effort=effort)
 
     def attempt(index: int, t: float) -> np.ndarray | None:
         return _try_threshold(space, kappas, t, effort, rng_for(seed, index, "sep-lb"))
@@ -537,12 +527,12 @@ def sep(
     seed: int = 0,
 ) -> SepResult:
     """Separation, exact when (N+2)^n fits the budget (sep_exact); past
-    it sep_lower_bound at this effort and seed, or with effort None the
-    vacuous refusal SepResult(0.0, False, False, None, None), lower 0 and
-    no witness.  The gate depends on N and n only, not on the kappas."""
+    it, carrying sep_exact's refusal, sep_lower_bound at this effort and
+    seed, or with effort None the vacuous value 0 with no witness.  The
+    gate depends on N and n only, not on the kappas."""
     try:
         return sep_exact(space, kappas, budget)
-    except BudgetExceededError:
+    except BudgetExceededError as err:
         if effort is None:
-            return SepResult(0.0, False, False, None, None)
-        return sep_lower_bound(space, kappas, effort, seed)
+            return SepResult(0.0, False, False, None, None, str(err))
+        return replace(sep_lower_bound(space, kappas, effort, seed), refusal=str(err))

@@ -177,10 +177,14 @@ def _check_triangle(dist: np.ndarray, found: _Findings) -> None:
                      lambda i, j, k: (dist[i, k], dist[i, j] + dist[j, k]))
 
 
-def _check_weights(weights: np.ndarray, found: _Findings | None = None) -> None:
-    """The weight axioms: finite, >= 0, with positive total mass.  Raises
-    what they and validate_space's earlier findings, if given, record."""
+def _check_weights(weights: np.ndarray, n: int, found: _Findings | None = None) -> None:
+    """The weight rules: one weight per point, each finite and >= 0, with
+    positive total mass.  Raises what they and validate_space's earlier
+    findings, if given, record."""
     found = _Findings() if found is None else found
+    if weights.shape != (n,):
+        found.record("shape", [()], f"weights has shape {weights.shape}, expected {(n,)}")
+        found.raise_if_any()
     if not np.isfinite(weights).all():
         found.record("nonfinite_weight", np.argwhere(~np.isfinite(weights)), "w={}",
                      lambda i: (weights[i],))
@@ -220,9 +224,6 @@ def validate_space(
     if dist.shape != (n, n):
         found.record("shape", [()], f"dist has shape {dist.shape}, expected {(n, n)}")
         found.raise_if_any()
-    if weights.shape != (n,):
-        found.record("shape", [()], f"weights has shape {weights.shape}, expected {(n,)}")
-        found.raise_if_any()
 
     if not np.isfinite(dist).all():
         found.record("nonfinite_distance", np.argwhere(~np.isfinite(dist)), "d={}",
@@ -239,7 +240,7 @@ def validate_space(
         if not found.counts and not _triangle_holds(dist):
             _check_triangle(dist, found)
 
-    _check_weights(weights, found)
+    _check_weights(weights, n, found)
     return FiniteMMSpace(points, dist.copy(), weights.copy())
 
 
@@ -272,12 +273,16 @@ def merge_coincident_points(
     )
 
 
-def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
-    """Indices y with d(center, y) <= radius; exact float comparison."""
+def _check_ball(space: FiniteMMSpace, center: int, radius: float) -> None:
     if not 0 <= center < space.n:
         raise IndexError(f"center {center} out of range for {space.n} points")
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
+
+
+def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
+    """Indices y with d(center, y) <= radius; exact float comparison."""
+    _check_ball(space, center, radius)
     return PointSet.from_mask(space.dist[center] <= radius)
 
 
@@ -308,10 +313,7 @@ def _group_masses(weights: np.ndarray, labels: np.ndarray, n_labels: int) -> np.
 
 
 def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:
-    if not 0 <= center < space.n:
-        raise IndexError(f"center {center} out of range for {space.n} points")
-    if not radius >= 0:
-        raise ValueError("radius must be >= 0")
+    _check_ball(space, center, radius)
     return float(next(_ball_mass_blocks(space, [radius], [center]))[0, 0])
 
 

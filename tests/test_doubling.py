@@ -194,6 +194,13 @@ class TestPacking:
         with pytest.raises(ValueError):
             mc.packing_bound_check(prof, net, 1.0)  # 32 > 3*8
 
+    @pytest.mark.parametrize("epsilon", [0.5, 0.0, -0.75, float("nan")])
+    def test_epsilon_must_be_the_nets_own(self, epsilon):
+        sp = torus(16)
+        net = mc.build_net(sp, 0.75)
+        with pytest.raises(ValueError, match="is not the net's 0.75"):
+            mc.packing_bound_check(mc.doubling_profile(sp), net, epsilon)
+
     def test_holds_on_random_spaces(self):
         rng = np.random.default_rng(92)
         for _ in range(10):

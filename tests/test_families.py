@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import dijkstra
 import mmconc as mc
 from mmconc import families
 from mmconc._numeric import floor_sum
+from mmconc.space import _triangle_holds
 
 
 class TestHammingCube:
@@ -41,6 +42,16 @@ class TestHammingCube:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             mc.generate(mc.FamilySpec("hamming_cube", 13))
+
+    @pytest.mark.parametrize("kind, n, top", [
+        ("hamming_cube", 0, 12), ("hamming_cube", 13, 12), ("discrete_torus", 4097, 4096),
+        ("discrete_torus", -1, 4096), ("weighted_graph", 4097, 4096), ("weighted_graph", 0, 4096),
+    ])
+    def test_a_spec_breaking_its_size_rule_cannot_be_made(self, kind, n, top):
+        """Every kind allows n >= 1 and at most POINT_CAP points."""
+        assert top == {"hamming_cube": 12}.get(kind, families.POINT_CAP)
+        with pytest.raises(ValueError, match=rf"{kind} size must be in 1..{top}, got {n}"):
+            mc.FamilySpec(kind, n)
 
 
 class TestSpecWeights:
@@ -126,15 +137,39 @@ class TestWeightedGraph:
         assert sp.diameter == 1.0
 
     def test_closure_runs_until_a_pass_changes_nothing(self):
-        """Round-down closure of this cycle with chords still lowers
-        entries in its ninth and tenth passes, so a closure capped at
-        eight passes leaves one-ulp triangle violations."""
-        n = 256
-        edges = [(i, (i + 1) % n, 1 + (i % 7) / 10) for i in range(n)]
-        edges += [(i, (i + 37) % n, 3.5) for i in range(0, n, 5)]
-        sp = mc.generate(mc.FamilySpec("weighted_graph", n, edges=tuple(edges)))
-        assert sp.n == n and 0.99 < sp.diameter <= 1.0
-        assert np.array_equal(mc.exact_triangle_closure(sp.dist), sp.dist)
+        """Round-down closure of the float shortest paths of this cycle
+        with chords still lowers entries in its ninth and tenth passes, so
+        a closure capped at eight passes leaves one-ulp triangle violations."""
+        lengths = np.zeros((256, 256))
+        for i, j, w in chords_cycle(256):
+            lengths[i, j] = w
+        d = dijkstra(lengths, directed=False)
+        closed = mc.exact_triangle_closure(d / d.max())
+        assert 0.99 < closed.max() <= 1.0 and _triangle_holds(closed)
+        assert np.array_equal(mc.exact_triangle_closure(closed), closed)
+
+    def test_integer_grid_lengths_need_no_closure(self, monkeypatch):
+        """Lengths rounded down to 2^-50 of the diameter add exactly, so the
+        shortest paths are a float64 metric as they come: no closure runs,
+        every entry is a whole number of units, and the metric lies within
+        1e-14 below the closed float shortest paths."""
+        monkeypatch.setattr(families, "exact_triangle_closure", None)
+        sp = mc.generate(mc.FamilySpec("weighted_graph", 256, edges=chords_cycle(256)))
+        assert 0.99 < sp.diameter <= 1.0 and _triangle_holds(sp.dist)
+        units = sp.dist * 2.0**50
+        assert np.array_equal(units, np.floor(units))
+        lengths = np.zeros((256, 256))
+        for i, j, w in chords_cycle(256):
+            lengths[i, j] = w
+        d = dijkstra(lengths, directed=False)
+        gap = mc.exact_triangle_closure(d / d.max()) - sp.dist
+        assert 0.0 <= gap.min() and gap.max() < 1e-14
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_an_edge_below_the_grid_is_refused(self, normalized):
+        edges = ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-17))
+        with pytest.raises(ValueError, match=r"edge \(2, 3\) is under 2\^-50 of "):
+            mc.generate(mc.FamilySpec("weighted_graph", 4, normalized, edges=edges))
 
     def test_closure_over_dirty_hubs_equals_the_pass_over_every_hub(self):
         """The closure skips hubs whose row and column did not change;
@@ -174,6 +209,27 @@ class TestProduct:
         assert sp.dist[a, b] == 3.0
         mc.validate_space(sp.points, sp.dist, sp.weights)
 
+    def test_spec_weights_replace_the_factors_product(self):
+        factors = (mc.FamilySpec("discrete_torus", 3), mc.FamilySpec("hamming_cube", 1))
+        weights = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        plain = mc.generate(mc.FamilySpec("product", factors=factors))
+        sp = mc.generate(mc.FamilySpec("product", factors=factors, weights=weights))
+        assert sp.points == plain.points and np.array_equal(sp.dist, plain.dist)
+        assert sp.weights.tolist() == list(weights)
+        for bad, kind in ((weights[:5], "shape"), ((-1.0,) * 6, "negative_weight")):
+            with pytest.raises(mc.SpaceValidationError) as err:
+                mc.generate(mc.FamilySpec("product", factors=factors, weights=bad))
+            assert err.value.violations[0].kind == kind
+
+    @pytest.mark.parametrize("factors, message", [
+        ((("hamming_cube", 12), ("discrete_torus", 2)), "got 2 with 8192 points"),
+        ((("hamming_cube", 2),), "got 1 with 4 points"),
+        ((("hamming_cube", 2), ("klein_bottle", 2)), "unknown family kind 'klein_bottle'"),
+    ])
+    def test_a_product_breaking_its_size_rule_cannot_be_made(self, factors, message):
+        with pytest.raises(ValueError, match=message):
+            mc.FamilySpec("product", factors=tuple(mc.FamilySpec(k, n) for k, n in factors))
+
     @pytest.mark.parametrize("a, b", [(2, 2), (32, 33)])
     def test_colliding_labels_are_refused_before_the_closure(self, a, b, monkeypatch):
         """'a|b' then 'c' and 'a' then 'b|c' both name 'a|b|c'.  The product
@@ -202,6 +258,13 @@ def bit_loop_hamming(n: int) -> np.ndarray:
         ham += xor & 1
         xor >>= 1
     return ham
+
+
+def chords_cycle(n: int) -> tuple[tuple[int, int, float], ...]:
+    """A cycle of uneven edges with a chord from every fifth node."""
+    edges = [(i, (i + 1) % n, 1 + (i % 7) / 10) for i in range(n)]
+    edges += [(i, (i + 37) % n, 3.5) for i in range(0, n, 5)]
+    return tuple(edges)
 
 
 def reference_triangle_closure(dist):
@@ -422,6 +485,13 @@ class TestRosterAndReport:
                 assert row["sep_lower"] == row["sep_value"]
             else:
                 assert row["sep_value"] is None and row["sep_lower"] > 0.0
+
+    def test_an_empty_family_and_repeated_screen_names_are_refused(self):
+        with pytest.raises(ValueError, match="the family has no members"):
+            mc.run_levy_experiment([], seed=0)
+        roster = list(mc.default_screen_roster())
+        with pytest.raises(ValueError, match="screen name 'torus6' is given more than once"):
+            mc.run_levy_experiment([mc.FamilySpec("hamming_cube", 2)], roster + roster[:1], seed=0)
 
     def test_bad_samples_and_workers_are_refused(self):
         fam = [mc.FamilySpec("hamming_cube", 2)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,9 @@ from conftest import random_space
 
 SPACES = "spaces"
 TREND_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "levy_trend.py"
+# child processes import the package from src/ as this one does (pyproject's pythonpath)
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(TREND_SCRIPT.parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv, capsys):
@@ -365,6 +369,20 @@ class TestCli:
             capsys,
         )
         assert rc == 2 and "budget" in err.lower()
+        assert err == "mmconc: refused: sep_exact needs 3^14 assignments, over budget 1594323\n"
+
+    @pytest.mark.parametrize("command, space, kappas, message", [
+        ("sep", "twopoint.json", ["0.5"], "sep needs at least two thresholds"),
+        ("sep-real", "measure_four_atoms.json", ["0.1", "0.2"], "sep-real takes exactly one threshold"),
+        ("obsdiam", "twopoint.json", ["0.1", "0.2"], "obsdiam takes exactly one threshold"),
+    ])
+    def test_a_wrong_number_of_thresholds_exits_one(self, command, space, kappas, message, capsys):
+        argv = [command, "--space", f"{SPACES}/{space}"]
+        for kappa in kappas:
+            argv += ["--kappa", kappa]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err == f"mmconc: --kappa: {message}\n"
 
     def test_sep_real_quantile_command(self, capsys):
         rc, out, _ = run_cli(
@@ -493,12 +511,47 @@ class TestCli:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["member"] for r in rows] == ["0"] * 3 + ["1"] * 3
 
+    def test_levy_run_reads_its_screens_from_documents(self, capsys):
+        argv = ["levy-run", "--family", "hamming:2", "--seed", "0", "--samples", "4",
+                "--effort", "100", "--screen", f"{SPACES}/square4.json",
+                "--screen", f"{SPACES}/singleton.json"]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 0, err
+        doc = json.loads(out)
+        assert [row["screen"] for row in doc["screens"]] == ["square4", "singleton"]
+        assert [c["screen"] for c in doc["cells"]] == ["singleton", "square4"]
+
+    def test_levy_run_refuses_two_screens_of_one_name(self, tmp_path, capsys):
+        """Cells are keyed on the screen's file name, so two screens of one
+        name would print cells no reader can tell apart."""
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "s.json").write_text(Path(f"{SPACES}/square4.json").read_text())
+        argv = ["levy-run", "--family", "hamming:2..2", "--seed", "0",
+                "--screen", str(tmp_path / "a" / "s.json"), "--screen", str(tmp_path / "b" / "s.json")]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err == "mmconc: screen name 's' is given more than once\n"
+
+    @pytest.mark.parametrize("family, message", [
+        ("hamming:11,13", "hamming_cube size must be in 1..12, got 13"),
+        ("torus:4,0", "discrete_torus size must be in 1..4096, got 0"),
+        ("hamming:5..3", "the family has no members"),
+    ])
+    def test_levy_run_refuses_a_family_before_any_member_runs(self, family, message, capsys,
+                                                                monkeypatch):
+        built = []
+        monkeypatch.setattr(mc.families, "generate", built.append)
+        rc, out, err = run_cli(["levy-run", "--family", family, "--seed", "0"], capsys)
+        assert rc == 1 and not out and built == []
+        assert err == f"mmconc: {message}\n"
+
     def test_trend_script_prints_every_member(self, tmp_path):
         out = tmp_path / "trend.json"
         proc = subprocess.run(
             [sys.executable, str(TREND_SCRIPT), "--max-n", "4", "--samples", "4",
              "--effort", "200", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         rows = [line.split() for line in proc.stdout.splitlines() if line[:3].strip().isdigit()]
@@ -546,23 +599,24 @@ class TestCli:
     def test_trend_script_refuses_a_negative_effort(self):
         proc = subprocess.run(
             [sys.executable, str(TREND_SCRIPT), "--max-n", "2", "--effort", "-1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr == "--effort: must be >= 0\n" and not proc.stdout
 
     @pytest.mark.parametrize("argv, message", [
-        (["--max-n", "13"], "--max-n: must be in 1..12"),
-        (["--max-n", "0"], "--max-n: must be in 1..12"),
-        (["--min-n", "0"], "--min-n: must be in 1..12"),
-        (["--min-n", "-3", "--max-n", "2"], "--min-n: must be in 1..12"),
-        (["--min-n", "13", "--max-n", "13"], "--min-n: must be in 1..12"),
-        (["--min-n", "5", "--max-n", "3"], "--min-n: must be <= --max-n"),
+        (["--max-n", "13"], "hamming_cube size must be in 1..12, got 13"),
+        (["--max-n", "0"], "the family has no members"),
+        (["--min-n", "0"], "hamming_cube size must be in 1..12, got 0"),
+        (["--min-n", "-3", "--max-n", "2"], "hamming_cube size must be in 1..12, got -3"),
+        (["--min-n", "13", "--max-n", "13"], "hamming_cube size must be in 1..12, got 13"),
+        (["--min-n", "5", "--max-n", "3"], "the family has no members"),
     ])
     def test_trend_script_refuses_sizes_outside_the_cube_range(self, argv, message):
-        """Refused before any cube is built: no traceback, no empty table."""
+        """Refused before any cube is built, by the library's size rule and
+        its empty-family check: no traceback, no empty table."""
         proc = subprocess.run(
-            [sys.executable, str(TREND_SCRIPT), *argv], capture_output=True, text=True,
+            [sys.executable, str(TREND_SCRIPT), *argv], capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr == message + "\n" and not proc.stdout
@@ -580,7 +634,7 @@ class TestCli:
     def test_trend_script_refuses_bad_samples_and_workers(self, flag, value, least):
         proc = subprocess.run(
             [sys.executable, str(TREND_SCRIPT), "--max-n", "2", f"--{flag}", value],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr == f"--{flag}: must be >= {least}\n" and not proc.stdout
@@ -595,7 +649,7 @@ class TestCli:
         for argv in commands:
             rc, out, err = run_cli(argv, capsys)
             proc = subprocess.run(
-                [sys.executable, "-m", "mmconc.cli", *argv], capture_output=True, text=True
+                [sys.executable, "-m", "mmconc.cli", *argv], capture_output=True, text=True, env=CHILD_ENV
             )
             assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr)
             assert rc == 0 and out
@@ -605,7 +659,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "mmconc.cli", "validate",
              "--space", f"{SPACES}/singleton.json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["points"] == 1

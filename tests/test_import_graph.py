@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmconc"
+SCRIPT = PACKAGE.parent.parent / "scripts" / "levy_trend.py"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -162,3 +163,61 @@ def test_the_line_bracket_reads_its_scores_from_the_pool():
     scopes = {scope for _, scope in visitor.found}
     assert "observable._candidate_pool.objective" in scopes
     assert "observable.obsdiam_real_bracket" not in scopes
+
+
+def test_no_two_raises_build_the_same_exception():
+    """Each refusal is written once: two raise statements that build the
+    same exception call are one input rule stated twice."""
+    seen = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                seen.setdefault(ast.dump(node.exc), []).append(f"{path.stem}:{node.lineno}")
+    assert [sites for sites in seen.values() if len(sites) > 1] == []
+
+
+COUNTS = {"effort", "samples", "workers", "budget"}
+
+
+def is_int(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def count_floors(path: Path) -> list[str]:
+    """Count names written beside a whole number as a floor: a tuple
+    pairing the name with a number, a dict mapping two or more count names
+    to numbers (a single one is a report field, such as a witness's
+    samples), or `name < number` or `name >= number`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Dict):
+            names = [k.value for k, v in zip(node.keys, node.values)
+                     if isinstance(k, ast.Constant) and k.value in COUNTS and is_int(v)]
+            found += names if len(names) > 1 else []
+        elif isinstance(node, ast.Tuple) and any(is_int(e) for e in node.elts):
+            found += [e.value for e in node.elts if isinstance(e, ast.Constant) and e.value in COUNTS]
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Lt, ast.GtE))
+              and getattr(node.left, "id", None) in COUNTS and is_int(node.comparators[0])):
+            found.append(node.left.id)
+    return found
+
+
+def test_the_count_floors_are_written_once():
+    """One table holds the floors of effort, samples, workers and budget;
+    the library and the CLI read it, and the trend script has none."""
+    found = {path.stem: count_floors(path) for path in PACKAGE.glob("*.py")}
+    assert {stem: names for stem, names in found.items() if names} == {
+        "_numeric": ["effort", "samples", "workers", "budget"]
+    }
+    assert count_floors(SCRIPT) == []
+
+
+def test_the_trend_script_orders_no_argument():
+    """The script's flags and sizes get the CLI's and the library's checks,
+    so no <, <=, > or >= of the script reads its arguments."""
+    tree = ast.parse(SCRIPT.read_text(encoding="utf-8"))
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    compares = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)]
+    assert not [node.lineno for node in compares
+                if any(getattr(n, "id", None) == "args" for n in ast.walk(node))]

@@ -36,6 +36,20 @@ class TestValidateLipschitz:
         with pytest.raises(mc.LipschitzValidationError):
             mc.validate_lipschitz(two_point, screen, [0, 2])
 
+    @pytest.mark.parametrize("real, values, message", [
+        (True, [0.0], r"need one real value per point, got shape \(1,\)"),
+        (True, [0.0, math.inf], "map values must be finite"),
+        (True, [0.0, math.nan], "map values must be finite"),
+        (False, [[0, 1]], r"need one target index per point, got shape \(1, 2\)"),
+        (False, [0, 3], "target indices out of range"),
+        (False, [-1, 0], "target indices out of range"),
+    ])
+    def test_values_of_the_wrong_shape_or_range_are_refused(self, two_point, real, values, message):
+        screen = None if real else line_space([0.0, 0.25, 2.0])
+        with pytest.raises(ValueError, match=message) as err:
+            mc.validate_lipschitz(two_point, screen, values)
+        assert not isinstance(err.value, mc.LipschitzValidationError)
+
 
 class TestPushforward:
     def test_real_pushforward_conserves_mass_exactly(self):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -762,13 +763,17 @@ def test_sep_inside_the_budget_is_sep_exact():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_sep_past_the_budget_is_the_heuristic_or_the_refusal(n):
+    """Both carry sep_exact's refusal; an exact result carries none."""
     space = cube(n)
-    with pytest.raises(mc.BudgetExceededError):
+    with pytest.raises(mc.BudgetExceededError) as refused:
         mc.sep_exact(space, [0.1, 0.1])
+    reason = str(refused.value)
+    assert reason == f"sep_exact needs 3^{2**n} assignments, over budget {mc.DEFAULT_ASSIGNMENT_BUDGET}"
     got = mc.sep(space, [0.1, 0.1], effort=2000, seed=9)
-    assert got == mc.sep_lower_bound(space, [0.1, 0.1], effort=2000, seed=9)
+    assert got == replace(mc.sep_lower_bound(space, [0.1, 0.1], effort=2000, seed=9), refusal=reason)
     assert got.feasible and not got.exact
-    assert mc.sep(space, [0.1, 0.1]) == mc.SepResult(0.0, False, False, None, None)
+    assert mc.sep(space, [0.1, 0.1]) == mc.SepResult(0.0, False, False, None, None, reason)
+    assert mc.sep(cube(3), [0.1, 0.1]).refusal is None
 
 
 # ---------------------------------------------------------------------------

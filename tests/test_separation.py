@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestSepExact:
         r = mc.sep_exact(sp, [0.25, 0.5, 0.25])
         assert r.value == 1.0  # adjacent groups sit at exactly the value
 
+    @pytest.mark.parametrize("kappas, message", [
+        ([0.5], "need at least two kappas"),
+        ([], "need at least two kappas"),
+        ([0.5, -0.1], "kappas must be finite and >= 0"),
+        ([0.5, math.nan], "kappas must be finite and >= 0"),
+        ([math.inf, 0.5], "kappas must be finite and >= 0"),
+    ])
+    def test_kappas_are_checked(self, two_point, kappas, message):
+        for search in (mc.sep_exact, mc.sep_lower_bound, mc.sep):
+            with pytest.raises(ValueError, match=message):
+                search(two_point, kappas)
+
     def test_budget_guard_raises_and_can_be_lifted(self):
         rng = np.random.default_rng(33)
         sp = random_space(rng, 14)
@@ -212,6 +225,20 @@ class TestQuantileGap:
             q = mc.sep_real_quantile(nu, kap)
             ex = mc.sep_exact(mc.real_measure_as_space(nu), [kap, kap])
             assert q.gap <= ex.value + 1e-12
+
+    @pytest.mark.parametrize("positions, weights", [
+        ([0.0, 1.0], [1.0]),
+        ([[0.0, 1.0]], [[0.5, 0.5]]),
+    ])
+    def test_atoms_need_equal_length_flat_arrays(self, positions, weights):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            mc.RealMeasure.from_atoms(positions, weights)
+
+    def test_the_prefix_is_built_once_and_holds_the_total(self):
+        nu = mc.RealMeasure.from_atoms([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
+        assert nu.prefix is nu.prefix and not nu.prefix.flags.writeable
+        assert nu.prefix.tolist() == [0.0, 0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3]
+        assert nu.total_mass == nu.prefix[-1]
 
     def test_oversized_kappa_degenerates(self):
         nu = mc.RealMeasure.from_atoms(np.arange(3.0), np.full(3, 1 / 3))

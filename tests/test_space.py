@@ -117,6 +117,20 @@ class TestValidateSpace:
                 listed = [v for v in err.value.violations if v.kind == kind]
                 assert len(listed) == min(count, 50)
 
+    @pytest.mark.parametrize("points, dist, weights, kind, detail", [
+        ((), np.zeros((0, 0)), [], "empty", "a space needs at least one point"),
+        (("a", "b", "a"), np.ones((3, 3)) - np.eye(3), [0.2, 0.3, 0.5], "duplicate_label",
+         "repeated labels: ['a']"),
+        (("a", "b"), np.zeros((2, 3)), [0.5, 0.5], "shape", "dist has shape (2, 3), expected (2, 2)"),
+        (("a", "b"), np.ones((2, 2)) - np.eye(2), [1.0], "shape",
+         "weights has shape (1,), expected (2,)"),
+    ])
+    def test_labels_and_shapes_are_checked_first(self, points, dist, weights, kind, detail):
+        with pytest.raises(mc.SpaceValidationError) as err:
+            mc.validate_space(points, dist, weights)
+        assert err.value.violations[0] == mc.Violation(kind, (), detail)
+        assert err.value.counts[kind] == 1
+
     def test_merge_of_no_points_gives_three_empty_results(self):
         labels, mdist, mw = mc.merge_coincident_points((), np.zeros((0, 0)), [])
         assert labels == ()
