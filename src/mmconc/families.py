@@ -10,9 +10,11 @@ may be a space built elsewhere, such as a parsed document.
 
 Costs: a cube's metric is one lookup per pair in a popcount table, a
 weighted graph's two dijkstra runs.  generate re-validates every space of
-up to _VALIDATE_CAP points; that triangle scan is O(n^3), about 2 s at
-1,024 points on one core of a 2-vCPU Xeon.  The exact closure behind the
-product is O(n^3) per pass.
+up to _VALIDATE_CAP points.  Cubes, tori and unit-length graphs pass the
+validator's O(n^2) hop-metric certificate (about 15 ms at 1,024 points on
+one core of a 2-vCPU Xeon); products and other graphs take its O(n^3)
+triangle scan, about 0.8 s at 1,024 points.  The exact closure behind
+the product is O(n^3) per pass.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ POINT_CAP = 4096
 # the largest size n of each kind with at most POINT_CAP points
 _MAX_SIZE = {"hamming_cube": POINT_CAP.bit_length() - 1,  # 2^n points
              "discrete_torus": POINT_CAP, "weighted_graph": POINT_CAP}
-# generate re-validates up to this size: the O(n^3) triangle scan takes
-# about 2 s at 1,024 points on one core, and 8x that at 2,048
+# generate re-validates up to this size.  A product or a general graph
+# takes the O(n^3) triangle scan, about 0.8 s at 1,024 points on one core
+# and 8x that at 2,048; a cube or torus takes the O(n^2) certificate, but
+# validate_space copies the matrix, 32 MB at 2,048 points
 _VALIDATE_CAP = 1024
 _GRID_BITS = 50  # a weighted graph's edge unit is 2^-50 of its scale
 
@@ -133,7 +137,8 @@ def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
 
 
 def _weighted_graph(spec: FamilySpec) -> FiniteMMSpace:
-    """Shortest paths over edge lengths rounded down to whole units of
+    """Shortest paths over edge lengths (the shortest one given for each
+    pair of nodes, in either order) rounded down to whole units of
     2^-_GRID_BITS of the scale (the float diameter when normalized, else
     the power of two above it), refusing an edge of zero units.  Paths stay
     below 2^53 units, so dijkstra adds exactly and the scaling back is by a
@@ -143,14 +148,17 @@ def _weighted_graph(spec: FamilySpec) -> FiniteMMSpace:
     from scipy.sparse.csgraph import dijkstra
 
     n = spec.n
+    shortest = {}  # the shortest length given for each pair {i, j}
     for i, j, w in spec.edges:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"bad edge ({i}, {j})")
         if not (math.isfinite(w) and w > 0):
             raise ValueError(f"edge ({i}, {j}) needs a positive finite length, got {w}")
-    i, j, w = np.array(spec.edges, dtype=np.float64).reshape(-1, 3).T
+        pair = (min(i, j), max(i, j))
+        shortest[pair] = min(w, shortest.get(pair, w))
+    i, j, w = np.array([(*pair, w) for pair, w in shortest.items()], dtype=np.float64).reshape(-1, 3).T
     graph = coo_matrix((w, (i.astype(np.intp), j.astype(np.intp))), shape=(n, n))
-    graph = (graph + graph.T).tocoo()  # undirected; parallel edges add
+    graph = (graph + graph.T).tocoo()  # undirected: each pair once each way
     dist = dijkstra(graph, directed=False)
     if not np.isfinite(dist).all():
         raise ValueError("graph is not connected")

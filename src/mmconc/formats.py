@@ -217,8 +217,10 @@ def _parse_space_doc(doc: dict, opened: tuple[str, ...]) -> FiniteMMSpace:
         first = err.violations[0]
         if first.kind == "duplicate_label":
             field = "/points"
-        elif first.kind.endswith("_weight") or first.kind == "zero_total_mass":
+        elif first.kind.endswith("_weight"):
             field = f"/weights{list(first.indices)}"
+        elif first.kind == "zero_total_mass":
+            field = "/weights"
         else:
             field = f"/metric/matrix{list(first.indices)}"
         raise SpaceFileError(field, f"validation failed: {err}") from err

@@ -5,6 +5,7 @@ per-label masses (_group_masses), which fibers, groups and components use."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -142,6 +143,77 @@ class FiniteMMSpace:
 def _triangle_holds(dist: np.ndarray) -> bool:
     """True iff dist[i,k] <= dist[i,j] + dist[j,k] in float64 for all i, j, k.
 
+    Needs an exactly symmetric matrix.  Graph-shaped metrics (cubes, tori,
+    unit-length graphs) are accepted by _hop_certificate in O(n^2); every
+    other matrix, and every one that breaks the inequality, takes the
+    O(n^3) _triangle_scan, so the answer is the scan's either way."""
+    return _hop_certificate(dist) or _triangle_scan(dist)
+
+
+def _hop_certificate(dist: np.ndarray) -> bool:
+    """A sufficient test for the triangle inequality of a metric t o K,
+    with K the hop metric of a graph and t an increasing table.
+
+    t is read as the distinct values 0 = t[0] < ... < t[V] of the row
+    holding the largest entry (for t o K, a shortest path to the
+    farthest point passes every hop count) and K is the rank matrix of
+    dist in t; every entry must be in t.  Accepted when
+      (a) t[min(a + b, V)] <= fl(t[a] + t[b]) for all a, b, and
+      (b) with N(i) = {j : K[i,j] = 1} nonempty for every i, each
+          k != i has min over j in N(i) of K[j,k] == K[i,k] - 1.
+    Given a zero diagonal, (b) makes K the hop metric of the graph N, so
+    K[i,k] <= K[i,j] + K[j,k], and then d[i,k] = t[K[i,k]] <=
+    t[min(V, K[i,j] + K[j,k])] <= fl(d[i,j] + d[j,k]) by (a).
+
+    (b) takes the points in blocks of _ROW_BLOCK of like degree, one
+    neighbour row per point at a time, so it costs O(n * (edges +
+    _ROW_BLOCK * max degree)); a graph of more than _ROW_BLOCK edges per
+    point goes to the scan, and the certificate stays O(_ROW_BLOCK * n^2)
+    with buffers of _ROW_BLOCK rows beside an n x n rank matrix.
+    """
+    n = dist.shape[0]
+    if n < 2:  # nothing to certify: the scan answers at once
+        return False
+    table = np.unique(dist[np.argmax(dist.max(axis=1))])
+    top = len(table) - 1
+    if table[0] != 0.0:
+        return False
+    ranks = np.empty((n, n), dtype=np.int16 if top < np.iinfo(np.int16).max else np.int32)
+    degree = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = dist[lo : lo + _ROW_BLOCK]
+        rank = np.minimum(np.searchsorted(table, rows), top)
+        if not np.array_equal(table[rank], rows):
+            return False
+        ranks[lo : lo + _ROW_BLOCK] = rank
+        degree[lo : lo + _ROW_BLOCK] = np.count_nonzero(rank == 1, axis=1)
+    steps = np.arange(top + 1)
+    for lo in range(0, top + 1, _ROW_BLOCK):
+        a = steps[lo : lo + _ROW_BLOCK, None]
+        if (table[np.minimum(a + steps, top)] > table[a] + table).any():
+            return False
+    if ranks.diagonal().any():
+        return False
+    if not degree.all() or degree.sum() > _ROW_BLOCK * n:
+        return False
+    _, hop = np.nonzero(ranks == 1)  # the neighbours of point 0, then of point 1, ...
+    first = np.cumsum(degree) - degree  # where each point's neighbours start in hop
+    order = np.argsort(degree, kind="stable")
+    for lo in range(0, n, _ROW_BLOCK):
+        points = order[lo : lo + _ROW_BLOCK]  # of like degree, the last the highest
+        reach = ranks[hop[first[points]]]
+        for s in range(1, int(degree[points[-1]])):  # a point of lower degree repeats its last
+            np.minimum(reach, ranks[hop[first[points] + np.minimum(s, degree[points] - 1)]], out=reach)
+        reach += 1
+        reach[np.arange(len(points)), points] = 0
+        if not np.array_equal(reach, ranks[points]):
+            return False
+    return True
+
+
+def _triangle_scan(dist: np.ndarray) -> bool:
+    """The triangle inequality of _triangle_holds, checked for every triple.
+
     Needs an exactly symmetric matrix: the test for (k, j, i) is then
     the one for (i, j, k), because fl(a + b) == fl(b + a), so only pairs
     i <= k are scanned.  Rows go in blocks of _ROW_BLOCK; for each
@@ -217,8 +289,8 @@ def validate_space(
 
     if n == 0:
         found.record("empty", [()], "a space needs at least one point")
-    if len(set(points)) != n:
-        dupes = [p for p in set(points) if points.count(p) > 1]
+    dupes = [p for p, k in Counter(points).items() if k > 1]  # in order of first appearance
+    if dupes:
         found.record("duplicate_label", [()], f"repeated labels: {dupes[:5]}")
 
     if dist.shape != (n, n):

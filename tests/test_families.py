@@ -7,6 +7,7 @@ import io
 import json
 from fractions import Fraction
 from math import comb, fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import mmconc as mc
-from mmconc import families
+from mmconc import families, space
 from mmconc._numeric import floor_sum
-from mmconc.space import _triangle_holds
+from mmconc.space import _triangle_holds, _triangle_scan
+
+SPACES = Path(__file__).resolve().parent.parent / "spaces"
 
 
 class TestHammingCube:
@@ -119,6 +122,15 @@ class TestWeightedGraph:
         sp = mc.generate(spec)
         assert sp.dist[0, 2] == 2.0  # shortest path wins over the direct edge
         mc.validate_space(sp.points, sp.dist, sp.weights)
+
+    @pytest.mark.parametrize("edges, length", [
+        (((0, 1, 1.0), (1, 0, 1.0)), 1.0),
+        (((0, 1, 1.0), (0, 1, 2.0)), 1.0),
+        (((1, 0, 2.0), (0, 1, 0.5), (0, 1, 3.0)), 0.5),
+    ])
+    def test_parallel_edges_keep_the_shortest_length(self, edges, length):
+        sp = mc.generate(mc.FamilySpec("weighted_graph", 2, normalized=False, edges=edges))
+        assert sp.dist[0, 1] == sp.dist[1, 0] == length
 
     def test_disconnected_graph_is_rejected(self):
         spec = mc.FamilySpec(
@@ -317,8 +329,11 @@ class TestEveryGeneratorValidates:
     @settings(max_examples=120)
     @given(st.one_of(cube_specs, torus_specs, graph_specs(), product_specs))
     def test_output_passes_the_validator(self, spec):
+        """validate_space may certify the metric without the scan; the scan
+        itself accepts it too."""
         sp = mc.generate(spec)
         mc.validate_space(sp.points, sp.dist, sp.weights)
+        assert _triangle_scan(sp.dist)
         if spec.kind == "hamming_cube":
             want = cube_table(spec.n, spec.normalized)[bit_loop_hamming(spec.n)]
             assert sp.dist.tobytes() == want.tobytes()
@@ -331,6 +346,33 @@ class TestEveryGeneratorValidates:
         for normalized in (True, False):
             sp = _hamming_cube(mc.FamilySpec("hamming_cube", n, normalized))
             assert sp.dist.tobytes() == cube_table(n, normalized)[ham].tobytes()
+
+
+class TestWhichMetricsAreScanned:
+    def test_cubes_and_tori_are_certified_and_products_and_l1_spaces_scanned(self, monkeypatch):
+        """Re-validating a generated cube, torus or unit-length graph never
+        enters the O(n^3) scan; a product of tori and a random L1 space
+        still do.  The star's center row holds only 0 and one edge, so the
+        certificate must read its table from a row that reaches farther."""
+        scans = []
+        scan = space._triangle_scan
+
+        def counted(dist):
+            scans.append(len(dist))
+            return scan(dist)
+
+        monkeypatch.setattr(space, "_triangle_scan", counted)
+        for kind, n in (("hamming_cube", 9), ("discrete_torus", 512), ("hamming_cube", 3)):
+            mc.generate(mc.FamilySpec(kind, n))
+        mc.parse_space(str(SPACES / "torus8.json"))
+        mc.generate(mc.FamilySpec("weighted_graph", 9, edges=tuple((0, i, 1.0) for i in range(1, 9))))
+        assert scans == []
+        tori = (mc.FamilySpec("discrete_torus", 8), mc.FamilySpec("discrete_torus", 12))
+        mc.generate(mc.FamilySpec("product", factors=tori))
+        corners = np.random.default_rng(3).integers(0, 1000, size=(40, 2))
+        l1 = np.abs(corners[:, None, :] - corners[None, :, :]).sum(axis=2) / 8.0
+        mc.validate_space([str(i) for i in range(40)], l1, np.full(40, 1 / 40))
+        assert scans == [96, 40]
 
 
 class TestCoordinateMean:

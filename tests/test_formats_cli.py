@@ -209,6 +209,21 @@ class TestSpaceFiles:
             assert err.value.pointer == "/weights"
             assert str(err.value) == f"/weights: validation failed: {full.value}"
 
+    @pytest.mark.parametrize("weights, pointer", [
+        ([-1.0, 2.0], "/weights[0]"),
+        ([0.0, 0.0], "/weights"),  # zero total mass is no one weight's fault
+        ([0.5, -0.5], "/weights[1]"),
+    ])
+    def test_a_matrix_document_points_at_the_failing_weights(self, weights, pointer, tmp_path, capsys):
+        doc = {"metric": {"matrix": [[0, 1], [1, 0]]}, "weights": weights}
+        with pytest.raises(mc.SpaceFileError) as info:
+            mc.parse_space(doc)
+        assert info.value.pointer == pointer
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run_cli(["validate", "--space", str(path)], capsys)
+        assert rc == 1 and err.startswith(f"mmconc: {pointer}: validation failed: ")
+
     def test_a_custom_file_without_a_path_exits_one_at_its_node(self, tmp_path, capsys):
         path = tmp_path / "nopath.json"
         path.write_text(json.dumps({"metric": {"generator": {"kind": "product", "factors": [

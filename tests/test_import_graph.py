@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmconc"
@@ -36,6 +37,20 @@ def reached_from(graph: dict[str, set[str]], module: str) -> set[str]:
                 reached.add(dep)
                 todo.append(dep)
     return reached
+
+
+def test_space_imports_only_numpy_and_the_standard_library():
+    """Every space is validated, in every workload's set-up too; an import
+    of scipy or of a sibling module in space.py, even inside a function,
+    would load it there."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / "space.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or "").split(".")[0])
+    assert "numpy" in found
+    assert found - sys.stdlib_module_names == {"numpy"}
 
 
 class RefusalHandlers(ast.NodeVisitor):

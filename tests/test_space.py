@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
 from conftest import line_space, random_space, sorted_row_mass
-from mmconc.space import _ROW_BLOCK, _triangle_holds
+from mmconc.space import _ROW_BLOCK, _hop_certificate, _triangle_holds, _triangle_scan
 
 
 def triple_loop_ok(dist: np.ndarray, weights: np.ndarray) -> bool:
@@ -121,6 +121,8 @@ class TestValidateSpace:
         ((), np.zeros((0, 0)), [], "empty", "a space needs at least one point"),
         (("a", "b", "a"), np.ones((3, 3)) - np.eye(3), [0.2, 0.3, 0.5], "duplicate_label",
          "repeated labels: ['a']"),
+        (tuple("cbacba"), np.ones((6, 6)) - np.eye(6), [1 / 6] * 6, "duplicate_label",
+         "repeated labels: ['c', 'b', 'a']"),  # in order of first appearance, whatever the hash seed
         (("a", "b"), np.zeros((2, 3)), [0.5, 0.5], "shape", "dist has shape (2, 3), expected (2, 2)"),
         (("a", "b"), np.ones((2, 2)) - np.eye(2), [1.0], "shape",
          "weights has shape (1,), expected (2,)"),
@@ -166,7 +168,8 @@ def assert_same_triangle_verdict(dist: np.ndarray) -> bool:
     labels = tuple(f"p{i}" for i in range(n))
     weights = np.full(n, 1.0 / n)
     violations, counts = hub_loop_triangle(dist)
-    assert _triangle_holds(dist) == (not counts)
+    assert _triangle_holds(dist) == _triangle_scan(dist) == (not counts)
+    assert not (_hop_certificate(dist) and counts)
     if not counts:
         mc.validate_space(labels, dist, weights)
         return True
@@ -244,6 +247,105 @@ class TestTriangleScan:
     def test_one_and_two_point_spaces(self, a):
         assert assert_same_triangle_verdict(np.zeros((1, 1)))
         assert assert_same_triangle_verdict(np.array([[0.0, a], [a, 0.0]]))
+
+
+def hop_metric(n: int, edges) -> np.ndarray:
+    """Hop counts of an unweighted graph, by Floyd-Warshall on integers."""
+    hops = np.full((n, n), n, dtype=np.int64)
+    np.fill_diagonal(hops, 0)
+    for i, j in edges:
+        hops[i, j] = hops[j, i] = 1
+    for h in range(n):
+        hops = np.minimum(hops, hops[:, h, None] + hops[None, h, :])
+    return hops
+
+
+@st.composite
+def connected_graphs(draw, max_n=14, chords_per_point=2.0):
+    """The hop metric of a random spanning tree plus chords."""
+    n = draw(st.integers(2, max_n))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    for _ in range(draw(st.integers(0, int(chords_per_point * n)))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((i, j))
+    return hop_metric(n, edges)
+
+
+@st.composite
+def tables(draw, top):
+    """(strictly increasing table t[0..top] with t[0] = 0, whether it is
+    known to be subadditive in float64): subadditive_table's and whole
+    numbers, and scaled, convex and random ones that may or may not be."""
+    kind = draw(st.sampled_from(["subadditive", "integers", "scaled", "convex", "random"]))
+    steps = np.arange(top + 1.0)
+    if kind == "subadditive":
+        step, denominator = draw(st.integers(1, 3)), draw(st.integers(1, 13))
+        return mc.subadditive_table(top, float(step), float(denominator)), True
+    if kind == "integers":
+        return steps, True
+    x = draw(st.floats(1e-3, 10.0))
+    if kind == "scaled":
+        return steps * x, False
+    if kind == "convex":
+        return steps**2 * x, False
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=top, max_size=top))
+    return np.concatenate([[0.0], np.cumsum(gaps)]), False
+
+
+class TestHopCertificate:
+    """The certificate accepts only matrices the hub loop accepts, and it
+    accepts every hop metric composed with a subadditive table."""
+
+    @settings(max_examples=300)
+    @given(connected_graphs(), st.data())
+    def test_accepts_only_what_the_hub_loop_accepts(self, hops, data):
+        table, subadditive = data.draw(tables(int(hops.max())))
+        dist = table[hops]
+        perturbed = data.draw(st.booleans())
+        if perturbed:
+            n = len(dist)
+            i, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            how = data.draw(st.sampled_from(["other value", "ulp up", "ulp down"]))
+            if how == "other value":
+                value = table[data.draw(st.integers(1, len(table) - 1))]
+            else:
+                value = np.nextafter(dist[i, k], np.inf if how == "ulp up" else 0.0)
+            dist[i, k] = dist[k, i] = value
+        if _hop_certificate(dist):
+            assert hub_loop_triangle(dist)[1] == {}
+        elif subadditive and not perturbed:
+            pytest.fail("a hop metric through a subadditive table was not certified")
+        assert_same_triangle_verdict(dist)
+
+    @settings(max_examples=150)
+    @given(connected_graphs(max_n=16, chords_per_point=0.25), st.data())
+    def test_graph_shaped_matrices_that_fail_the_hop_condition_only(self, hops, data):
+        """Every entry is in the table and the table is subadditive, but one
+        pair at two or more hops moved to another count of at least two:
+        the graph of one-hop pairs is the same, so the counts are no longer
+        its hop metric, and the scan decides, as the hub loop does."""
+        top = int(hops.max())
+        far = int(np.argmax(hops.max(axis=1)))  # the row the certificate reads its table from
+        pairs = [(i, k) for i in range(len(hops)) for k in range(i + 1, len(hops))
+                 if far not in (i, k) and 2 <= hops[i, k] < top]
+        if top < 4 or not pairs:
+            return
+        i, k = data.draw(st.sampled_from(pairs))
+        count = data.draw(st.sampled_from([c for c in range(2, top) if c != hops[i, k]]))
+        moved = hops.copy()
+        moved[i, k] = moved[k, i] = count
+        dist = mc.subadditive_table(top, 1.0, float(top))[moved]
+        assert not _hop_certificate(dist)
+        assert_same_triangle_verdict(dist)
+
+    def test_points_past_the_edge_cap_take_the_scan(self):
+        """All distances 1: a metric, but every pair is an edge, more than
+        _ROW_BLOCK per point, so the certificate declines."""
+        n = _ROW_BLOCK + 2
+        simplex = np.ones((n, n)) - np.eye(n)
+        assert not _hop_certificate(simplex)
+        assert _hop_certificate(simplex[1:, 1:])  # _ROW_BLOCK edges per point
+        assert _triangle_holds(simplex)
 
 
 class TestDistinctDistances:
