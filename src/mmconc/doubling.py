@@ -1,10 +1,12 @@
 """Doubling profiles, ball-mass ratio bounds, packing and net coloring.
 
-The profile records the minimal pointwise doubling constant at every
-half-distance up to a horizon; other radii are computed directly, and a
-coloring or a concentration witness takes its scale from its net.  The
-ratio bound and the packing bound are theorems for these constants: a
-violation in the checkers is a bug, never data.
+The profile records the minimal pointwise doubling constant C(r) as a
+step table up to twice its horizon: C changes only at 0, at each distance
+d and at each half-distance d/2, so one pass over the sorted rows gives C
+at every radius, the half-distance grid and the ladder rungs of
+lemma_constant alike.  A coloring or a concentration witness takes its
+scale from its net.  The ratio bound and the packing bound are theorems
+for these constants: a violation in the checkers is a bug, never data.
 
 Every ball mass here follows the one convention of space._ball_mass_blocks
 (cumulative sums along sorted rows); the concentration witness reads them
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -35,40 +36,54 @@ __all__ = [
 ]
 
 
-def _doubling_constants(space: FiniteMMSpace, radii: Sequence[float]) -> np.ndarray:
-    """Minimal C(r) with mass(B(x,2r)) <= C * mass(B(x,r)) for all x, per r,
-    reduced over one block of centers at a time.  Each r is read off the
-    sorted rows on its own, so C(r) does not depend on the other radii."""
-    radii = np.asarray(radii, dtype=np.float64)
-    best = np.zeros(len(radii))
-    for masses in _ball_mass_blocks(space, np.concatenate((radii, 2.0 * radii))):
-        ratios = masses[:, len(radii) :] / masses[:, : len(radii)]
-        np.maximum(best, ratios.max(axis=0), out=best)
-    return best
+def _step_table(
+    space: FiniteMMSpace, dists: np.ndarray, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The steps 0 = s[0] < ... <= 2*horizon of C(r), the minimal C with
+    mass(B(x,2r)) <= C * mass(B(x,r)) for all x, and C at each step, from
+    the space's sorted distinct distances 0 = dists[0] < ... <= 4*horizon.
+
+    B(x,r) changes only at r = d and B(x,2r) only at r = d/2, d a distance,
+    so C(r) = C(s) for s the last step <= r.  A ball of radius r weighs what
+    it weighs at the last distance <= r, so one pass of _ball_mass_blocks
+    at dists gives both masses of every step, and the ratios are reduced
+    over one block of centers at a time.  C(0) = 1: each ball of radius 0
+    is its center.
+    """
+    steps = np.unique(np.concatenate((dists[dists <= 2.0 * horizon], dists / 2.0)))
+    inner = np.searchsorted(dists, steps, side="right") - 1
+    outer = np.searchsorted(dists, 2.0 * steps, side="right") - 1
+    best = np.zeros(len(steps))
+    for masses in _ball_mass_blocks(space, dists):
+        np.maximum(best, (masses[:, outer] / masses[:, inner]).max(axis=0), out=best)
+    return steps, best
 
 
 @dataclass(frozen=True)
 class DoublingProfile:
-    """Minimal doubling constants of a space at every half-distance within
-    (0, horizon]: a record of doubling_profile's one grid.  Other radii,
-    such as the ladder rungs of lemma_constant, are computed directly."""
+    """Minimal doubling constants of a space: their step table (C is
+    step_values[i] on [steps[i], steps[i+1]), up to 2*horizon), and the
+    record of it at every half-distance within (0, horizon] (radii and
+    values), the grid that reports list."""
 
     space: FiniteMMSpace
     horizon: float
     radii: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
+    step_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.radii.setflags(write=False)
-        self.values.setflags(write=False)
+        for array in (self.radii, self.values, self.steps, self.step_values):
+            array.setflags(write=False)
 
 
 def doubling_profile(space: FiniteMMSpace, horizon: float | None = None) -> DoublingProfile:
-    """Minimal doubling constants at the distinct half-distances within
-    (0, horizon], where the outer ball's composition changes; horizon
-    defaults to the diameter (1.0 for a single point, where every
-    constant is 1 anyway).  Requires all weights positive so every ratio
-    has a positive denominator.
+    """Minimal doubling constants at every step within [0, 2*horizon], and
+    at the distinct half-distances within (0, horizon], where the outer
+    ball's composition changes; horizon defaults to the diameter (1.0 for
+    a single point, where every constant is 1 anyway).  Requires all
+    weights positive so every ratio has a positive denominator.
     """
     zero = np.flatnonzero(space.weights <= 0.0)
     if len(zero):
@@ -77,9 +92,13 @@ def doubling_profile(space: FiniteMMSpace, horizon: float | None = None) -> Doub
         horizon = space.diameter if space.diameter > 0.0 else 1.0
     if not horizon > 0.0:
         raise ValueError("horizon must be > 0")
-    halves = space.distinct_distances() / 2.0
-    grid = halves[(halves > 0.0) & (halves <= horizon)]
-    return DoublingProfile(space, float(horizon), grid, _doubling_constants(space, grid))
+    dists = np.concatenate(([0.0], space.distinct_distances()))
+    dists = dists[dists <= 4.0 * horizon]
+    steps, step_values = _step_table(space, dists, horizon)
+    halves = dists / 2.0
+    grid = halves[(halves > 0.0) & (halves <= horizon)]  # every one a step
+    values = step_values[np.searchsorted(steps, grid)]
+    return DoublingProfile(space, float(horizon), grid, values, steps, step_values)
 
 
 def lemma_constant(profile: DoublingProfile, r1: float, r2: float) -> float:
@@ -89,6 +108,8 @@ def lemma_constant(profile: DoublingProfile, r1: float, r2: float) -> float:
     until the ball swallows B(y, r2) for any y within r2 of x, so the
     maximum is taken over i = 0 .. j with 2^j r1 >= 2 r2.  Starting at
     i = 0 matters: the first rung's constant can exceed all later ones.
+    Every rung is below 4 r2 <= 2 * horizon, so each is read off the
+    profile's step table: the value of the last step at or below it.
     """
     if not 0.0 < r1 <= r2:
         raise ValueError("need 0 < r1 <= r2")
@@ -97,7 +118,8 @@ def lemma_constant(profile: DoublingProfile, r1: float, r2: float) -> float:
     rungs = [r1]
     while rungs[-1] < 2.0 * r2:
         rungs.append(rungs[-1] * 2.0)
-    return float(_doubling_constants(profile.space, rungs).max())
+    at = np.searchsorted(profile.steps, rungs, side="right") - 1
+    return float(profile.step_values[at].max())
 
 
 def ratio_bound(profile: DoublingProfile, r1: float, r2: float) -> float:

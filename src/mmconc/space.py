@@ -249,6 +249,26 @@ def _check_triangle(dist: np.ndarray, found: _Findings) -> None:
                      lambda i, j, k: (dist[i, k], dist[i, j] + dist[j, k]))
 
 
+def _pair_violations(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with d[i,j] != d[j,i], and those with i != j and
+    d[i,j] <= 0, each in row-major order.  Rows go in blocks of _ROW_BLOCK
+    into one boolean buffer, so no n x n temporary is built."""
+    n = dist.shape[0]
+    asymmetric, nonpositive = [np.zeros((0, 2), dtype=np.intp)], [np.zeros((0, 2), dtype=np.intp)]
+    bad = np.empty((min(_ROW_BLOCK, n), n), dtype=bool)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        buf = bad[: hi - lo]
+        np.not_equal(dist[lo:hi], dist[:, lo:hi].T, out=buf)
+        if buf.any():
+            asymmetric.append(np.argwhere(buf) + (lo, 0))
+        np.less_equal(dist[lo:hi], 0.0, out=buf)
+        buf[np.arange(hi - lo), np.arange(lo, hi)] = False  # the diagonal has its own rule
+        if buf.any():
+            nonpositive.append(np.argwhere(buf) + (lo, 0))
+    return np.concatenate(asymmetric), np.concatenate(nonpositive)
+
+
 def _check_weights(weights: np.ndarray, n: int, found: _Findings | None = None) -> None:
     """The weight rules: one weight per point, each finite and >= 0, with
     positive total mass.  Raises what they and validate_space's earlier
@@ -301,13 +321,11 @@ def validate_space(
         found.record("nonfinite_distance", np.argwhere(~np.isfinite(dist)), "d={}",
                      lambda i, j: (dist[i, j],))
     else:
-        found.record("asymmetry", np.argwhere(dist != dist.T), "{} != {}",
-                     lambda i, j: (dist[i, j], dist[j, i]))
+        asymmetric, nonpositive = _pair_violations(dist)
+        found.record("asymmetry", asymmetric, "{} != {}", lambda i, j: (dist[i, j], dist[j, i]))
         found.record("nonzero_diagonal", np.argwhere(np.diag(dist) != 0.0), "d[{i},{i}]={}",
                      lambda i: (dist[i, i],))
-        off = dist.copy()
-        np.fill_diagonal(off, 1.0)
-        found.record("nonpositive_distance", np.argwhere(off <= 0.0),
+        found.record("nonpositive_distance", nonpositive,
                      "d={} between distinct points", lambda i, j: (dist[i, j],))
         if not found.counts and not _triangle_holds(dist):
             _check_triangle(dist, found)
@@ -361,8 +379,10 @@ def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
 def _ball_mass_blocks(space: FiniteMMSpace, radii, centers=None):
     """Masses of B(x, r) for radii r >= 0, one (block, len(radii)) array per
     _ROW_BLOCK centers x (default every point).  The one ball-mass
-    convention: each row is sorted once (stable, so ties keep index order),
-    and B(x, r) weighs its weights' cumulative sum up to the last d <= r."""
+    convention: each row is sorted once per call (stable, so ties keep
+    index order), and B(x, r) weighs its weights' cumulative sum up to the
+    last d <= r.  A doubling profile calls it once, at the space's distinct
+    distances, and reads every doubling constant off those masses."""
     radii = np.asarray(radii, dtype=np.float64)
     centers = np.arange(space.n) if centers is None else np.asarray(centers, dtype=np.intp)
     counts = np.empty((min(_ROW_BLOCK, len(centers)), len(radii)), dtype=np.intp)

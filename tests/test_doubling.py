@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import mmconc as mc
+import mmconc.doubling
+import mmconc.space
 from conftest import random_space, sorted_row, sorted_row_mass
-from mmconc.doubling import _doubling_constants
 from mmconc.space import _ROW_BLOCK
 
 
@@ -54,6 +57,38 @@ def sorted_row_constants(space, radii):
             outer = cum[bisect.bisect_right(row, 2.0 * r) - 1]
             best[i] = max(best[i], outer / inner)
     return np.array(best)
+
+
+def table_at(profile, radii):
+    """The profile's step table read at each radius: the value of the last
+    step at or below it."""
+    return profile.step_values[np.searchsorted(profile.steps, radii, side="right") - 1]
+
+
+def ladder_reference(space, r1, r2):
+    """lemma_constant by the sorted-row reference at each rung."""
+    rungs = [r1]
+    while rungs[-1] < 2.0 * r2:
+        rungs.append(rungs[-1] * 2.0)
+    return float(sorted_row_constants(space, rungs).max())
+
+
+def grid_l1_space(rng, n):
+    """Distinct points of an eighth-grid in the plane under the L1 metric:
+    every distance and sum is exact, and distances repeat."""
+    pts = np.unique(rng.integers(0, 16, (n, 2)), axis=0) / 8.0
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return mc.validate_space([f"p{i}" for i in range(len(pts))], dist, rng.uniform(0.2, 1.0, len(pts)))
+
+
+@st.composite
+def small_spaces(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))  # one point is an explicit example
+    return random_space(rng, n) if draw(st.booleans()) else grid_l1_space(rng, n)
+
+
+ONE_POINT = mc.validate_space(("p0",), [[0.0]], [1.0])
 
 
 class TestProfile:
@@ -122,10 +157,10 @@ class TestProfile:
         assert np.array_equal(prof.values, want)
 
     def test_off_grid_and_refined_values_equal_grid_values(self):
-        """Constants computed directly at any subset of the grid radii, alone
-        or beside off-grid radii as lemma_constant's rungs are, equal the
-        profile's values there: each radius is read off the sorted rows on
-        its own, so the profile needs no lookup of its grid."""
+        """The step table read at any subset of the grid radii gives the
+        profile's values there, and read at off-grid radii up to twice the
+        horizon, as lemma_constant's rungs are, gives the sorted-row
+        reference there: the grid and the rungs have one source."""
         rng = np.random.default_rng(98)
         spaces = [random_space(rng, 9), torus(16), mc.generate(mc.FamilySpec("hamming_cube", 5))]
         for sp in spaces:
@@ -133,10 +168,29 @@ class TestProfile:
             for _ in range(6):
                 pick = np.flatnonzero(rng.random(len(full.radii)) < 0.5)
                 rng.shuffle(pick)
-                off = rng.uniform(0.0, full.horizon, 3)
-                got = _doubling_constants(sp, np.concatenate((full.radii[pick], off)))
-                assert np.array_equal(got[: len(pick)], full.values[pick])
-                assert np.array_equal(got[len(pick) :], _doubling_constants(sp, off))
+                off = rng.uniform(0.0, 2.0 * full.horizon, 3)
+                assert np.array_equal(table_at(full, full.radii[pick]), full.values[pick])
+                assert np.array_equal(table_at(full, off), sorted_row_constants(sp, off))
+
+    @given(small_spaces(), st.sampled_from([1.0, 1.0 / 3.0, 0.61]))
+    @example(ONE_POINT, 1.0)
+    def test_table_and_ladder_equal_the_sorted_row_reference(self, sp, fraction):
+        """Exactly, at every distance d and half-distance d/2, strictly
+        between two steps, below d_min/2 and at 2 * horizon."""
+        prof = mc.doubling_profile(sp, sp.diameter * fraction if sp.diameter > 0.0 else None)
+        h = prof.horizon
+        d = np.unique(sp.dist[sp.dist > 0.0])
+        steps = np.unique(np.concatenate(([0.0], d, d / 2.0)))
+        between = (steps[:-1] + steps[1:]) / 2.0
+        assert ((steps[:-1] < between) & (between < steps[1:])).all()
+        radii = np.concatenate((steps, between, d[:1] / 4.0, [h / 4.0, h / 2.0, 2.0 * h]))
+        radii = radii[radii <= 2.0 * h]
+        assert prof.steps[0] == 0.0 and prof.step_values[0] == 1.0
+        assert np.array_equal(table_at(prof, radii), sorted_row_constants(sp, radii))
+        for r in radii[(radii > 0.0) & (2.0 * radii <= h)]:
+            assert mc.lemma_constant(prof, r, r) == ladder_reference(sp, r, r)
+            if r <= h / 2.0:
+                assert mc.lemma_constant(prof, r, h / 2.0) == ladder_reference(sp, r, h / 2.0)
 
     def test_requires_positive_weights(self):
         sp = mc.generate(mc.FamilySpec("hamming_cube", 2))
@@ -153,7 +207,7 @@ class TestLadderAndRatio:
     def test_ladder_includes_the_base_rung(self):
         prof = mc.doubling_profile(torus(16))
         for r1, r2 in [(0.25, 4.0), (0.5, 2.0), (1.0, 3.0)]:
-            assert mc.lemma_constant(prof, r1, r2) >= _doubling_constants(prof.space, [r1])[0]
+            assert mc.lemma_constant(prof, r1, r2) >= sorted_row_constants(prof.space, [r1])[0]
 
     def test_ladder_rejects_bad_radii(self):
         prof = mc.doubling_profile(torus(16))
@@ -177,6 +231,35 @@ class TestLadderAndRatio:
                         )
             assert 0.0 < bound <= 1.0
             assert bound <= worst
+
+
+class TestOnePassOverTheRows:
+    @pytest.mark.parametrize("space", [mc.generate(mc.FamilySpec("hamming_cube", 5)), torus(16)],
+                             ids=["cube5", "torus16"])
+    def test_the_profile_sorts_once_and_the_bounds_never(self, space, monkeypatch):
+        calls = Counter()
+        blocks, distinct = mmconc.space._ball_mass_blocks, mc.FiniteMMSpace.distinct_distances
+
+        def counted_blocks(*args, **kwargs):
+            calls["_ball_mass_blocks"] += 1
+            return blocks(*args, **kwargs)
+
+        def counted_distinct(self):
+            calls["distinct_distances"] += 1
+            return distinct(self)
+
+        for module in (mmconc.space, mmconc.doubling):
+            monkeypatch.setattr(module, "_ball_mass_blocks", counted_blocks)
+        monkeypatch.setattr(mc.FiniteMMSpace, "distinct_distances", counted_distinct)
+        prof = mc.doubling_profile(space)
+        assert calls == {"_ball_mass_blocks": 1, "distinct_distances": 1}
+        calls.clear()
+        h = prof.horizon
+        net = mc.build_net(space, h / 11.0)
+        mc.lemma_constant(prof, h / 8.0, h / 2.0)
+        mc.ratio_bound(prof, h / 8.0, h / 2.0)
+        mc.packing_bound_check(prof, net, h / 11.0)
+        assert calls == {}
 
 
 class TestPacking:

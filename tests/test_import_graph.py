@@ -180,6 +180,18 @@ def test_the_line_bracket_reads_its_scores_from_the_pool():
     assert "observable.obsdiam_real_bracket" not in scopes
 
 
+def test_ball_masses_have_one_convention_and_three_callers():
+    """space._ball_mass_blocks sorts the rows; the doubling profile's step
+    table, the concentration witness and space.ball_mass call it, and every
+    other ball mass or doubling constant is read off what they return."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        visitor = Constructions(path.stem, {"_ball_mass_blocks"})
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.update(scope for _, scope in visitor.found)
+    assert found == {"doubling._step_table", "doubling.concentration_witness", "space.ball_mass"}
+
+
 def test_no_two_raises_build_the_same_exception():
     """Each refusal is written once: two raise statements that build the
     same exception call are one input rule stated twice."""

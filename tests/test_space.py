@@ -117,6 +117,41 @@ class TestValidateSpace:
                 listed = [v for v in err.value.violations if v.kind == kind]
                 assert len(listed) == min(count, 50)
 
+    def test_pair_rules_list_in_row_major_order_across_row_blocks(self):
+        """The asymmetry and positive-distance rules go through the matrix a
+        block of rows at a time; they list the same first 50 pairs, in the
+        same order, and count the same as whole-matrix tests do."""
+        n = 2 * _ROW_BLOCK + 9
+        torus = mc.generate(mc.FamilySpec("discrete_torus", n))
+        rng = np.random.default_rng(17)
+        dist = torus.dist.copy()
+        for i, j in rng.integers(0, n, (32, 2)):
+            if i != j:
+                dist[i, j] += 0.25  # one way only: (i, j) and (j, i) both unequal
+        for i, j in rng.integers(0, n, (40, 2)):
+            if i != j:
+                dist[i, j] = dist[j, i] = -float(rng.integers(0, 2))  # 0.0 or -1.0, symmetric
+        dist[5, 5] = dist[n - 1, n - 1] = 0.5
+        off = dist.copy()
+        np.fill_diagonal(off, 1.0)
+        d = dist.tolist()
+        want = {
+            "asymmetry": [((i, j), f"{d[i][j]!r} != {d[j][i]!r}")
+                          for i, j in np.argwhere(dist != dist.T).tolist()],
+            "nonzero_diagonal": [((5,), "d[5,5]=0.5"), ((n - 1,), f"d[{n - 1},{n - 1}]=0.5")],
+            "nonpositive_distance": [((i, j), f"d={d[i][j]!r} between distinct points")
+                                     for i, j in np.argwhere(off <= 0.0).tolist()],
+        }
+        for kind in ("asymmetry", "nonpositive_distance"):  # the 50 listed span two blocks
+            rows = [ij[0] for ij, _ in want[kind]]
+            assert len(rows) > 50 and rows[0] < _ROW_BLOCK <= rows[49] < 2 * _ROW_BLOCK <= rows[-1]
+        with pytest.raises(mc.SpaceValidationError) as err:
+            mc.validate_space(torus.points, dist, torus.weights)
+        assert err.value.counts == {kind: len(pairs) for kind, pairs in want.items()}
+        assert err.value.violations == [
+            mc.Violation(kind, ij, detail) for kind, pairs in want.items() for ij, detail in pairs[:50]
+        ]
+
     @pytest.mark.parametrize("points, dist, weights, kind, detail", [
         ((), np.zeros((0, 0)), [], "empty", "a space needs at least one point"),
         (("a", "b", "a"), np.ones((3, 3)) - np.eye(3), [0.2, 0.3, 0.5], "duplicate_label",
