@@ -2,15 +2,19 @@
 
 The profile records the minimal pointwise doubling constant C(r) as a
 step table up to twice its horizon: C changes only at 0, at each distance
-d and at each half-distance d/2, so one pass over the sorted rows gives C
-at every radius, the half-distance grid and the ladder rungs of
-lemma_constant alike.  A coloring or a concentration witness takes its
+d and at each half-distance d/2, so one pass of ball masses at the
+distinct distances gives C at every radius, the half-distance grid and
+the ladder rungs of lemma_constant alike.  A coloring or a concentration witness takes its
 scale from its net.  The ratio bound and the packing bound are theorems
 for these constants: a violation in the checkers is a bug, never data.
 
-Every ball mass here follows the one convention of space._ball_mass_blocks
-(cumulative sums along sorted rows); the concentration witness reads them
-off a pushforward image, itself a FiniteMMSpace on the screen's points.
+Every ball mass here follows the one convention of space._ball_mass_blocks:
+each row ordered by (distance rank, index), weights summed sequentially in
+that order, ranks taken in a sorted table that holds every distance value
+up to its last entry, and the mass at radius r read at the last entry <= r.
+The profile's table is 0 and the distinct distances up to 4*horizon; the
+concentration witness reads its masses off a pushforward image, itself a
+FiniteMMSpace on the screen's points, at 0 and all of its distances.
 """
 
 from __future__ import annotations
@@ -193,9 +197,10 @@ def color_net(space: FiniteMMSpace, net: Net) -> Coloring:
     k = len(betas)
     remaining = set(int(p) for p in members)
     classes = []
+    barred = set(int(b) for b in betas)
     for i in range(k):
-        barred = set(int(b) for b in betas[i + 1 :])
         chosen = [int(betas[i])]
+        barred.discard(chosen[0])
         remaining.discard(chosen[0])
         ok = space.dist[chosen[0]] >= scale  # 5*eps from every chosen point
         for p in sorted(remaining):
@@ -232,8 +237,9 @@ def concentration_witness(
     ball mass.  Otherwise None.
     """
     members = list(net.members)
-    radii = (2.0 * net.epsilon, 3.0 * net.epsilon, math.inf)
-    masses = np.concatenate(list(_ball_mass_blocks(image, radii, members)))
+    table = np.concatenate(([0.0], image.distinct_distances()))
+    at = np.searchsorted(table, (2.0 * net.epsilon, 3.0 * net.epsilon, math.inf), side="right") - 1
+    masses = np.concatenate(list(_ball_mass_blocks(image, table, members)))[:, at]
     best = int(np.argmax(masses[:, 0]))
     ball2, ball3, total = masses[best]
     if ball2 < mass_floor:

@@ -1,7 +1,10 @@
 """Finite metric measure spaces: validation, balls, and greedy nets.
 
 The mass conventions live here: ball masses (_ball_mass_blocks) and
-per-label masses (_group_masses), which fibers, groups and components use."""
+per-label masses (_group_masses), which fibers, groups and components use.
+A ball mass orders its center's row by (distance rank, index) and adds
+the weights sequentially in that order; the ranks are places in a sorted
+table that holds every distance value of the row up to its last entry."""
 
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ __all__ = [
 ]
 
 _MAX_REPORTED = 50  # rows listed per violation kind; every row is counted
-_ROW_BLOCK = 64  # rows per pass of the row scans below; their buffers stay 64 x n
+_ROW_BLOCK = 64  # rows per pass of the row scans below; their buffers stay near 64 x n,
+# so ball masses at a table of t values take about 64 * n / (t + 1) rows at a time
 
 
 @dataclass(frozen=True)
@@ -376,24 +380,35 @@ def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
     return PointSet.from_mask(space.dist[center] <= radius)
 
 
-def _ball_mass_blocks(space: FiniteMMSpace, radii, centers=None):
-    """Masses of B(x, r) for radii r >= 0, one (block, len(radii)) array per
-    _ROW_BLOCK centers x (default every point).  The one ball-mass
-    convention: each row is sorted once per call (stable, so ties keep
-    index order), and B(x, r) weighs its weights' cumulative sum up to the
-    last d <= r.  A doubling profile calls it once, at the space's distinct
-    distances, and reads every doubling constant off those masses."""
-    radii = np.asarray(radii, dtype=np.float64)
+def _ball_mass_blocks(space: FiniteMMSpace, table, centers=None):
+    """Masses of B(x, t) at each entry t of table, one (block, len(table))
+    array per block of centers x (default every point).
+
+    Needs table sorted and holding every distance value of the centers'
+    rows up to table[-1] (more values do no harm); a caller reads the mass
+    at radius r at the last entry <= r.  The one ball-mass convention:
+    each row is ordered by (distance rank, index), the rank of d being its
+    place in table, and B(x, t) weighs the sequential cumulative sum of
+    the weights up to the last d <= t.  By the precondition that is the
+    order by (distance, index) up to table[-1]; distances above it share
+    the last rank and are never read.  The ranks are small integers, so
+    the stable sort is a radix sort up to 65,535 table values.  A block
+    has _ROW_BLOCK rows, fewer for a long table, so its arrays stay near
+    _ROW_BLOCK * n entries.  A doubling profile calls it once, at the
+    space's distinct distances, and reads every doubling constant off
+    those masses."""
+    table = np.asarray(table, dtype=np.float64)
+    width = len(table) + 1  # ranks 0 .. len(table), the last above the table
+    rank_type = np.min_scalar_type(len(table))
     centers = np.arange(space.n) if centers is None else np.asarray(centers, dtype=np.intp)
-    counts = np.empty((min(_ROW_BLOCK, len(centers)), len(radii)), dtype=np.intp)
-    for lo in range(0, len(centers), _ROW_BLOCK):
-        block = space.dist[centers[lo : lo + _ROW_BLOCK]]
-        order = np.argsort(block, axis=1, kind="stable")
-        rows = np.take_along_axis(block, order, axis=1)
+    step = max(1, min(_ROW_BLOCK, _ROW_BLOCK * space.n // width))
+    for lo in range(0, len(centers), step):
+        ranks = np.searchsorted(table, space.dist[centers[lo : lo + step]]).astype(rank_type)
+        order = np.argsort(ranks, axis=1, kind="stable")
         cum = np.cumsum(space.weights[order], axis=1)
-        ends = counts[: len(block)]
-        for x, row in enumerate(rows):
-            ends[x] = np.searchsorted(row, radii, side="right")
+        keys = np.arange(len(ranks))[:, None] * width + ranks
+        ends = np.bincount(keys.ravel(), minlength=len(ranks) * width)
+        ends = np.cumsum(ends.reshape(len(ranks), width)[:, :-1], axis=1)
         yield np.take_along_axis(cum, ends - 1, axis=1)
 
 
@@ -406,7 +421,9 @@ def _group_masses(weights: np.ndarray, labels: np.ndarray, n_labels: int) -> np.
 
 def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:
     _check_ball(space, center, radius)
-    return float(next(_ball_mass_blocks(space, [radius], [center]))[0, 0])
+    table = np.unique(space.dist[center])
+    masses = next(_ball_mass_blocks(space, table, [center]))
+    return float(masses[0, np.searchsorted(table, radius, side="right") - 1])
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,22 @@ def sorted_row(space, x):
     return [float(space.dist[x, y]) for y in order], cum
 
 
+def float_sorted_ball_mass_blocks(space, radii, centers=None, block=64):
+    """Reference for space._ball_mass_blocks by sorting float rows: each
+    row argsorted by distance (stable), weights summed along the sorted
+    row, and B(x, r) read at the last d <= r by searchsorted.  At radii =
+    a table it must give the same bytes."""
+    radii = np.asarray(radii, dtype=np.float64)
+    centers = np.arange(space.n) if centers is None else np.asarray(centers, dtype=np.intp)
+    for lo in range(0, len(centers), block):
+        rows = space.dist[centers[lo : lo + block]]
+        order = np.argsort(rows, axis=1, kind="stable")
+        rows = np.take_along_axis(rows, order, axis=1)
+        cum = np.cumsum(space.weights[order], axis=1)
+        ends = np.array([np.searchsorted(row, radii, side="right") for row in rows])
+        yield np.take_along_axis(cum, ends.reshape(len(rows), len(radii)) - 1, axis=1)
+
+
 def sorted_row_mass(space, x, r):
     """Mass of B(x, r) by the reference (r = inf gives the row total)."""
     row, cum = sorted_row(space, x)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given, strategies as st
 import mmconc as mc
 import mmconc.doubling
 import mmconc.space
-from conftest import random_space, sorted_row, sorted_row_mass
+from conftest import float_sorted_ball_mass_blocks, random_space, sorted_row, sorted_row_mass
 from mmconc.space import _ROW_BLOCK
 
 
@@ -192,6 +193,38 @@ class TestProfile:
             if r <= h / 2.0:
                 assert mc.lemma_constant(prof, r, h / 2.0) == ladder_reference(sp, r, h / 2.0)
 
+    def test_profiles_equal_the_float_sorted_ones(self, monkeypatch):
+        """Every array of a profile keeps its bytes when the ball masses
+        come from rows sorted by float distance instead of by rank."""
+        rng = np.random.default_rng(100)
+        spaces = [mc.generate(mc.FamilySpec("hamming_cube", n, weights=tuple(rng.uniform(0.5, 1.5, 2**n))))
+                  for n in range(2, 10)]
+        spaces += [torus(n, weights=tuple(rng.uniform(0.5, 1.5, n))) for n in range(3, 18)]
+        spaces += [random_space(rng, int(rng.integers(2, 30))) for _ in range(10)]
+        profiles = [mc.doubling_profile(sp) for sp in spaces]
+        monkeypatch.setattr(mmconc.doubling, "_ball_mass_blocks", float_sorted_ball_mass_blocks)
+        for sp, got in zip(spaces, profiles):
+            want = mc.doubling_profile(sp)
+            for name in ("radii", "values", "steps", "step_values"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_memory_stays_near_the_distance_matrix(self):
+        """Blocks of centers shrink as the distance table grows: with about
+        44,000 distinct distances among 300 points the profile's peak stays
+        under 16 distance matrices."""
+        rng = np.random.default_rng(101)
+        pts = rng.integers(0, 1 << 20, (300, 3)) / float(1 << 20)
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)  # dyadic, so every sum is exact
+        sp = mc.validate_space([f"p{i}" for i in range(300)], dist, rng.uniform(0.5, 1.5, 300))
+        tracemalloc.start()
+        try:
+            mc.doubling_profile(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sp.distinct_distances()) > 40_000
+        assert peak < 16 * sp.dist.nbytes
+
     def test_requires_positive_weights(self):
         sp = mc.generate(mc.FamilySpec("hamming_cube", 2))
         dead = mc.FiniteMMSpace(sp.points, sp.dist, np.array([0.5, 0.5, 0.0, 0.0]))
@@ -362,6 +395,29 @@ def rescanning_classes(space, members, anchor_betas, scale):
     return tuple(classes)
 
 
+def rebarring_coloring(space, net):
+    """Reference: color_net with the barred set rebuilt for every class."""
+    members = np.array(net.members.indices)
+    scale = 5.0 * net.epsilon
+    close = space.dist[np.ix_(members, members)] <= scale
+    a = int(np.argmax(close.sum(axis=1)))
+    betas = members[close[a]]
+    remaining = set(int(p) for p in members)
+    classes = []
+    for i in range(len(betas)):
+        barred = set(int(b) for b in betas[i + 1 :])
+        chosen = [int(betas[i])]
+        remaining.discard(chosen[0])
+        ok = space.dist[chosen[0]] >= scale
+        for p in sorted(remaining):
+            if p not in barred and ok[p]:
+                chosen.append(p)
+                ok &= space.dist[p] >= scale
+        remaining.difference_update(chosen)
+        classes.append(tuple(sorted(chosen)))
+    return int(members[a]), tuple(classes)
+
+
 class TestScansMatchTheRescanningLoops:
     def _check(self, sp, eps):
         net = mc.build_net(sp, eps)
@@ -383,6 +439,22 @@ class TestScansMatchTheRescanningLoops:
         sp = mc.generate(mc.FamilySpec("hamming_cube", 9))
         for eps in (1 / 9, 2 / 9, 3 * sp.diameter / 32, 0.5):
             self._check(sp, eps)
+
+    def test_one_barred_set_colors_as_the_rebuilt_ones(self):
+        """Anchor and classes as when the barred set is rebuilt per class,
+        on random nets and on cube 8, where every point is a member and
+        k = 219."""
+        rng = np.random.default_rng(102)
+        cases = [(random_space(rng, int(rng.integers(1, 40))), float(rng.uniform(0.02, 0.6)))
+                 for _ in range(20)]
+        cases += [(mc.generate(mc.FamilySpec("hamming_cube", 8)), eps) for eps in (1 / 8, 2 / 8)]
+        sizes = []
+        for sp, eps in cases:
+            net = mc.build_net(sp, eps)
+            col = mc.color_net(sp, net)
+            assert (col.anchor, tuple(c.indices for c in col.classes)) == rebarring_coloring(sp, net)
+            sizes.append((len(net.members), col.k))
+        assert sizes[-2] == (256, 219)
 
 
 class TestConcentrationWitness:

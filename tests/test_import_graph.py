@@ -181,7 +181,8 @@ def test_the_line_bracket_reads_its_scores_from_the_pool():
 
 
 def test_ball_masses_have_one_convention_and_three_callers():
-    """space._ball_mass_blocks sorts the rows; the doubling profile's step
+    """space._ball_mass_blocks orders each row by (distance rank, index)
+    and sums its weights in that order; the doubling profile's step
     table, the concentration witness and space.ball_mass call it, and every
     other ball mass or doubling constant is read off what they return."""
     found = set()

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
-from conftest import line_space, random_space, sorted_row_mass
-from mmconc.space import _ROW_BLOCK, _hop_certificate, _triangle_holds, _triangle_scan
+from conftest import float_sorted_ball_mass_blocks, line_space, random_space, sorted_row_mass
+from mmconc.space import (
+    _ROW_BLOCK,
+    _ball_mass_blocks,
+    _hop_certificate,
+    _triangle_holds,
+    _triangle_scan,
+)
 
 
 def triple_loop_ok(dist: np.ndarray, weights: np.ndarray) -> bool:
@@ -430,6 +436,58 @@ class TestBalls:
         for ball in (mc.closed_ball, mc.ball_mass):
             with pytest.raises(ValueError, match="radius must be >= 0"):
                 ball(torus8, 0, radius)
+
+
+@st.composite
+def spaces_with_ties(draw):
+    """A closed Euclidean cloud, or a coarse L1 grid whose distances tie
+    often; either way with weights that are not dyadic."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return random_space(rng, n)
+    pts = np.unique(rng.integers(0, 5, (n, 3)), axis=0) / 4.0
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return mc.validate_space([f"p{i}" for i in range(len(pts))], dist, rng.uniform(0.1, 1.3, len(pts)))
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.concatenate(list(got)), np.concatenate(list(want))
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBallMassRanks:
+    """Rows ordered by distance rank sum in the order of rows sorted by
+    float distance, so every ball mass keeps its bytes."""
+
+    @given(spaces_with_ties(), st.data())
+    def test_rank_order_gives_the_float_order_sums(self, sp, data):
+        table = np.concatenate(([0.0], sp.distinct_distances()))
+        extra = data.draw(st.lists(st.floats(0.0, 2.0 * sp.diameter + 1.0), max_size=30))
+        table = np.unique(np.concatenate((table, extra)))
+        table = table[: data.draw(st.integers(1, len(table)))]  # may stop below the diameter
+        centers = data.draw(st.none() | st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=1)
+                            | st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=2 * sp.n))
+        assert same_bytes(_ball_mass_blocks(sp, table, centers),
+                          float_sorted_ball_mass_blocks(sp, table, centers))
+
+    def test_a_table_too_long_for_16_bit_ranks(self):
+        sp = random_space(np.random.default_rng(23), 9)
+        grid = np.linspace(0.0, 2.0 * sp.diameter, 70_000)
+        table = np.unique(np.concatenate(([0.0], sp.distinct_distances(), grid)))
+        assert np.min_scalar_type(len(table)) == np.uint32
+        for centers in (None, [4]):
+            assert same_bytes(_ball_mass_blocks(sp, table, centers),
+                              float_sorted_ball_mass_blocks(sp, table, centers))
+
+    def test_blocks_shrink_as_the_table_grows(self):
+        cube = mc.generate(mc.FamilySpec("hamming_cube", 7))
+        table = np.concatenate(([0.0], cube.distinct_distances()))
+        assert [len(b) for b in _ball_mass_blocks(cube, table)] == [_ROW_BLOCK] * 2
+        sp = random_space(np.random.default_rng(24), 30)
+        table = np.concatenate(([0.0], sp.distinct_distances()))
+        rows = _ROW_BLOCK * sp.n // (len(table) + 1)
+        assert [len(b) for b in _ball_mass_blocks(sp, table)] == [rows] * (30 // rows) + [30 % rows]
 
 
 class TestNets:
