@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from mmconc import FamilySpec, report_csv, report_json, run_levy_experiment
-from mmconc.cli import check_flags
+from mmconc.cli import check_flags, write_report
 
 
 def parse_args():
@@ -82,12 +82,15 @@ def main():
                 line += f" {bracket:>22}"
             print(line)
 
-    if args.out is not None:
-        args.out.write_text(report_json(report.as_dict()))
-        print(f"\nJSON report written to {args.out}")
-    if args.csv is not None:
-        args.csv.write_text(report_csv(report.as_dict()))
-        print(f"CSV report written to {args.csv}")
+    try:
+        if args.out is not None:
+            write_report(args.out, report_json(report.as_dict()))
+            print(f"\nJSON report written to {args.out}")
+        if args.csv is not None:
+            write_report(args.csv, report_csv(report.as_dict()), "--csv")
+            print(f"CSV report written to {args.csv}")
+    except ValueError as err:
+        sys.exit(str(err))
 
 
 if __name__ == "__main__":

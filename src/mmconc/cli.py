@@ -148,11 +148,19 @@ def _labels(space, indices) -> list[str]:
     return [space.points[i] for i in indices]
 
 
+def write_report(path, text: str, flag: str = "--out") -> None:
+    """Write text to path, or refuse at the flag that named it (the trend script too)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise SpaceFileError(flag, f"cannot write {path}: {err.strerror or err}") from None
+
+
 def _emit(report, args) -> None:
     text = report_csv(report) if getattr(args, "format", "json") == "csv" else report_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_report(args.out, text)
     else:
         sys.stdout.write(text)
 

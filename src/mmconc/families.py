@@ -12,9 +12,10 @@ Costs: a cube's metric is one lookup per pair in a popcount table, a
 weighted graph's two dijkstra runs.  generate re-validates every space of
 up to _VALIDATE_CAP points.  Cubes, tori and unit-length graphs pass the
 validator's O(n^2) hop-metric certificate (about 15 ms at 1,024 points on
-one core of a 2-vCPU Xeon); products and other graphs take its O(n^3)
-triangle scan, about 0.8 s at 1,024 points.  The exact closure behind
-the product is O(n^3) per pass.
+one core of a 2-vCPU Xeon); products and other graphs take its one
+O(n^3) triangle pass, about 0.8 s at 1,024 points, which also lists the
+violations of a broken metric.  The exact closure behind the product is
+O(n^3) per pass.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ POINT_CAP = 4096
 _MAX_SIZE = {"hamming_cube": POINT_CAP.bit_length() - 1,  # 2^n points
              "discrete_torus": POINT_CAP, "weighted_graph": POINT_CAP}
 # generate re-validates up to this size.  A product or a general graph
-# takes the O(n^3) triangle scan, about 0.8 s at 1,024 points on one core
+# takes the O(n^3) triangle pass, about 0.8 s at 1,024 points on one core
 # and 8x that at 2,048; a cube or torus takes the O(n^2) certificate, but
-# validate_space copies the matrix, 32 MB at 2,048 points
+# validate_space makes its own copy of the matrix (one copy, 32 MB at
+# 2,048 points) beside the certificate's n x n rank matrix
 _VALIDATE_CAP = 1024
 _GRID_BITS = 50  # a weighted graph's edge unit is 2^-50 of its scale
 

@@ -17,6 +17,7 @@ Space document:
 Real-measure document:
     {"schema_version": 1, "atoms": [[position, weight], ...]}
 
+Either kind may omit schema_version; if given, it must be the integer 1.
 Numbers must be JSON numbers (a string such as "1e0" or a boolean is
 refused with its pointer), a generator's n and edge ends integers, and
 normalized true or false.
@@ -158,6 +159,14 @@ def _generator_spec(node: dict, pointer: str, opened: tuple[str, ...]) -> Family
         raise SpaceFileError(f"{pointer}/path", f"in {path}: {err}") from err
 
 
+def _check_version(doc: dict) -> None:
+    """Both document kinds: schema_version, if given, is the integer 1."""
+    version = doc.get("schema_version", 1)
+    if type(version) is not int or version != 1:
+        raise SpaceFileError("/schema_version",
+                             f"unsupported version {json.dumps(version, default=str)}")
+
+
 def parse_space(source: str | dict) -> FiniteMMSpace:
     """Read and validate a space document (path or parsed object).  A
     custom_file generator that names a document already being parsed,
@@ -172,8 +181,7 @@ def _parse_space_file(path: str, opened: tuple[str, ...]) -> FiniteMMSpace:
 
 
 def _parse_space_doc(doc: dict, opened: tuple[str, ...]) -> FiniteMMSpace:
-    if doc.get("schema_version", 1) != 1:
-        raise SpaceFileError("/schema_version", f"unsupported version {doc['schema_version']}")
+    _check_version(doc)
     metric = doc.get("metric")
     if not isinstance(metric, dict):
         raise SpaceFileError("/metric", "required: object with 'matrix' or 'generator'")
@@ -253,6 +261,7 @@ def serialize_space(space: FiniteMMSpace, screen_meta: dict | None = None) -> di
 
 def parse_real_measure(source: str | dict) -> RealMeasure:
     doc = _load(source)
+    _check_version(doc)
     atoms = doc.get("atoms")
     if not isinstance(atoms, list) or not atoms:
         raise SpaceFileError("/atoms", "required: nonempty list of [position, weight]")

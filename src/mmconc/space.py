@@ -62,19 +62,21 @@ class _Findings:
         self.violations: list[Violation] = []
         self.counts: dict[str, int] = {}
 
-    def record(self, kind: str, rows, detail: str, values=None) -> None:
+    def record(self, kind: str, rows, detail: str, values=None, count=None) -> None:
         """Record rows, the offending index tuples of one kind in report
-        order.  A listed row's detail is formatted with its indices as i, j,
-        k and values(*row), each printed as repr(float(v)); without values
-        it is the text as given."""
+        order, out of count of that kind in all (default len(rows)).  A
+        listed row's detail is formatted with its indices as i, j, k and
+        values(*row), each printed as repr(float(v)); without values it is
+        the text as given."""
         seen = self.counts.get(kind, 0)
         for row in rows[: max(_MAX_REPORTED - seen, 0)]:
             row = tuple(int(i) for i in row)
             text = detail if values is None else detail.format(
                 *(repr(float(v)) for v in values(*row)), **dict(zip("ijk", row)))
             self.violations.append(Violation(kind, row, text))
-        if len(rows):
-            self.counts[kind] = seen + len(rows)
+        count = len(rows) if count is None else count
+        if count:
+            self.counts[kind] = seen + count
 
     def raise_if_any(self) -> None:
         if self.counts:
@@ -144,16 +146,6 @@ class FiniteMMSpace:
         return np.unique(np.concatenate(parts))
 
 
-def _triangle_holds(dist: np.ndarray) -> bool:
-    """True iff dist[i,k] <= dist[i,j] + dist[j,k] in float64 for all i, j, k.
-
-    Needs an exactly symmetric matrix.  Graph-shaped metrics (cubes, tori,
-    unit-length graphs) are accepted by _hop_certificate in O(n^2); every
-    other matrix, and every one that breaks the inequality, takes the
-    O(n^3) _triangle_scan, so the answer is the scan's either way."""
-    return _hop_certificate(dist) or _triangle_scan(dist)
-
-
 def _hop_certificate(dist: np.ndarray) -> bool:
     """A sufficient test for the triangle inequality of a metric t o K,
     with K the hop metric of a graph and t an increasing table.
@@ -172,11 +164,12 @@ def _hop_certificate(dist: np.ndarray) -> bool:
     (b) takes the points in blocks of _ROW_BLOCK of like degree, one
     neighbour row per point at a time, so it costs O(n * (edges +
     _ROW_BLOCK * max degree)); a graph of more than _ROW_BLOCK edges per
-    point goes to the scan, and the certificate stays O(_ROW_BLOCK * n^2)
-    with buffers of _ROW_BLOCK rows beside an n x n rank matrix.
+    point goes to _check_triangle, and the certificate stays
+    O(_ROW_BLOCK * n^2) with buffers of _ROW_BLOCK rows beside an n x n
+    rank matrix.
     """
     n = dist.shape[0]
-    if n < 2:  # nothing to certify: the scan answers at once
+    if n < 2:  # nothing to certify: _check_triangle answers at once
         return False
     table = np.unique(dist[np.argmax(dist.max(axis=1))])
     top = len(table) - 1
@@ -215,19 +208,24 @@ def _hop_certificate(dist: np.ndarray) -> bool:
     return True
 
 
-def _triangle_scan(dist: np.ndarray) -> bool:
-    """The triangle inequality of _triangle_holds, checked for every triple.
+def _check_triangle(dist: np.ndarray, found: _Findings) -> None:
+    """Record every triple with d[i,k] > fl(d[i,j] + d[j,k]): the first
+    _MAX_REPORTED in hub order (j, then i, then k), and the count of all.
 
     Needs an exactly symmetric matrix: the test for (k, j, i) is then
     the one for (i, j, k), because fl(a + b) == fl(b + a), so only pairs
-    i <= k are scanned.  Rows go in blocks of _ROW_BLOCK; for each
-    hub j one preallocated buffer holds d[i,j] + d[j,k] over the block's
-    rows i and the columns k from the block's first row on.  d > fl(a + b)
-    is the same test as the hub loop's d - fl(a + b) > 0.
-    """
+    i <= k are scanned.  Rows go in blocks of _ROW_BLOCK; for each hub j
+    one preallocated buffer holds d[i,j] + d[j,k] over the block's rows i
+    and the columns k from the block's first row on, so a failing column
+    k past the block also stands for the triple (k, j, i), which no later
+    block scans.  d > fl(a + b) is the same test as the hub loop's
+    d - fl(a + b) > 0.  The listing keeps the first triples found so far
+    in hub order; once it is full, a hub past its last one is only counted.
+    validate_space runs it when _hop_certificate declines."""
     n = dist.shape[0]
     sums = np.empty((min(_ROW_BLOCK, n), n))
     above = np.empty(sums.shape, dtype=bool)
+    listed, count = np.zeros((0, 3), dtype=np.intp), 0
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         block = dist[lo:hi, lo:]
@@ -236,21 +234,19 @@ def _triangle_scan(dist: np.ndarray) -> bool:
         for j in range(n):
             np.add(dist[lo:hi, j, None], dist[j, None, lo:], out=buf)
             np.greater(block, buf, out=bad)
-            if bad.any():
-                return False
-    return True
-
-
-def _check_triangle(dist: np.ndarray, found: _Findings) -> None:
-    """Triangle inequality in plain float64 sums, one hub row at a time
-    (memory stays O(n^2) even for a few thousand points).  Records every
-    violation in hub order; validate_space runs it only after
-    _triangle_holds fails."""
-    for j in range(dist.shape[0]):
-        slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
-        found.record("triangle", np.insert(np.argwhere(slack > 0.0), 1, j, axis=1),
-                     "d[{i},{k}]={} > d[{i},{j}] + d[{j},{k}] = {}",
-                     lambda i, j, k: (dist[i, k], dist[i, j] + dist[j, k]))
+            if not bad.any():
+                continue
+            past = bad[:, hi - lo :]
+            count += int(np.count_nonzero(bad) + np.count_nonzero(past))
+            if len(listed) == _MAX_REPORTED and j > listed[-1, 1]:
+                continue
+            i, k = (a[:_MAX_REPORTED] for a in np.nonzero(bad))  # each in (i, k) order
+            mk, mi = (a[:_MAX_REPORTED] for a in np.nonzero(past.T))  # each in (k, i) order
+            listed = np.concatenate([listed, np.column_stack([i + lo, np.full_like(i, j), k + lo]),
+                                     np.column_stack([mk + hi, np.full_like(mk, j), mi + lo])])
+            listed = listed[np.lexsort(listed.T[[2, 0, 1]])][:_MAX_REPORTED]  # by j, i, k
+    found.record("triangle", listed, "d[{i},{k}]={} > d[{i},{j}] + d[{j},{k}] = {}",
+                 lambda i, j, k: (dist[i, k], dist[i, j] + dist[j, k]), count=count)
 
 
 def _pair_violations(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,8 +302,8 @@ def validate_space(
     sums; weights finite, >= 0, with positive total mass.
     """
     points = tuple(str(p) for p in points)
-    dist = np.asarray(dist, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    dist = np.array(dist, dtype=np.float64)  # the returned space's own arrays
+    weights = np.array(weights, dtype=np.float64)
     n = len(points)
     found = _Findings()
 
@@ -331,11 +327,11 @@ def validate_space(
                      lambda i: (dist[i, i],))
         found.record("nonpositive_distance", nonpositive,
                      "d={} between distinct points", lambda i, j: (dist[i, j],))
-        if not found.counts and not _triangle_holds(dist):
+        if not found.counts and not _hop_certificate(dist):
             _check_triangle(dist, found)
 
     _check_weights(weights, n, found)
-    return FiniteMMSpace(points, dist.copy(), weights.copy())
+    return FiniteMMSpace(points, dist, weights)
 
 
 def merge_coincident_points(

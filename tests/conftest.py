@@ -16,9 +16,11 @@ from hypothesis import settings
 from mmconc import (
     FiniteMMSpace,
     RealMeasure,
+    Violation,
     exact_triangle_closure,
     validate_space,
 )
+from mmconc.space import _check_triangle, _Findings
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -115,3 +117,32 @@ def sorted_row_mass(space, x, r):
     """Mass of B(x, r) by the reference (r = inf gives the row total)."""
     row, cum = sorted_row(space, x)
     return cum[bisect.bisect_right(row, r) - 1]
+
+
+def hub_loop_triangle(dist: np.ndarray):
+    """Reference: the triangle inequality one hub at a time, with the
+    report validate_space gives (first 50 violations in hub order, the
+    true count)."""
+    violations, count = [], 0
+    for j in range(dist.shape[0]):
+        slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
+        failing = np.argwhere(slack > 0.0)
+        count += len(failing)
+        for i, k in failing[: 50 - len(violations)]:
+            violations.append(
+                Violation(
+                    "triangle",
+                    (int(i), int(j), int(k)),
+                    f"d[{i},{k}]={float(dist[i, k])!r} > d[{i},{j}] + d[{j},{k}]"
+                    f" = {float(dist[i, j] + dist[j, k])!r}",
+                )
+            )
+    return violations, ({"triangle": count} if count else {})
+
+
+def check_triangle(dist: np.ndarray):
+    """(violations, counts) that validate_space's triangle pass records on
+    an exactly symmetric matrix, with no certificate tried first."""
+    found = _Findings()
+    _check_triangle(np.asarray(dist, dtype=np.float64), found)
+    return found.violations, found.counts

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 import mmconc as mc
 from mmconc import families, space
 from mmconc._numeric import floor_sum
-from mmconc.space import _triangle_holds, _triangle_scan
+from conftest import check_triangle
 
 SPACES = Path(__file__).resolve().parent.parent / "spaces"
 
@@ -157,7 +157,7 @@ class TestWeightedGraph:
             lengths[i, j] = w
         d = dijkstra(lengths, directed=False)
         closed = mc.exact_triangle_closure(d / d.max())
-        assert 0.99 < closed.max() <= 1.0 and _triangle_holds(closed)
+        assert 0.99 < closed.max() <= 1.0 and check_triangle(closed) == ([], {})
         assert np.array_equal(mc.exact_triangle_closure(closed), closed)
 
     def test_integer_grid_lengths_need_no_closure(self, monkeypatch):
@@ -167,7 +167,7 @@ class TestWeightedGraph:
         1e-14 below the closed float shortest paths."""
         monkeypatch.setattr(families, "exact_triangle_closure", None)
         sp = mc.generate(mc.FamilySpec("weighted_graph", 256, edges=chords_cycle(256)))
-        assert 0.99 < sp.diameter <= 1.0 and _triangle_holds(sp.dist)
+        assert 0.99 < sp.diameter <= 1.0 and check_triangle(sp.dist) == ([], {})
         units = sp.dist * 2.0**50
         assert np.array_equal(units, np.floor(units))
         lengths = np.zeros((256, 256))
@@ -329,11 +329,11 @@ class TestEveryGeneratorValidates:
     @settings(max_examples=120)
     @given(st.one_of(cube_specs, torus_specs, graph_specs(), product_specs))
     def test_output_passes_the_validator(self, spec):
-        """validate_space may certify the metric without the scan; the scan
-        itself accepts it too."""
+        """validate_space may certify the metric without the triangle pass;
+        the pass itself finds nothing either."""
         sp = mc.generate(spec)
         mc.validate_space(sp.points, sp.dist, sp.weights)
-        assert _triangle_scan(sp.dist)
+        assert check_triangle(sp.dist) == ([], {})
         if spec.kind == "hamming_cube":
             want = cube_table(spec.n, spec.normalized)[bit_loop_hamming(spec.n)]
             assert sp.dist.tobytes() == want.tobytes()
@@ -355,13 +355,13 @@ class TestWhichMetricsAreScanned:
         still do.  The star's center row holds only 0 and one edge, so the
         certificate must read its table from a row that reaches farther."""
         scans = []
-        scan = space._triangle_scan
+        scan = space._check_triangle
 
-        def counted(dist):
+        def counted(dist, found):
             scans.append(len(dist))
-            return scan(dist)
+            return scan(dist, found)
 
-        monkeypatch.setattr(space, "_triangle_scan", counted)
+        monkeypatch.setattr(space, "_check_triangle", counted)
         for kind, n in (("hamming_cube", 9), ("discrete_torus", 512), ("hamming_cube", 3)):
             mc.generate(mc.FamilySpec(kind, n))
         mc.parse_space(str(SPACES / "torus8.json"))

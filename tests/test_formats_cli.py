@@ -176,18 +176,18 @@ class TestSpaceFiles:
 
     def test_generator_weights_do_not_rescan_the_metric(self, tmp_path, monkeypatch):
         """Explicit weights on a generated or named metric get the weight
-        axioms only: the metric is scanned for triangles exactly as often
-        as with "uniform" weights, once up to 1,024 points and never past
-        that, and bad weights are reported at /weights with the message a
-        full validation gives."""
+        axioms only: the metric's triangle check, which starts with the hop
+        certificate, runs exactly as often as with "uniform" weights, once
+        up to 1,024 points and never past that, and bad weights are
+        reported at /weights with the message a full validation gives."""
         scans = []
-        scan = mmconc.space._triangle_holds
+        certify = mmconc.space._hop_certificate
 
         def counted(dist):
             scans.append(len(dist))
-            return scan(dist)
+            return certify(dist)
 
-        monkeypatch.setattr(mmconc.space, "_triangle_holds", counted)
+        monkeypatch.setattr(mmconc.space, "_hop_certificate", counted)
         t8 = tmp_path / "t8.json"
         t8.write_text(json.dumps(mc.serialize_space(mc.generate(mc.FamilySpec("discrete_torus", 8)))))
         cases = [({"kind": "hamming_cube", "n": 4}, 16, [16]),
@@ -298,6 +298,19 @@ class TestSpaceFiles:
     def test_unknown_schema_version_is_rejected(self):
         with pytest.raises(mc.SpaceFileError):
             mc.parse_space({"schema_version": 2, "points": [], "metric": {}})
+
+    @pytest.mark.parametrize("version, shown", [
+        (7, "7"), (True, "true"), ("1", '"1"'), (1.0, "1.0"), (None, "null"),
+    ])
+    def test_both_document_kinds_take_only_the_integer_one(self, version, shown):
+        space = {"metric": {"matrix": [[0.0]]}}
+        measure = {"atoms": [[0, 1]]}
+        for parse, doc in ((mc.parse_space, space), (mc.parse_real_measure, measure)):
+            parse(doc)
+            parse({**doc, "schema_version": 1})
+            with pytest.raises(mc.SpaceFileError) as err:
+                parse({**doc, "schema_version": version})
+            assert str(err.value) == f"/schema_version: unsupported version {shown}"
 
     def test_measure_file(self):
         nu = mc.parse_real_measure(f"{SPACES}/measure_four_atoms.json")
@@ -610,6 +623,26 @@ class TestCli:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 1 and not out
         assert err == f"mmconc: {message}\n"
+
+    @pytest.mark.parametrize("target", ["missing/report.json", ""])
+    def test_an_unwritable_out_exits_one_with_one_line(self, target, tmp_path, capsys):
+        """A missing directory or a directory itself: exit 1, no traceback."""
+        path = tmp_path / target
+        argv = ["validate", "--space", f"{SPACES}/twopoint.json", "--out", str(path)]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out
+        assert err.startswith(f"mmconc: --out: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_trend_script_refuses_an_unwritable_report_path(self, flag, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(TREND_SCRIPT), "--max-n", "2", "--samples", "4", "--effort", "200",
+             flag, str(tmp_path)],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"{flag}: cannot write {tmp_path}: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_trend_script_refuses_a_negative_effort(self):
         proc = subprocess.run(

@@ -249,3 +249,34 @@ def test_the_trend_script_orders_no_argument():
                 if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)]
     assert not [node.lineno for node in compares
                 if any(getattr(n, "id", None) == "args" for n in ast.walk(node))]
+
+
+def hub_sums(func) -> bool:
+    """Whether func adds d[., j] and d[j, .] for the variable j of one of
+    its for loops: the step of a triangle check through hub j."""
+    for loop in ast.walk(func):
+        if not (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                terms = [node.left, node.right]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add":
+                terms = node.args[:2]
+            else:
+                continue
+            if len(terms) == 2 and all(
+                isinstance(t, ast.Subscript) and any(
+                    getattr(n, "id", None) == loop.target.id for n in ast.walk(t.slice))
+                for t in terms
+            ):
+                return True
+    return False
+
+
+def test_space_holds_one_triangle_pass():
+    """The triangle axiom is space._hop_certificate plus one blocked pass,
+    space._check_triangle, which decides and lists at once."""
+    tree = ast.parse((PACKAGE / "space.py").read_text(encoding="utf-8"))
+    found = [func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) and hub_sums(func)]
+    assert found == ["_check_triangle"]

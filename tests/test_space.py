@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
-from conftest import float_sorted_ball_mass_blocks, line_space, random_space, sorted_row_mass
-from mmconc.space import (
-    _ROW_BLOCK,
-    _ball_mass_blocks,
-    _hop_certificate,
-    _triangle_holds,
-    _triangle_scan,
+from conftest import (
+    check_triangle,
+    float_sorted_ball_mass_blocks,
+    hub_loop_triangle,
+    line_space,
+    random_space,
+    sorted_row_mass,
 )
+from mmconc.space import _MAX_REPORTED, _ROW_BLOCK, _ball_mass_blocks, _hop_certificate
 
 
 def triple_loop_ok(dist: np.ndarray, weights: np.ndarray) -> bool:
@@ -180,36 +183,38 @@ class TestValidateSpace:
         assert mdist.shape == (0, 0) and mdist.dtype == np.float64
         assert mw.shape == (0,) and mw.dtype == np.float64
 
+    def test_a_nested_list_matrix_is_copied_once(self, monkeypatch):
+        """The returned space holds the arrays built from the document's
+        lists; no second n x n copy is made.  The triangle check is
+        skipped here so that its own buffers do not set the peak."""
+        monkeypatch.setattr(mc.space, "_hop_certificate", lambda dist: True)
+        n = 256
+        rows = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float).tolist()
+        tracemalloc.start()
+        try:
+            sp = mc.validate_space([str(i) for i in range(n)], rows, [1.0] * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.dist.tolist() == rows
+        assert peak < 1.5 * sp.dist.nbytes
 
-def hub_loop_triangle(dist: np.ndarray):
-    """Reference: the triangle inequality one hub at a time, with the
-    report validate_space gives (first 50 violations in hub order, the
-    true count)."""
-    violations, count = [], 0
-    for j in range(dist.shape[0]):
-        slack = dist - (dist[:, j][:, None] + dist[j, :][None, :])
-        for i, k in np.argwhere(slack > 0.0):
-            count += 1
-            if len(violations) < 50:
-                violations.append(
-                    mc.Violation(
-                        "triangle",
-                        (int(i), int(j), int(k)),
-                        f"d[{i},{k}]={float(dist[i, k])!r} > d[{i},{j}] + d[{j},{k}]"
-                        f" = {float(dist[i, j] + dist[j, k])!r}",
-                    )
-                )
-    return violations, ({"triangle": count} if count else {})
+    def test_an_array_argument_is_copied_not_frozen(self):
+        dist, weights = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5])
+        sp = mc.validate_space(["a", "b"], dist, weights)
+        assert dist.flags.writeable and weights.flags.writeable
+        assert not np.shares_memory(sp.dist, dist) and not np.shares_memory(sp.weights, weights)
 
 
 def assert_same_triangle_verdict(dist: np.ndarray) -> bool:
     """validate_space accepts iff the hub loop finds nothing, and rejects
-    with the hub loop's violations and counts.  Returns the verdict."""
+    with the hub loop's violations, counts and message.  Returns the
+    verdict."""
     n = dist.shape[0]
     labels = tuple(f"p{i}" for i in range(n))
     weights = np.full(n, 1.0 / n)
     violations, counts = hub_loop_triangle(dist)
-    assert _triangle_holds(dist) == _triangle_scan(dist) == (not counts)
+    assert check_triangle(dist) == (violations, counts)
     assert not (_hop_certificate(dist) and counts)
     if not counts:
         mc.validate_space(labels, dist, weights)
@@ -218,6 +223,7 @@ def assert_same_triangle_verdict(dist: np.ndarray) -> bool:
         mc.validate_space(labels, dist, weights)
     assert err.value.violations == violations
     assert err.value.counts == counts
+    assert str(err.value) == str(mc.SpaceValidationError(violations, counts))
     return False
 
 
@@ -234,8 +240,48 @@ def raise_by_one_ulp(dist: np.ndarray, i: int, k: int) -> np.ndarray:
     return broken
 
 
+@st.composite
+def blocked_matrices(draw):
+    """Symmetric matrices of 1 to 4 row blocks: the integer line with a
+    few entries raised, pairs at the block edges drawn often, or random
+    entries in [low, 1], from no violation (low = 0.5) to a few hundred
+    thousand (low = 0.1), so the listing fills and later hubs are only
+    counted."""
+    n = draw(st.integers(1, 4 * _ROW_BLOCK))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        upper = np.triu(rng.uniform(draw(st.sampled_from([0.1, 0.45, 0.5])), 1.0, (n, n)), 1)
+        return upper + upper.T
+    dist = integer_line(n)
+    edges = sorted({0, n - 1} | {b * _ROW_BLOCK + o for b in (1, 2, 3) for o in (-1, 0)} & set(range(n)))
+    points = st.sampled_from(edges) | st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        i, k = draw(points), draw(points)
+        if i != k:
+            raised = draw(st.sampled_from([np.nextafter(dist[i, k], np.inf), dist[i, k] + 0.5,
+                                           1.5 * dist[i, k]]))
+            dist[i, k] = dist[k, i] = raised
+    return dist
+
+
 class TestTriangleScan:
-    """The buffered scan answers exactly as the hub loop does."""
+    """The blocked pass reports exactly as the hub loop does."""
+
+    @settings(max_examples=80)
+    @given(blocked_matrices())
+    def test_reports_match_the_hub_loop_across_row_blocks(self, dist):
+        assert_same_triangle_verdict(dist)
+
+    @pytest.mark.parametrize("n", [2 * _ROW_BLOCK + 5, 4 * _ROW_BLOCK])
+    def test_a_full_listing_across_blocks_counts_the_later_hubs(self, n):
+        """Hub 0 alone fails more than _MAX_REPORTED times in every block,
+        so the listing is full after the first block and every other hub
+        is only counted; each later block's hub 0 is listed and cut back."""
+        upper = np.triu(np.random.default_rng(n).uniform(0.1, 1.0, (n, n)), 1)
+        violations, counts = hub_loop_triangle(upper + upper.T)
+        assert {v.indices[1] for v in violations} == {0} and counts["triangle"] > n * n
+        assert len(violations) == _MAX_REPORTED
+        assert not assert_same_triangle_verdict(upper + upper.T)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
     def test_random_closed_matrices_are_accepted(self, seed, n):
@@ -386,7 +432,7 @@ class TestHopCertificate:
         simplex = np.ones((n, n)) - np.eye(n)
         assert not _hop_certificate(simplex)
         assert _hop_certificate(simplex[1:, 1:])  # _ROW_BLOCK edges per point
-        assert _triangle_holds(simplex)
+        assert check_triangle(simplex) == ([], {})
 
 
 class TestDistinctDistances:
