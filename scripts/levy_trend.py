@@ -8,8 +8,9 @@ observable-diameter lower bounds, and the per-screen brackets.  The roster
 supremum column should never increase with the dimension.
 
 Deterministic for a fixed seed, regardless of --workers.  The flags get
-the CLI's count checks and the cube sizes the library's size rule, so an
-input `mmconc levy-run` refuses is refused here with the same words.
+the CLI's count checks, the report paths its writability check before
+the run, and the cube sizes the library's size rule, so an input
+`mmconc levy-run` refuses is refused here with the same words.
 
 Usage:
   python3 scripts/levy_trend.py
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from mmconc import FamilySpec, report_csv, report_json, run_levy_experiment
-from mmconc.cli import check_flags, write_report
+from mmconc.cli import check_flags, check_writable, write_report
 
 
 def parse_args():
@@ -51,6 +52,9 @@ def main():
     kappas = args.kappa or [0.1]
     try:
         check_flags(args)
+        for flag, path in (("--out", args.out), ("--csv", args.csv)):
+            if path is not None:
+                check_writable(path, flag)
         family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
         report = run_levy_experiment(
             family,

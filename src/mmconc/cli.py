@@ -9,6 +9,7 @@ precondition fails).  Reports go to stdout or --out as canonical JSON
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -146,6 +147,22 @@ def _parse_family(text: str) -> list[FamilySpec]:
 
 def _labels(space, indices) -> list[str]:
     return [space.points[i] for i in indices]
+
+
+def check_writable(path, flag: str = "--out") -> None:
+    """Refuse, before any work, a report path that is a directory or whose
+    parent directory is missing or not writable (the trend script too).
+    Creates no file; write_report still refuses what this cannot foresee."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise SpaceFileError(flag, f"cannot write {path}: {os.strerror(code)}")
 
 
 def write_report(path, text: str, flag: str = "--out") -> None:
@@ -313,6 +330,8 @@ def _run(args) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out:
+            check_writable(args.out)
         report = _run(args)
         _emit(report, args)
         return 0

@@ -177,6 +177,10 @@ def _weighted_graph(spec: FamilySpec) -> FiniteMMSpace:
 
 
 def _product(spec: FamilySpec) -> FiniteMMSpace:
+    """The l1 product of the factors, folded left to right.  Point (p, q)
+    is labelled 'p|q' and weighs w1(p) * w2(q); its distance to (p', q')
+    is fl(d1(p, p') + d2(q, q')) rounded down (floor_sum), built in one
+    broadcast over the two factor matrices, then closed exactly."""
     parts = [f if isinstance(f, FiniteMMSpace) else generate(f) for f in spec.factors]
     space = parts[0]
     for nxt in parts[1:]:
@@ -185,11 +189,8 @@ def _product(spec: FamilySpec) -> FiniteMMSpace:
         repeated = [label for label, k in Counter(labels).items() if k > 1]
         if repeated:
             raise ValueError(f"product labels collide: {repeated[0]!r} names more than one point")
-        dist = floor_sum(
-            np.repeat(np.repeat(space.dist, b, axis=0), b, axis=1),
-            np.tile(nxt.dist, (a, a)),
-        )
-        dist = exact_triangle_closure(dist)
+        pairs = floor_sum(space.dist[:, None, :, None], nxt.dist[None, :, None, :])
+        dist = exact_triangle_closure(pairs.reshape(a * b, a * b))
         weights = np.outer(space.weights, nxt.weights).ravel()
         space = FiniteMMSpace(labels, dist, weights)
     return space

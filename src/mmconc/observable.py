@@ -276,21 +276,11 @@ def _check_kappa(space: FiniteMMSpace, kappa: float) -> float:
     return m
 
 
-def _lipschitz_repair(values: np.ndarray, dist: np.ndarray) -> np.ndarray | None:
-    """Clamp a copy of values onto the Lipschitz polytope in at most six
-    passes; candidates produced here are already feasible up to an ulp,
-    so this converges at once.  Returns None if it fails to (defensive)."""
-    f = values.copy()
-    for _ in range(6):
-        spread = np.abs(f[:, None] - f[None, :])
-        if not (spread > dist).any():
-            return f
-        upper = (f[None, :] + dist).min(axis=1)
-        f = np.minimum(f, upper)
-        lower = (f[None, :] - dist).max(axis=1)
-        f = np.maximum(f, lower)
-    spread = np.abs(f[:, None] - f[None, :])
-    return f if not (spread > dist).any() else None
+def _is_lipschitz(f: np.ndarray, dist: np.ndarray, rows=slice(None)) -> bool:
+    """No pair (x, y) with x in rows has |f(x) - f(y)| > d(x, y), compared
+    exactly.  A move that changes f at x alone keeps a passing f passing
+    when the pairs at x pass, so rows=x decides it in O(n)."""
+    return not (np.abs(f[rows, None] - f) > dist[rows]).any()
 
 
 def _distance_function(space: FiniteMMSpace, subset: Sequence[int]) -> np.ndarray:
@@ -309,13 +299,13 @@ def lipschitz_candidates(
 
     Distance functions to singletons, to separation witnesses at kappa/2
     and kappa/4 (none when the separation budget refuses), and to
-    random subsets, each repaired once on entry; the best few are
-    refined by coordinate ascent that moves one value to an end of its
-    feasible interval.  Deterministic for a fixed seed.
+    random subsets, each kept only when it passes the exact check on
+    entry (a distance function can stretch a pair by a rounding); the
+    best few are refined by coordinate ascent that moves one value to
+    an end of its feasible interval, a move kept only when it passes
+    too.  Deterministic for a fixed seed.
     """
-    check_counts(effort=effort)
-    half = sep(space, [kappa / 2] * 2, budget)
-    return [f for _, f in _candidate_pool(space, kappa, effort, seed, budget, half)]
+    return [f for _, f in _candidate_pool(space, kappa, effort, seed, budget)[1]]
 
 
 def _candidate_pool(
@@ -324,11 +314,13 @@ def _candidate_pool(
     effort: int,
     seed: int,
     budget: int,
-    half: SepResult,
-) -> list[tuple[float, np.ndarray]]:
-    """lipschitz_candidates, given its Sep(kappa/2, kappa/2), as pairs
-    (partial diameter at m - kappa, f), each scored once; a non-finite
-    score is -inf, so it is never the best."""
+) -> tuple[SepResult, list[tuple[float, np.ndarray]]]:
+    """Sep(kappa/2, kappa/2), which bounds the bracket above, and
+    lipschitz_candidates as pairs (partial diameter at m - kappa, f),
+    each scored once; a non-finite score is -inf, so it is never the
+    best.  A candidate failing the exact check is dropped, not repaired."""
+    check_counts(effort=effort)
+    half = sep(space, [kappa / 2] * 2, budget)
     n = space.n
     target = space.total_mass - kappa
     rng = rng_for(seed, "obsdiam-real", n)
@@ -347,8 +339,7 @@ def _candidate_pool(
         val = partial_diameter_real(pushforward_real(space, f), target)
         return val if math.isfinite(val) else -math.inf
 
-    repaired = (_lipschitz_repair(f, space.dist) for f in raw)
-    pool = [(objective(f), f) for f in repaired if f is not None]
+    pool = [(objective(f), f.copy()) for f in raw if _is_lipschitz(f, space.dist)]
     # coordinate-ascent refinement of the strongest starts
     refined: list[tuple[float, np.ndarray]] = []
     evals = 0
@@ -363,8 +354,7 @@ def _candidate_pool(
                 for cand_val in (hi, lo):
                     g = f.copy()
                     g[x] = cand_val
-                    g = _lipschitz_repair(g, space.dist)
-                    if g is None:
+                    if not _is_lipschitz(g, space.dist, x):
                         continue
                     evals += 1
                     val = objective(g)
@@ -373,7 +363,7 @@ def _candidate_pool(
                 if evals >= effort:
                     break
         refined.append((best, f.copy()))
-    return pool + refined
+    return half, pool + refined
 
 
 def obsdiam_real_bracket(
@@ -386,17 +376,17 @@ def obsdiam_real_bracket(
     """Bracket the observable diameter into the line at deficit kappa.
 
     lower: first best partial diameter of a pushforward over the
-    candidate pool, each repaired and scored once (achieved, witness
-    stored).  upper: separation at kappa/2 in each slot, which dominates
-    every 1-Lipschitz image's partial diameter; +inf with a note when
-    the separation budget refuses.
+    candidate pool, each checked exactly 1-Lipschitz and scored once
+    (achieved, witness stored).  upper: the pool's separation at
+    kappa/2 in each slot, which dominates every 1-Lipschitz image's
+    partial diameter; +inf with a note when the separation budget
+    refuses.
     """
     _check_kappa(space, kappa)
-    check_counts(effort=effort)
     best_val = 0.0
     best_f: np.ndarray | None = None
-    half = sep(space, [kappa / 2] * 2, budget)
-    for val, f in _candidate_pool(space, kappa, effort, seed, budget, half):
+    half, pool = _candidate_pool(space, kappa, effort, seed, budget)
+    for val, f in pool:
         if val > best_val:
             best_val, best_f = val, f
     witness = {

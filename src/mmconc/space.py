@@ -358,7 +358,7 @@ def merge_coincident_points(
     idx = np.array(keep, dtype=np.intp)
     return (
         tuple(str(points[i]) for i in keep),
-        dist[np.ix_(idx, idx)].copy(),
+        dist[np.ix_(idx, idx)],
         _group_masses(weights, owner, len(keep)),
     )
 

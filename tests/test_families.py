@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from math import comb, fsum
 from pathlib import Path
@@ -220,6 +221,34 @@ class TestProduct:
         b = sp.points.index("11|1")
         assert sp.dist[a, b] == 3.0
         mc.validate_space(sp.points, sp.dist, sp.weights)
+
+    @pytest.mark.parametrize("left, right", [
+        (("discrete_torus", 8), ("discrete_torus", 12)),
+        (("discrete_torus", 4), ("hamming_cube", 3)),
+        (("hamming_cube", 4), ("discrete_torus", 24)),
+        (("discrete_torus", 32), ("discrete_torus", 32)),
+    ])
+    def test_the_sum_metric_is_one_broadcast_of_the_factors(self, left, right, monkeypatch):
+        """The matrix handed to the closure is, byte for byte, the rounded-down
+        sum of the first factor's repeated rows and columns and the second's
+        tiled blocks, built with one broadcast: the build peaks under 6
+        matrices (the repeat and tile copies took it past 6.1)."""
+        parts = tuple(mc.generate(mc.FamilySpec(kind, n)) for kind, n in (left, right))
+        a, b = parts[0].n, parts[1].n
+        want = floor_sum(
+            np.repeat(np.repeat(parts[0].dist, b, axis=0), b, axis=1),
+            np.tile(parts[1].dist, (a, a)),
+        )
+        closed = []
+        monkeypatch.setattr(families, "exact_triangle_closure", lambda d: closed.append(d) or d)
+        tracemalloc.start()
+        try:
+            families._product(mc.FamilySpec("product", factors=parts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closed[0].tobytes() == want.tobytes()
+        assert peak < 6 * want.nbytes
 
     def test_spec_weights_replace_the_factors_product(self):
         factors = (mc.FamilySpec("discrete_torus", 3), mc.FamilySpec("hamming_cube", 1))

@@ -633,6 +633,18 @@ class TestCli:
         assert rc == 1 and not out
         assert err.startswith(f"mmconc: --out: cannot write {path}: ") and err.count("\n") == 1
 
+    def test_levy_run_refuses_an_unwritable_out_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """The report path is checked before any work: the experiment never
+        starts, and no file or directory is made."""
+        calls = []
+        monkeypatch.setattr(cli, "run_levy_experiment", lambda *args, **kw: calls.append(args))
+        path = tmp_path / "missing" / "x.json"
+        argv = ["levy-run", "--family", "hamming:2..3", "--seed", "0", "--out", str(path)]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and not out and calls == []
+        assert err == f"mmconc: --out: cannot write {path}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_trend_script_refuses_an_unwritable_report_path(self, flag, tmp_path):
         proc = subprocess.run(
@@ -640,9 +652,8 @@ class TestCli:
              flag, str(tmp_path)],
             capture_output=True, text=True, env=CHILD_ENV,
         )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"{flag}: cannot write {tmp_path}: ")
-        assert proc.stderr.count("\n") == 1
+        assert proc.returncode == 1 and not proc.stdout  # refused before the table is run
+        assert proc.stderr == f"{flag}: cannot write {tmp_path}: Is a directory\n"
 
     def test_trend_script_refuses_a_negative_effort(self):
         proc = subprocess.run(

@@ -180,6 +180,18 @@ def test_the_line_bracket_reads_its_scores_from_the_pool():
     assert "observable.obsdiam_real_bracket" not in scopes
 
 
+def test_the_line_bracket_separates_once_and_repairs_nothing():
+    """observable._candidate_pool runs every separation the line bracket
+    needs, the kappa/2 one that bounds it above included, and keeps a
+    candidate only when the exact check passes: no function repairs one."""
+    tree = ast.parse((PACKAGE / "observable.py").read_text(encoding="utf-8"))
+    visitor = Constructions("observable", {"sep"})
+    visitor.visit(tree)
+    assert {scope for _, scope in visitor.found} == {"observable._candidate_pool"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_is_lipschitz" in defined and "_lipschitz_repair" not in defined
+
+
 def test_ball_masses_have_one_convention_and_three_callers():
     """space._ball_mass_blocks orders each row by (distance rank, index)
     and sums its weights in that order; the doubling profile's step

@@ -234,29 +234,29 @@ class TestObsdiamReal:
     @pytest.mark.parametrize("effort", [0, 300])
     def test_each_candidate_is_scored_once(self, monkeypatch, effort):
         """One partial diameter per raw candidate, one per refinement
-        evaluation (a move the repair accepts), and none beside them."""
+        evaluation (a move the exact check accepts), and none beside them."""
         rng = np.random.default_rng(82)
         sp = random_space(rng, 8)
         kap = 0.2
         raw = 1 + sp.n + 8  # zero, singletons, random subsets (effort // 50 <= 8)
         raw += sum(len(mc.sep(sp, [k, k]).witnesses or ()) for k in (kap / 2, kap / 4))
-        scored, repaired = [], []
-        score, repair = mc.observable.partial_diameter_real, mc.observable._lipschitz_repair
+        scored, checked = [], []
+        score, check = mc.observable.partial_diameter_real, mc.observable._is_lipschitz
 
         def counting_score(nu, target):
             scored.append(target)
             return score(nu, target)
 
-        def counting_repair(values, dist):
-            out = repair(values, dist)
-            repaired.append(out is not None)
+        def counting_check(f, dist, *rows):
+            out = check(f, dist, *rows)
+            checked.append(out)
             return out
 
         monkeypatch.setattr(mc.observable, "partial_diameter_real", counting_score)
-        monkeypatch.setattr(mc.observable, "_lipschitz_repair", counting_repair)
+        monkeypatch.setattr(mc.observable, "_is_lipschitz", counting_check)
         mc.obsdiam_real_bracket(sp, kap, effort=effort, seed=3)
-        assert all(repaired[:raw]) and len(repaired) >= raw
-        evals = sum(repaired[raw:])
+        assert all(checked[:raw]) and len(checked) >= raw
+        evals = sum(checked[raw:])
         assert len(scored) == raw + evals
         assert evals == 0 if effort == 0 else 0 < evals <= effort
 
@@ -439,6 +439,20 @@ class TestCandidates:
             sp = random_space(rng, int(rng.integers(2, 9)))
             for cand in mc.lipschitz_candidates(sp, 0.1, effort=250, seed=6):
                 mc.validate_lipschitz(sp, None, cand)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 11),
+        st.integers(1, 3),
+        st.floats(0.02, 0.45),
+    )
+    def test_every_member_passes_the_validator(self, seed, n, dim, kappa):
+        """The pool keeps a candidate only when it is exactly 1-Lipschitz,
+        on Euclidean spaces too, where a distance function to a subset
+        can stretch a pair by a rounding."""
+        sp = random_space(np.random.default_rng(seed), n, dim=dim)
+        for cand in mc.lipschitz_candidates(sp, kappa, effort=500, seed=seed % 7):
+            mc.validate_lipschitz(sp, None, cand)
 
     def test_pool_contains_every_singleton_distance_function(self):
         rng = np.random.default_rng(81)

@@ -1,15 +1,18 @@
 """The screen sampler and the separation searches against reference copies.
 
 `sample_lipschitz_map` keeps a stack of forward-checked domains,
-`_try_threshold` bitmasks and moves drawn in blocks, and
-`_feasible_assignment` bitmasks with a reachable-mass prune.  The
+`_try_threshold` bitmasks and moves drawn in blocks,
+`_feasible_assignment` bitmasks with a reachable-mass prune, and the
+line bracket's candidate pool drops a candidate that is not exactly
+1-Lipschitz.  The
 references below rescan every assigned point at each step (the exact
 search with numpy minima over group members); the separation references
 are the earlier implementations, and the sampler reference follows the
 sampler's rule of rejecting a value that leaves a later point with no
 compatible screen point, found by rescanning.  The screen bracket
 reference scores every sampled map and draws every sample, with no skip
-and no stop at closure.  They are kept here,
+and no stop at closure; the line bracket's reference clamps each
+candidate onto the Lipschitz polytope instead.  They are kept here,
 test-only, so that every seeded map and assignment can be compared bit
 for bit.  The trend report digests pin the end-to-end output of the same
 searches, and `sep_exact` is checked against the subset oracle of the
@@ -18,6 +21,7 @@ benchmark.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import sys
@@ -29,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmconc as mc
-from mmconc._numeric import rng_for, stable_seed
+from mmconc._numeric import check_counts, rng_for, stable_seed
 from mmconc.observable import DEFAULT_SCREEN_BUDGET, _search_lipschitz_map
 from mmconc.separation import (
     _MASS_SLACK,
@@ -45,6 +49,7 @@ from conftest import random_space
 SPACES = Path(__file__).resolve().parent.parent / "spaces"
 sys.path.insert(0, str(SPACES.parent / "bench"))
 import oracles  # noqa: E402  (numpy only; never imports mmconc)
+import workloads  # noqa: E402  (the benchmark's inputs)
 
 # SHA-256 of report_json(run_levy_experiment(hamming 2..6, samples=32,
 # seed=0).as_dict())
@@ -137,6 +142,76 @@ def reference_screen_bracket(space, screen, kappa, samples, seed):
         "fallbacks": fallbacks,
     }
     return mc.Bracket(float(best_val), upper, witness, source)
+
+
+def reference_lipschitz_repair(values, dist):
+    """Clamp a copy of values onto the Lipschitz polytope in at most six
+    passes; None when the clamped copy still stretches a pair."""
+    f = values.copy()
+    for _ in range(6):
+        spread = np.abs(f[:, None] - f[None, :])
+        if not (spread > dist).any():
+            return f
+        upper = (f[None, :] + dist).min(axis=1)
+        f = np.minimum(f, upper)
+        lower = (f[None, :] - dist).max(axis=1)
+        f = np.maximum(f, lower)
+    spread = np.abs(f[:, None] - f[None, :])
+    return f if not (spread > dist).any() else None
+
+
+def reference_candidate_pool(space, kappa, effort, seed, budget, clamped):
+    """The line bracket's pool built by clamping: every raw candidate and
+    every coordinate move goes through reference_lipschitz_repair and is
+    kept when the repair returns a function.  clamped gets one entry per
+    candidate the clamp had to touch: True when it was rescued."""
+    check_counts(effort=effort)
+    half = mc.sep(space, [kappa / 2] * 2, budget)
+    n = space.n
+    target = space.total_mass - kappa
+    rng = rng_for(seed, "obsdiam-real", n)
+    raw = [np.zeros(n)] + [space.dist[:, i] for i in range(n)]
+    for res in (half, mc.sep(space, [kappa / 4] * 2, budget)):
+        raw += [space.dist[:, list(w)].min(axis=1) for w in res.witnesses or ()]
+    for _ in range(min(max(effort // 50, 8), 200)):
+        subset = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        raw.append(space.dist[:, subset].min(axis=1))
+
+    def objective(f):
+        val = mc.partial_diameter_real(mc.pushforward_real(space, f), target)
+        return val if math.isfinite(val) else -math.inf
+
+    def repair(f):
+        out = reference_lipschitz_repair(f, space.dist)
+        if out is None or not np.array_equal(out, f):
+            clamped.append(out is not None)
+        return out
+
+    pool = [(objective(f), f) for f in map(repair, raw) if f is not None]
+    refined = []
+    evals = 0
+    for best, f in sorted(pool, key=lambda pair: pair[0], reverse=True)[:4]:
+        improved = True
+        while improved and evals < effort:
+            improved = False
+            for x in rng.permutation(n):
+                others = np.arange(n) != x
+                hi = (f[others] + space.dist[x, others]).min()
+                lo = (f[others] - space.dist[x, others]).max()
+                for cand_val in (hi, lo):
+                    g = f.copy()
+                    g[x] = cand_val
+                    g = repair(g)
+                    if g is None:
+                        continue
+                    evals += 1
+                    val = objective(g)
+                    if val > best:
+                        best, f, improved = val, g, True
+                if evals >= effort:
+                    break
+        refined.append((best, f.copy()))
+    return half, pool + refined
 
 
 def _sequential_mass(weights, members):
@@ -502,6 +577,64 @@ def test_a_support_over_the_budget_after_closure_is_never_drawn(monkeypatch):
     br = mc.obsdiam_screen_estimate(space, screen, 0.01, samples=3)
     assert (br.lower, br.upper, br.witness["samples"]) == (1.0, 1.0, 2)
     assert br.witness["values"] == far.tolist()
+
+
+# ---------------------------------------------------------------------------
+# line bracket
+
+
+def line_brackets(monkeypatch, space, kappa, effort, seed):
+    """obsdiam_real_bracket on the checked pool and on the clamping
+    reference pool, with the candidates the clamp touched."""
+    got = mc.obsdiam_real_bracket(space, kappa, effort=effort, seed=seed)
+    clamped = []
+    with monkeypatch.context() as m:
+        m.setattr(
+            mc.observable,
+            "_candidate_pool",
+            functools.partial(reference_candidate_pool, clamped=clamped),
+        )
+        want = mc.obsdiam_real_bracket(space, kappa, effort=effort, seed=seed)
+    return got, want, clamped
+
+
+def as_tuple(br):
+    return (br.lower, br.upper, br.upper_source, br.witness)
+
+
+def test_line_bracket_matches_the_clamping_pool_on_euclidean_spaces(monkeypatch):
+    """Dropping a candidate the clamp would repair changes no bracket at
+    the default effort, witness included, though the clamp touches
+    candidates in most of these spaces and rescues some of them."""
+    rng = np.random.default_rng(2027)
+    touched = rescued = 0
+    for seed in range(200):
+        space = random_space(rng, int(rng.integers(3, 12)), dim=int(rng.integers(1, 4)))
+        kappa = float(rng.uniform(0.02, 0.3))
+        got, want, clamped = line_brackets(monkeypatch, space, kappa, 2000, seed)
+        assert as_tuple(got) == as_tuple(want), seed
+        touched += len(clamped)
+        rescued += sum(clamped)
+    assert touched > rescued > 100  # the reference's clamp really runs
+
+
+def test_line_bracket_matches_the_clamping_pool_on_the_benchmark_spaces(monkeypatch):
+    """The queries workload's 12 line brackets (L1-grid spaces scaled by
+    1/32, drawn as it draws them): every candidate passes the exact check,
+    so the clamp never touches one and the brackets are equal."""
+    fixed = np.random.default_rng([workloads.BRACKET_SEED, 20])
+    drawn = {
+        (purpose, k): workloads.l1_grid_space(fixed, n)
+        for purpose, sizes in workloads.BRACKET_SIZES.items()
+        for k, n in enumerate(sizes)
+    }
+    for k in range(len(workloads.BRACKET_SIZES["line"])):
+        dist, w = drawn["line", k]
+        space = mc.validate_space(tuple(f"p{i}" for i in range(len(w))), dist, w)
+        kappa = float(fixed.uniform(0.08, 0.2))
+        got, want, clamped = line_brackets(monkeypatch, space, kappa, 2000, workloads.BRACKET_SEED)
+        assert as_tuple(got) == as_tuple(want), k
+        assert clamped == []
 
 
 # ---------------------------------------------------------------------------

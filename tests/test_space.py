@@ -103,6 +103,21 @@ class TestValidateSpace:
         assert mw[0] == pytest.approx(0.5)
         mc.validate_space(labels, mdist, mw)  # merged space is valid
 
+    def test_merging_copies_the_matrix_once(self):
+        """Fancy indexing already copies: merging a 1,000-point line with
+        nothing to merge peaks under 1.5 times the one matrix it returns."""
+        n = 1000
+        labels = [str(i) for i in range(n)]
+        dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+        tracemalloc.start()
+        try:
+            _, merged, _ = mc.merge_coincident_points(labels, dist, np.ones(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(merged, dist) and not np.shares_memory(merged, dist)
+        assert peak < 1.5 * merged.nbytes
+
     def test_every_violation_of_every_kind_is_counted(self):
         """Each kind lists its first 50 offending rows and counts all of them."""
         torus = mc.generate(mc.FamilySpec("discrete_torus", 80))
