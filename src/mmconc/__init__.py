@@ -30,6 +30,7 @@ from .families import (
 )
 from .formats import (
     SpaceFileError,
+    parse_document,
     parse_real_measure,
     parse_space,
     report_csv,

@@ -17,18 +17,17 @@ import hashlib
 import numpy as np
 
 
-def two_sum(a, b):
-    """Error-free transformation: s + err == a + b exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
 def floor_sum(a, b):
-    """Largest float64 <= the exact real sum a + b.  Vectorized."""
-    s, err = two_sum(a, b)
-    return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
+    """Largest float64 <= the exact real sum a + b.  Vectorized: Knuth's
+    two-sum (s + err == a + b exactly) into two buffers beside s, then s
+    steps down an ulp where err < 0; a broadcast peaks near three s."""
+    s = np.asarray(np.add(a, b, dtype=np.float64))
+    bb = np.subtract(s, a, out=np.empty_like(s))
+    err = np.subtract(s, bb, out=np.empty_like(s))
+    np.add(np.subtract(a, err, out=err), np.subtract(b, bb, out=bb), out=err)
+    del bb  # freed before the mask is built
+    np.nextafter(s, -np.inf, out=s, where=err < 0.0)
+    return s
 
 
 def subadditive_table(count: int, numerator_step: float = 1.0, denominator: float = 1.0) -> np.ndarray:

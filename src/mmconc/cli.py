@@ -19,7 +19,7 @@ from .doubling import color_net, doubling_profile
 from .families import FamilySpec, run_levy_experiment
 from .formats import (
     SpaceFileError,
-    _load,
+    parse_document,
     parse_real_measure,
     parse_space,
     report_csv,
@@ -33,7 +33,7 @@ from .observable import (
     partial_diameter_screen,
 )
 from .separation import BudgetExceededError, DEFAULT_ASSIGNMENT_BUDGET, sep, sep_real_quantile
-from .space import build_net
+from .space import FiniteMMSpace, build_net
 
 _FAMILY_KINDS = {"hamming": "hamming_cube", "torus": "discrete_torus"}
 
@@ -233,17 +233,14 @@ def _run(args) -> dict:
         }
 
     if args.command == "partial-diam":
-        doc = _load(args.space)
-        if "atoms" in doc:
-            value = partial_diameter_real(parse_real_measure(doc), args.target_mass)
-            shape = "real_measure"
+        parsed = parse_document(args.space)
+        if is_space := isinstance(parsed, FiniteMMSpace):
+            value = partial_diameter_screen(parsed, args.target_mass, support_budget=args.budget)
         else:
-            space = parse_space(args.space)  # by path: custom_file paths resolve beside it
-            value = partial_diameter_screen(space, args.target_mass, support_budget=args.budget)
-            shape = "space"
+            value = partial_diameter_real(parsed, args.target_mass)
         return {
             "command": "partial-diam",
-            "input_kind": shape,
+            "input_kind": "space" if is_space else "real_measure",
             "target_mass": args.target_mass,
             "value": value,
         }

@@ -47,6 +47,7 @@ from .space import FiniteMMSpace, SpaceValidationError, validate_space
 
 __all__ = [
     "SpaceFileError",
+    "parse_document",
     "parse_real_measure",
     "parse_space",
     "report_csv",
@@ -174,6 +175,14 @@ def parse_space(source: str | dict) -> FiniteMMSpace:
     if isinstance(source, dict):
         return _parse_space_doc(source, ())
     return _parse_space_file(source, ())
+
+
+def parse_document(path: str) -> RealMeasure | FiniteMMSpace:
+    """Read path once: a RealMeasure if it holds 'atoms', else a space, as parse_space reads it."""
+    doc = _load(path)
+    if "atoms" in doc:
+        return parse_real_measure(doc)
+    return _parse_space_doc(doc, (os.path.realpath(path),))
 
 
 def _parse_space_file(path: str, opened: tuple[str, ...]) -> FiniteMMSpace:

@@ -188,31 +188,28 @@ def _clique_reaches(
     dist: np.ndarray, weights: np.ndarray, diameter_cap: float, target: float
 ) -> bool:
     """Is there a subset of pairwise distance <= diameter_cap with mass
-    >= target?  Branch-and-bound over vertices in descending weight."""
-    order = np.argsort(-weights, kind="stable")
-    dist = dist[np.ix_(order, order)]
-    weights = weights[order]
-    n = len(weights)
-    adj = dist <= diameter_cap
-    suffix = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))
+    >= target?  Candidates are taken in index order (descending weight,
+    by the caller), so a subset's mass is summed in that order.  A branch
+    is cut when its mass plus every candidate left, summed in that order,
+    is below target: weights are nonnegative and rounding is monotone, so
+    no subset of them sums to more, and the cut is exact."""
+    adj = (dist <= diameter_cap).tolist()
+    mass = weights.tolist()
 
-    def rec(current: float, candidates: np.ndarray) -> bool:
+    def rec(current: float, candidates: list[int]) -> bool:
         if current >= target:
             return True
-        if not len(candidates) or current + suffix[candidates[0]] < target:
-            # suffix over-estimates the candidate mass left; safe prune
-            return False
-        rest = candidates
-        while len(rest):
-            v = rest[0]
-            rest = rest[1:]
-            if current + weights[v] + float(weights[rest].sum()) < target:
+        for k, v in enumerate(candidates):
+            reach = current
+            for u in candidates[k:]:
+                reach += mass[u]
+            if reach < target:
                 return False
-            if rec(current + float(weights[v]), rest[adj[v, rest]]):
+            if rec(current + mass[v], [u for u in candidates[k + 1 :] if adj[v][u]]):
                 return True
         return False
 
-    return rec(0.0, np.arange(n))
+    return rec(0.0, list(range(len(mass))))
 
 
 def partial_diameter_screen(
@@ -226,7 +223,9 @@ def partial_diameter_screen(
     full support always qualifies when target_mass <= total (its true mass
     is the total by definition), so the caps below its diameter are
     bisected for the last one an exact subset search rejects; the answer
-    is the next cap up.
+    is the next cap up.  The support is sorted once, by descending weight
+    (stable); every probe sums and prunes in that order, so it rejects a
+    cap only when no subset's sum reaches target_mass.
     """
     if (trivial := _trivial_partial_diameter(target_mass, image.total_mass)) is not None:
         return trivial
@@ -236,10 +235,9 @@ def partial_diameter_screen(
             f"screen support has {len(support)} points, over the exact-search "
             f"budget {support_budget}"
         )
-    dist = image.dist[np.ix_(support, support)]
-    weights = image.weights[support]
-    iu = np.triu_indices(len(support), k=1)
-    caps = np.concatenate(([0.0], np.unique(dist[iu])))
+    order = support[np.argsort(-image.weights[support], kind="stable")]
+    dist, weights = image.dist[np.ix_(order, order)], image.weights[order]
+    caps = np.concatenate(([0.0], np.unique(dist[np.triu_indices(len(order), k=1)])))
 
     def rejected(i: int) -> bool | None:
         return None if _clique_reaches(dist, weights, float(caps[i]), target_mass) else True
@@ -284,8 +282,7 @@ def _is_lipschitz(f: np.ndarray, dist: np.ndarray, rows=slice(None)) -> bool:
 
 
 def _distance_function(space: FiniteMMSpace, subset: Sequence[int]) -> np.ndarray:
-    idx = list(subset)
-    return space.dist[:, idx].min(axis=1)
+    return space.dist[:, list(subset)].min(axis=1)
 
 
 def lipschitz_candidates(
@@ -328,7 +325,7 @@ def _candidate_pool(
     raw += [space.dist[:, i] for i in range(n)]
     for res in (half, sep(space, [kappa / 4] * 2, budget)):
         for w in res.witnesses or ():
-            raw.append(_distance_function(space, list(w)))
+            raw.append(_distance_function(space, w))
     n_random = min(max(effort // 50, 8), 200)
     for _ in range(n_random):
         size = int(rng.integers(1, n + 1))
@@ -393,12 +390,8 @@ def obsdiam_real_bracket(
         "kind": "function_values",
         "values": None if best_f is None else [float(v) for v in best_f],
     }
-    if half.exact:
-        upper = half.value
-        source = "separation at kappa/2 per slot"
-    else:
-        upper = math.inf
-        source = "separation budget exceeded"
+    upper = half.value if half.exact else math.inf
+    source = "separation at kappa/2 per slot" if half.exact else "separation budget exceeded"
     return Bracket(float(best_val), float(upper), witness, source)
 
 

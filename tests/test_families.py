@@ -231,8 +231,11 @@ class TestProduct:
     def test_the_sum_metric_is_one_broadcast_of_the_factors(self, left, right, monkeypatch):
         """The matrix handed to the closure is, byte for byte, the rounded-down
         sum of the first factor's repeated rows and columns and the second's
-        tiled blocks, built with one broadcast: the build peaks under 6
-        matrices (the repeat and tile copies took it past 6.1)."""
+        tiled blocks, built with one broadcast into floor_sum's two scratch
+        buffers: the build peaks under 3.5 matrices (the repeat and tile
+        copies took it past 6.1, whole-array temporaries in floor_sum past
+        4.1), plus numpy's iterator buffers for the two broadcast factors
+        (np.getbufsize() elements each, at most a matrix)."""
         parts = tuple(mc.generate(mc.FamilySpec(kind, n)) for kind, n in (left, right))
         a, b = parts[0].n, parts[1].n
         want = floor_sum(
@@ -248,7 +251,8 @@ class TestProduct:
         finally:
             tracemalloc.stop()
         assert closed[0].tobytes() == want.tobytes()
-        assert peak < 6 * want.nbytes
+        buffers = 2 * want.itemsize * min(np.getbufsize(), want.size)
+        assert peak < 3.5 * want.nbytes + buffers
 
     def test_spec_weights_replace_the_factors_product(self):
         factors = (mc.FamilySpec("discrete_torus", 3), mc.FamilySpec("hamming_cube", 1))
@@ -306,6 +310,20 @@ def chords_cycle(n: int) -> tuple[tuple[int, int, float], ...]:
     edges = [(i, (i + 1) % n, 1 + (i % 7) / 10) for i in range(n)]
     edges += [(i, (i + 37) % n, 3.5) for i in range(0, n, 5)]
     return tuple(edges)
+
+
+class TestFloorSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), min_size=1, max_size=40))
+    def test_it_is_the_largest_float_at_or_below_the_exact_sum(self, pairs):
+        a, b = (np.array(col) for col in zip(*pairs))
+        got = floor_sum(a[:, None], b[None, :])
+        assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+        for i, j in [(0, 0), (len(a) - 1, len(b) - 1), (len(a) // 2, 0)]:
+            exact = Fraction(a[i]) + Fraction(b[j])
+            assert Fraction(got[i, j]) <= exact < Fraction(np.nextafter(got[i, j], np.inf))
+            scalar = floor_sum(float(a[i]), float(b[j]))
+            assert scalar.shape == () and scalar == got[i, j]
 
 
 def reference_triangle_closure(dist):

@@ -436,6 +436,50 @@ class TestCli:
         )
         assert rc == 0 and json.loads(out)["value"] == 1.0
 
+    @staticmethod
+    def heavy_line(tmp_path) -> tuple[str, str]:
+        """Seven unit-spaced points on a line weighing 0.3 each, and the
+        uniform seven-point line as a screen."""
+        matrix = [[float(abs(i - j)) for j in range(7)] for i in range(7)]
+        space, screen = tmp_path / "heavy.json", tmp_path / "line7.json"
+        space.write_text(json.dumps({"metric": {"matrix": matrix}, "weights": [0.3] * 7}))
+        screen.write_text(json.dumps({"metric": {"matrix": matrix}}))
+        return str(space), str(screen)
+
+    def test_partial_diam_reaches_a_target_its_subset_sums_to(self, tmp_path, capsys):
+        """Points 0-5 carry exactly 1.8 by the search's own sum, so the
+        answer is their diameter 5, not the whole line's 6."""
+        space, _ = self.heavy_line(tmp_path)
+        rc, out, err = run_cli(["partial-diam", "--space", space, "--target-mass", "1.8"], capsys)
+        assert rc == 0, err
+        assert json.loads(out)["value"] == 5.0
+
+    def test_the_screen_lower_bound_is_its_witness_partial_diameter(self, tmp_path, capsys):
+        space_path, screen_path = self.heavy_line(tmp_path)
+        argv = ["obsdiam", "--space", space_path, "--screen", screen_path,
+                "--kappa", "0.3", "--seed", "0"]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 0, err
+        doc = json.loads(out)
+        space, screen = mc.parse_space(space_path), mc.parse_space(screen_path)
+        values = [screen.points.index(label) for label in doc["witness"]["values"]]
+        image = mc.pushforward_screen(space, screen, values)
+        assert doc["lower"] == mc.partial_diameter_screen(image, space.total_mass - 0.3) == 5.0
+        assert doc["upper"] == 6.0
+
+    @pytest.mark.parametrize("document, kind", [
+        ("measure_four_atoms.json", "real_measure"), ("torus8.json", "space"),
+    ])
+    def test_partial_diam_decodes_its_document_once(self, document, kind, monkeypatch, capsys):
+        loads = []
+        decode = json.load
+        monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name) or decode(fh))
+        argv = ["partial-diam", "--space", f"{SPACES}/{document}", "--target-mass", "0.5"]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 0, err
+        assert json.loads(out)["input_kind"] == kind
+        assert loads == [f"{SPACES}/{document}"]
+
     def test_obsdiam_real_and_screen(self, capsys):
         rc, out, _ = run_cli(
             ["obsdiam", "--space", f"{SPACES}/twopoint.json", "--kappa", "0.5"],

@@ -192,6 +192,34 @@ def test_the_line_bracket_separates_once_and_repairs_nothing():
     assert "_is_lipschitz" in defined and "_lipschitz_repair" not in defined
 
 
+def test_the_cli_imports_only_public_names_of_the_package():
+    """The command line reads documents through formats' public parsers
+    (parse_document sorts measures from spaces), so it depends on no
+    private helper of a sibling module."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert "parse_document" in names
+    assert not [name for name in names if name.startswith("_")]
+
+
+def test_the_screen_search_orders_once_and_sums_as_its_leaves_do():
+    """observable.partial_diameter_screen sorts the support by weight
+    once; _clique_reaches reads that order as given, so it neither sorts
+    nor reverses, and it sums no weights by a reduction whose rounding
+    its leaves do not share."""
+    tree = ast.parse((PACKAGE / "observable.py").read_text(encoding="utf-8"))
+    visitor = Constructions("observable", {"argsort", "sum", "cumsum"})
+    visitor.visit(tree)
+    assert not [call for call in visitor.found if call[1].startswith("observable._clique_reaches")]
+    assert [call for call in visitor.found if call[0] == "argsort"] == [
+        ("argsort", "observable.partial_diameter_screen")
+    ]
+    (clique,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_clique_reaches"]
+    assert not [node for node in ast.walk(clique) if isinstance(node, ast.Slice) and node.step]
+
+
 def test_ball_masses_have_one_convention_and_three_callers():
     """space._ball_mass_blocks orders each row by (distance rank, index)
     and sums its weights in that order; the doubling profile's step

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from hypothesis import given, strategies as st
 
 import mmconc as mc
 from conftest import line_space, random_measure, random_space
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import oracles  # noqa: E402  (numpy only; never imports mmconc)
 
 
 class TestValidateLipschitz:
@@ -138,6 +143,31 @@ class TestPartialDiameterScreen:
                     diam = max(screen.dist[i, j] for i in sel for j in sel)
                     best = min(best, diam)
             assert got == best
+
+    def test_targets_at_a_descending_weight_subset_sum_match_the_oracle(self):
+        """A target equal to a subset's weights, added in descending-weight
+        order, is reached by that subset: the search finds it, as the
+        exhaustive oracle does.  A prune whose sum of the same weights
+        came out an ulp short used to cut such subsets off."""
+        rng = np.random.default_rng(2030)
+        for _ in range(400):
+            n = int(rng.integers(2, 10))
+            weights = rng.choice([0.05, 0.1, 0.2, 0.3, 0.7, 1 / 3], n) * rng.integers(1, 4, n)
+            base = random_space(rng, n)
+            sp = mc.validate_space(base.points, base.dist, weights)
+            order = np.argsort(-weights, kind="stable")
+            target = 0.0
+            for i in order[rng.random(n) < 0.6]:
+                target += weights[i]
+            want = oracles.space_partial_diameter(sp.dist, sp.weights, target, sp.total_mass)
+            assert mc.partial_diameter_screen(sp, target) == want
+
+    def test_a_heavy_line_reaches_its_target_on_six_points(self):
+        """Six of seven unit-spaced points weighing 0.3 each carry exactly
+        1.8 by the search's own sum, so the answer is their diameter 5."""
+        sp = line_space(np.arange(7.0), np.full(7, 0.3))
+        want = oracles.space_partial_diameter(sp.dist, sp.weights, 1.8, sp.total_mass)
+        assert mc.partial_diameter_screen(sp, 1.8) == want == 5.0
 
     def test_support_budget_guard(self):
         sp = line_space(np.linspace(0, 1, 25))
