@@ -23,7 +23,6 @@ from .families import (
     FamilySpec,
     LevyReport,
     binomial_mean_measure,
-    coordinate_mean_map,
     default_screen_roster,
     generate,
     run_levy_experiment,
@@ -72,8 +71,6 @@ from .space import (
     Violation,
     ball_mass,
     build_net,
-    closed_ball,
-    merge_coincident_points,
     validate_space,
 )
 

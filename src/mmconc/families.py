@@ -3,7 +3,9 @@
 Generated metrics are exactly subadditive at float level (repaired
 fraction tables, shortest paths on an integer grid, the product's
 closure), so every generated space passes the validator's triangle check
-with zero tolerance and the canonical observables are exactly 1-Lipschitz.
+with zero tolerance.  A cube's metric is its popcount fraction table, so a
+map through the same table, such as the coordinate mean behind
+binomial_mean_measure, passes the exact 1-Lipschitz check too.
 
 This module reads no files and never imports formats: a product's factor
 may be a space built elsewhere, such as a parsed document.
@@ -30,12 +32,7 @@ import numpy as np
 
 from ._numeric import check_counts, exact_triangle_closure, floor_sum, stable_seed, subadditive_table
 from .doubling import concentration_witness, doubling_profile
-from .observable import (
-    LipschitzMap,
-    obsdiam_screen_estimate,
-    pushforward_screen,
-    validate_lipschitz,
-)
+from .observable import obsdiam_screen_estimate, pushforward_screen
 from .separation import DEFAULT_ASSIGNMENT_BUDGET, RealMeasure, sep
 from .space import FiniteMMSpace, Net, _check_weights, build_net, validate_space
 
@@ -43,7 +40,6 @@ __all__ = [
     "FamilySpec",
     "LevyReport",
     "binomial_mean_measure",
-    "coordinate_mean_map",
     "default_screen_roster",
     "generate",
     "run_levy_experiment",
@@ -211,20 +207,6 @@ def generate(spec: FamilySpec) -> FiniteMMSpace:
     if space.n <= _VALIDATE_CAP:
         validate_space(space.points, space.dist, space.weights)
     return space
-
-
-def coordinate_mean_map(space: FiniteMMSpace) -> LipschitzMap:
-    """Mean of the coordinates of a binary-labeled cube, as a validated
-    map to the line.  Uses the same fraction table as the cube metric,
-    so the Lipschitz check passes exactly: the table's subadditivity
-    gives t[a] - t[b] <= t[a-b] <= t[hamming distance]."""
-    bits = {len(p) for p in space.points}
-    if len(bits) != 1 or not all(set(p) <= {"0", "1"} for p in space.points):
-        raise ValueError("expected binary string labels of equal length")
-    n = bits.pop()
-    table = subadditive_table(n, 1.0, float(n))
-    values = np.array([table[p.count("1")] for p in space.points])
-    return validate_lipschitz(space, None, values)
 
 
 def binomial_mean_measure(n: int) -> RealMeasure:

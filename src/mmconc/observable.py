@@ -192,24 +192,29 @@ def _clique_reaches(
     by the caller), so a subset's mass is summed in that order.  A branch
     is cut when its mass plus every candidate left, summed in that order,
     is below target: weights are nonnegative and rounding is monotone, so
-    no subset of them sums to more, and the cut is exact."""
+    no subset of them sums to more, and the cut is exact.
+
+    Frames (mass so far, candidates, next k) go on an explicit stack, so no
+    subset is too large for the recursion limit; a frame pushes its k + 1
+    below the child that takes candidate k, the recursion's visiting order.
+    A frame with no candidate left reaches only its own mass, so the cut
+    ends it."""
     adj = (dist <= diameter_cap).tolist()
     mass = weights.tolist()
-
-    def rec(current: float, candidates: list[int]) -> bool:
+    stack = [(0.0, list(range(len(mass))), 0)]
+    while stack:
+        current, candidates, k = stack.pop()
         if current >= target:
             return True
-        for k, v in enumerate(candidates):
-            reach = current
-            for u in candidates[k:]:
-                reach += mass[u]
-            if reach < target:
-                return False
-            if rec(current + mass[v], [u for u in candidates[k + 1 :] if adj[v][u]]):
-                return True
-        return False
-
-    return rec(0.0, list(range(len(mass))))
+        reach = current
+        for u in candidates[k:]:
+            reach += mass[u]
+        if reach < target:
+            continue
+        v = candidates[k]
+        stack.append((current, candidates, k + 1))
+        stack.append((current + mass[v], [u for u in candidates[k + 1 :] if adj[v][u]], 0))
+    return False
 
 
 def partial_diameter_screen(

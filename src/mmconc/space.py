@@ -1,5 +1,9 @@
 """Finite metric measure spaces: validation, balls, and greedy nets.
 
+Public functions: validate_space (every axiom, or SpaceValidationError
+listing the violations), ball_mass (the mass of a closed ball) and
+build_net (a greedy epsilon-net).
+
 The mass conventions live here: ball masses (_ball_mass_blocks) and
 per-label masses (_group_masses), which fibers, groups and components use.
 A ball mass orders its center's row by (distance rank, index) and adds
@@ -22,8 +26,6 @@ __all__ = [
     "Violation",
     "ball_mass",
     "build_net",
-    "closed_ball",
-    "merge_coincident_points",
     "validate_space",
 ]
 
@@ -93,18 +95,11 @@ class PointSet:
     def of(cls, indices: Iterable[int]) -> "PointSet":
         return cls(tuple(sorted(set(int(i) for i in indices))))
 
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "PointSet":
-        return cls(tuple(int(i) for i in np.flatnonzero(mask)))
-
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, i) -> bool:
-        return int(i) in set(self.indices)
 
 
 @dataclass(frozen=True)
@@ -334,48 +329,6 @@ def validate_space(
     return FiniteMMSpace(points, dist, weights)
 
 
-def merge_coincident_points(
-    points: Sequence[str],
-    dist: np.ndarray,
-    weights: np.ndarray | Sequence[float],
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Collapse points at exact distance zero into one atom (weights add,
-    first label wins).  Preprocessing for data that fails the
-    positive-distance axiom; the result still needs validate_space.
-    """
-    dist = np.asarray(dist, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    n = dist.shape[0]
-    keep: list[int] = []
-    owner = np.full(n, -1)
-    for i in range(n):
-        if owner[i] >= 0:
-            continue
-        owner[i] = len(keep)
-        same = np.flatnonzero((dist[i] == 0.0) & (owner < 0))
-        owner[same] = len(keep)
-        keep.append(i)
-    idx = np.array(keep, dtype=np.intp)
-    return (
-        tuple(str(points[i]) for i in keep),
-        dist[np.ix_(idx, idx)],
-        _group_masses(weights, owner, len(keep)),
-    )
-
-
-def _check_ball(space: FiniteMMSpace, center: int, radius: float) -> None:
-    if not 0 <= center < space.n:
-        raise IndexError(f"center {center} out of range for {space.n} points")
-    if not radius >= 0:
-        raise ValueError("radius must be >= 0")
-
-
-def closed_ball(space: FiniteMMSpace, center: int, radius: float) -> PointSet:
-    """Indices y with d(center, y) <= radius; exact float comparison."""
-    _check_ball(space, center, radius)
-    return PointSet.from_mask(space.dist[center] <= radius)
-
-
 def _ball_mass_blocks(space: FiniteMMSpace, table, centers=None):
     """Masses of B(x, t) at each entry t of table, one (block, len(table))
     array per block of centers x (default every point).
@@ -416,7 +369,10 @@ def _group_masses(weights: np.ndarray, labels: np.ndarray, n_labels: int) -> np.
 
 
 def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:
-    _check_ball(space, center, radius)
+    if not 0 <= center < space.n:
+        raise IndexError(f"center {center} out of range for {space.n} points")
+    if not radius >= 0:
+        raise ValueError("radius must be >= 0")
     table = np.unique(space.dist[center])
     masses = next(_ball_mass_blocks(space, table, [center]))
     return float(masses[0, np.searchsorted(table, radius, side="right") - 1])

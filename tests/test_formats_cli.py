@@ -454,6 +454,21 @@ class TestCli:
         assert rc == 0, err
         assert json.loads(out)["value"] == 5.0
 
+    def test_partial_diam_takes_a_subset_past_the_recursion_limit(self, tmp_path, capsys):
+        """1,024 of 1,100 unit-spaced points weighing 2^-10 carry exactly
+        1.0, so with the support budget raised the answer is 1023."""
+        n = 1100
+        path = tmp_path / "line1100.json"
+        path.write_text(json.dumps({
+            "metric": {"generator": {"kind": "weighted_graph", "n": n, "normalized": False,
+                                     "edges": [[i, i + 1, 1] for i in range(n - 1)]}},
+            "weights": [2.0**-10] * n,
+        }))
+        argv = ["partial-diam", "--space", str(path), "--target-mass", "1.0", "--budget", str(n)]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 0, err
+        assert json.loads(out)["value"] == 1023.0
+
     def test_the_screen_lower_bound_is_its_witness_partial_diameter(self, tmp_path, capsys):
         space_path, screen_path = self.heavy_line(tmp_path)
         argv = ["obsdiam", "--space", space_path, "--screen", screen_path,

@@ -218,6 +218,10 @@ def test_the_screen_search_orders_once_and_sums_as_its_leaves_do():
     (clique,) = [node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef) and node.name == "_clique_reaches"]
     assert not [node for node in ast.walk(clique) if isinstance(node, ast.Slice) and node.step]
+    # it searches on its own stack: a nested function would bring back a
+    # recursion whose depth is the size of a subset
+    assert not [node for node in ast.walk(clique)
+                if node is not clique and isinstance(node, (ast.FunctionDef, ast.Lambda))]
 
 
 def test_ball_masses_have_one_convention_and_three_callers():

@@ -175,6 +175,13 @@ class TestPartialDiameterScreen:
             mc.partial_diameter_screen(sp, 0.9, support_budget=20)
         val = mc.partial_diameter_screen(sp, 0.9, support_budget=25)
         assert np.isfinite(val)
+        # 1,024 of 1,100 unit-spaced points weighing 2^-10 carry exactly
+        # 1.0, a subset deeper than Python's default recursion limit
+        n = 1100
+        line = mc.generate(mc.FamilySpec("weighted_graph", n, normalized=False,
+                                         edges=tuple((i, i + 1, 1.0) for i in range(n - 1)),
+                                         weights=(2.0**-10,) * n))
+        assert mc.partial_diameter_screen(line, 1.0, support_budget=n) == 1023.0
 
 
 class TestObsdiamReal:

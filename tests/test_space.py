@@ -91,32 +91,13 @@ class TestValidateSpace:
             mc.validate_space(("a", "b"), dist, np.array([0.5, 0.5]))
         assert err.value.violations[0].kind == "asymmetry"
 
-    def test_rejects_duplicate_points_and_merge_repairs(self):
+    def test_rejects_duplicate_points(self):
         dist = np.array(
             [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         )
         w = np.array([0.25, 0.25, 0.5])
         with pytest.raises(mc.SpaceValidationError):
             mc.validate_space(("a", "b", "c"), dist, w)
-        labels, mdist, mw = mc.merge_coincident_points(("a", "b", "c"), dist, w)
-        assert len(labels) == 2
-        assert mw[0] == pytest.approx(0.5)
-        mc.validate_space(labels, mdist, mw)  # merged space is valid
-
-    def test_merging_copies_the_matrix_once(self):
-        """Fancy indexing already copies: merging a 1,000-point line with
-        nothing to merge peaks under 1.5 times the one matrix it returns."""
-        n = 1000
-        labels = [str(i) for i in range(n)]
-        dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
-        tracemalloc.start()
-        try:
-            _, merged, _ = mc.merge_coincident_points(labels, dist, np.ones(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(merged, dist) and not np.shares_memory(merged, dist)
-        assert peak < 1.5 * merged.nbytes
 
     def test_every_violation_of_every_kind_is_counted(self):
         """Each kind lists its first 50 offending rows and counts all of them."""
@@ -191,12 +172,6 @@ class TestValidateSpace:
             mc.validate_space(points, dist, weights)
         assert err.value.violations[0] == mc.Violation(kind, (), detail)
         assert err.value.counts[kind] == 1
-
-    def test_merge_of_no_points_gives_three_empty_results(self):
-        labels, mdist, mw = mc.merge_coincident_points((), np.zeros((0, 0)), [])
-        assert labels == ()
-        assert mdist.shape == (0, 0) and mdist.dtype == np.float64
-        assert mw.shape == (0,) and mw.dtype == np.float64
 
     def test_a_nested_list_matrix_is_copied_once(self, monkeypatch):
         """The returned space holds the arrays built from the document's
@@ -479,24 +454,16 @@ class TestBalls:
             assert full == sorted_row_mass(sp, x, np.inf)
             assert full == pytest.approx(sp.weights.sum(), rel=1e-14, abs=0)
 
-    def test_membership_symmetry(self):
-        rng = np.random.default_rng(22)
-        sp = random_space(rng, 7)
-        for r in rng.uniform(0, sp.diameter, 5):
-            for x in range(7):
-                ball = set(mc.closed_ball(sp, x, r).indices)
-                for y in range(7):
-                    assert (y in ball) == (
-                        x in set(mc.closed_ball(sp, y, r).indices)
-                    )
-
-
-    @pytest.mark.parametrize("radius", [-0.5, float("nan")])
-    def test_both_ball_functions_refuse_a_negative_or_nan_radius(self, radius):
+    @pytest.mark.parametrize("center, radius, error, message", [
+        (0, -0.5, ValueError, "radius must be >= 0"),
+        (0, float("nan"), ValueError, "radius must be >= 0"),
+        (-1, 0.5, IndexError, "center -1 out of range for 8 points"),
+        (8, 0.5, IndexError, "center 8 out of range for 8 points"),
+    ])
+    def test_ball_mass_refuses_a_bad_center_or_radius(self, center, radius, error, message):
         torus8 = mc.generate(mc.FamilySpec("discrete_torus", 8))
-        for ball in (mc.closed_ball, mc.ball_mass):
-            with pytest.raises(ValueError, match="radius must be >= 0"):
-                ball(torus8, 0, radius)
+        with pytest.raises(error, match=message):
+            mc.ball_mass(torus8, center, radius)
 
 
 @st.composite
