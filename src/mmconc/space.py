@@ -8,7 +8,14 @@ The mass conventions live here: ball masses (_ball_mass_blocks) and
 per-label masses (_group_masses), which fibers, groups and components use.
 A ball mass orders its center's row by (distance rank, index) and adds
 the weights sequentially in that order; the ranks are places in a sorted
-table that holds every distance value of the row up to its last entry."""
+table that holds every distance value of the row up to its last entry.
+
+A generated cube or torus carries its grades, the pair (table, hops)
+with dist == table[hops]: hops is its integer hop matrix and table its
+distinct distances, strictly increasing from 0.  Its distinct distances
+are then table[1:], and a ball mass at a prefix of table reads its ranks
+off the hop rows; every other space, and every other table, takes the
+float path, with the same bytes."""
 
 from __future__ import annotations
 
@@ -107,16 +114,20 @@ class FiniteMMSpace:
     """Points with an exact float64 metric matrix and nonnegative weights.
 
     Construct through validate_space (or a generator in mmconc.families);
-    the arrays are frozen so a space can be shared safely.
+    the arrays are frozen so a space can be shared safely.  grades, when
+    set, is the pair (table, hops) of the module docstring: only the cube
+    and torus generators make one, and a space that reuses their metric
+    with other weights passes it on.
     """
 
     points: tuple[str, ...]
     dist: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    grades: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dist.setflags(write=False)
-        self.weights.setflags(write=False)
+        for array in (self.dist, self.weights, *(self.grades or ())):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -131,8 +142,11 @@ class FiniteMMSpace:
         return float(self.dist.max())
 
     def distinct_distances(self) -> np.ndarray:
-        """Sorted distinct off-diagonal distances (empty for one point).
-        Rows go in blocks, so no n^2-sized index or copy is built."""
+        """Sorted distinct off-diagonal distances (empty for one point):
+        table[1:] of a graded space, else rows go in blocks, so no
+        n^2-sized index or copy is built."""
+        if self.grades is not None:
+            return self.grades[0][1:]
         parts = [np.zeros(0)]
         for lo in range(0, self.n, _ROW_BLOCK):
             rows = self.dist[lo : lo + _ROW_BLOCK]
@@ -341,18 +355,31 @@ def _ball_mass_blocks(space: FiniteMMSpace, table, centers=None):
     the weights up to the last d <= t.  By the precondition that is the
     order by (distance, index) up to table[-1]; distances above it share
     the last rank and are never read.  The ranks are small integers, so
-    the stable sort is a radix sort up to 65,535 table values.  A block
+    the stable sort is a radix sort up to 65,535 table values.  The ranks
+    come from searchsorted over the float rows, except on a graded space
+    whose grade table begins with table: there the rank of table[h] is the
+    hop count h, so the hop rows are the ranks as they stand, or clamped
+    at len(table) when table stops short of the diameter.  A block
     has _ROW_BLOCK rows, fewer for a long table, so its arrays stay near
     _ROW_BLOCK * n entries.  A doubling profile calls it once, at the
     space's distinct distances, and reads every doubling constant off
     those masses."""
     table = np.asarray(table, dtype=np.float64)
     width = len(table) + 1  # ranks 0 .. len(table), the last above the table
+    grades = space.grades
+    if grades is not None and not np.array_equal(grades[0][: len(table)], table):
+        grades = None  # a table the hop counts do not index
     rank_type = np.min_scalar_type(len(table))
     centers = np.arange(space.n) if centers is None else np.asarray(centers, dtype=np.intp)
     step = max(1, min(_ROW_BLOCK, _ROW_BLOCK * space.n // width))
     for lo in range(0, len(centers), step):
-        ranks = np.searchsorted(table, space.dist[centers[lo : lo + step]]).astype(rank_type)
+        rows = centers[lo : lo + step]
+        if grades is None:
+            ranks = np.searchsorted(table, space.dist[rows]).astype(rank_type)
+        elif len(table) < len(grades[0]):
+            ranks = np.minimum(grades[1][rows], len(table))
+        else:
+            ranks = grades[1][rows]
         order = np.argsort(ranks, axis=1, kind="stable")
         cum = np.cumsum(space.weights[order], axis=1)
         keys = np.arange(len(ranks))[:, None] * width + ranks

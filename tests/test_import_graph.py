@@ -237,6 +237,42 @@ def test_ball_masses_have_one_convention_and_three_callers():
     assert found == {"doubling._step_table", "doubling.concentration_witness", "space.ball_mass"}
 
 
+class GradeSettings(Constructions):
+    """Scopes of every call that can set a space's grades, each with the
+    source of the value: a `grades=` keyword to any call, and a fourth
+    positional or unpacked argument of FiniteMMSpace."""
+
+    def __init__(self, module: str):
+        super().__init__(module, set())
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        values = [kw.value for kw in node.keywords
+                  if kw.arg == "grades" or (kw.arg is None and name == "FiniteMMSpace")]
+        if name == "FiniteMMSpace":
+            values += node.args[3:] + [a for a in node.args if isinstance(a, ast.Starred)]
+        self.found += [(".".join(self.scope), ast.unparse(v)) for v in values]
+        self.generic_visit(node)
+
+
+def test_only_the_cube_and_torus_generators_grade_a_space():
+    """Which spaces are graded is decided in one place: the cube and torus
+    generators make the grades from the hop matrix they build, and the two
+    constructions that reuse a metric with other weights pass on the
+    grades of the space they take it from.  No other space is graded."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        visitor = GradeSettings(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert sorted(found) == [
+        ("families._discrete_torus", "(table, arcs)"),
+        ("families._hamming_cube", "(table, hops)"),
+        ("families._with_weights", "space.grades"),
+        ("observable.pushforward_screen", "screen.grades"),
+    ]
+
+
 def test_no_two_raises_build_the_same_exception():
     """Each refusal is written once: two raise statements that build the
     same exception call are one input rule stated twice."""
