@@ -9,8 +9,8 @@ supremum column should never increase with the dimension.
 
 Deterministic for a fixed seed, regardless of --workers.  The flags get
 the CLI's count checks, the report paths its writability check before
-the run, and the cube sizes the library's size rule, so an input
-`mmconc levy-run` refuses is refused here with the same words.
+the run, and the cube sizes the library's size rule at --min-n/--max-n,
+so an input `mmconc levy-run` refuses is refused here with the same words.
 
 Usage:
   python3 scripts/levy_trend.py
@@ -22,7 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from mmconc import FamilySpec, report_csv, report_json, run_levy_experiment
+from mmconc import FamilySpec, SpaceFileError, report_csv, report_json, run_levy_experiment
 from mmconc.cli import check_flags, check_writable, write_report
 
 
@@ -55,7 +55,10 @@ def main():
         for flag, path in (("--out", args.out), ("--csv", args.csv)):
             if path is not None:
                 check_writable(path, flag)
-        family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
+        try:
+            family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
+        except ValueError as err:
+            raise SpaceFileError("--min-n/--max-n", str(err)) from None
         report = run_levy_experiment(
             family,
             kappa_grid=kappas,

@@ -142,7 +142,10 @@ def _parse_family(text: str) -> list[FamilySpec]:
             f"expected kind:lo..hi or kind:a,b,c with kind in "
             f"{sorted(_FAMILY_KINDS)}; got {text!r} ({err})",
         ) from err
-    return [FamilySpec(kind, n) for n in sizes]
+    try:
+        return [FamilySpec(kind, n) for n in sizes]
+    except ValueError as err:
+        raise SpaceFileError("--family", str(err)) from None
 
 
 def _labels(space, indices) -> list[str]:

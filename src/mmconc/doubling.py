@@ -10,11 +10,11 @@ for these constants: a violation in the checkers is a bug, never data.
 
 Every ball mass here follows the one convention of space._ball_mass_blocks:
 each row ordered by (distance rank, index), weights summed sequentially in
-that order, ranks taken in a sorted table that holds every distance value
-up to its last entry, and the mass at radius r read at the last entry <= r.
-The profile's table is 0 and the distinct distances up to 4*horizon; the
-concentration witness reads its masses off a pushforward image, itself a
-FiniteMMSpace on the screen's points, at 0 and all of its distances.
+that order, ranks read off the space's grades, and the mass at radius r
+read at the last grade table entry <= r.  The profile reads the table's
+prefix up to 4*horizon; the concentration witness reads its masses off a
+pushforward image, itself a FiniteMMSpace on the screen's points, at the
+whole table of the screen's grades.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _step_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The steps 0 = s[0] < ... <= 2*horizon of C(r), the minimal C with
     mass(B(x,2r)) <= C * mass(B(x,r)) for all x, and C at each step, from
-    the space's sorted distinct distances 0 = dists[0] < ... <= 4*horizon.
+    the prefix 0 = dists[0] < ... <= 4*horizon of the space's grade table.
 
     B(x,r) changes only at r = d and B(x,2r) only at r = d/2, d a distance,
     so C(r) = C(s) for s the last step <= r.  A ball of radius r weighs what
@@ -58,7 +58,7 @@ def _step_table(
     inner = np.searchsorted(dists, steps, side="right") - 1
     outer = np.searchsorted(dists, 2.0 * steps, side="right") - 1
     best = np.zeros(len(steps))
-    for masses in _ball_mass_blocks(space, dists):
+    for masses in _ball_mass_blocks(space, len(dists)):
         np.maximum(best, (masses[:, outer] / masses[:, inner]).max(axis=0), out=best)
     return steps, best
 
@@ -96,7 +96,7 @@ def doubling_profile(space: FiniteMMSpace, horizon: float | None = None) -> Doub
         horizon = space.diameter if space.diameter > 0.0 else 1.0
     if not horizon > 0.0:
         raise ValueError("horizon must be > 0")
-    dists = np.concatenate(([0.0], space.distinct_distances()))
+    dists = space.grades[0]
     dists = dists[dists <= 4.0 * horizon]
     steps, step_values = _step_table(space, dists, horizon)
     halves = dists / 2.0
@@ -146,16 +146,12 @@ def packing_bound_check(profile: DoublingProfile, net: Net, epsilon: float) -> P
     ladder constant between epsilon/3 and 16*epsilon/3.
 
     Requires epsilon to be the net's own (build_net refuses one that is
-    not > 0) and 32*epsilon <= 3*horizon, which is exactly what the
-    ladder needs (its top rung is 32*epsilon/3).  holds=False means a bug.
+    not > 0); the scale rule is lemma_constant's alone, 2*r2 <= horizon
+    at r2 = 16*epsilon/3 as computed, so the check refuses exactly the
+    epsilons its ladder refuses.  holds=False means a bug.
     """
     if epsilon != net.epsilon:
         raise ValueError(f"epsilon {epsilon} is not the net's {net.epsilon}")
-    if 32.0 * epsilon > 3.0 * profile.horizon:
-        raise ValueError(
-            f"packing bound needs 32*epsilon <= 3*horizon; got epsilon={epsilon}, "
-            f"horizon={profile.horizon}"
-        )
     ctilde = lemma_constant(profile, epsilon / 3.0, 16.0 * epsilon / 3.0)
     bound = 2.0 ** (4.0 * ctilde) * ctilde**2
     members = np.array(net.members.indices)
@@ -237,9 +233,9 @@ def concentration_witness(
     ball mass.  Otherwise None.
     """
     members = list(net.members)
-    table = np.concatenate(([0.0], image.distinct_distances()))
+    table = image.grades[0]
     at = np.searchsorted(table, (2.0 * net.epsilon, 3.0 * net.epsilon, math.inf), side="right") - 1
-    masses = np.concatenate(list(_ball_mass_blocks(image, table, members)))[:, at]
+    masses = np.concatenate(list(_ball_mass_blocks(image, len(table), members)))[:, at]
     best = int(np.argmax(masses[:, 0]))
     ball2, ball3, total = masses[best]
     if ball2 < mass_floor:

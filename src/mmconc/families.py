@@ -10,10 +10,13 @@ binomial_mean_measure, passes the exact 1-Lipschitz check too.
 This module reads no files and never imports formats: a product's factor
 may be a space built elsewhere, such as a parsed document.
 
-Cubes and tori keep their hop matrix and table as their grades (uint8
-hops for a cube, int16 for a torus, beside the float64 matrix), and a
-spec's own weights keep them, so a doubling profile ranks its balls by
-hop counts instead of searching float rows (space._ball_mass_blocks).
+Cubes and tori hand over their hop matrix and table as their grades
+(uint8 hops for a cube, int16 for a torus, beside the float64 matrix),
+and a spec's own weights pass on what the space holds; every other space
+is graded by space._grade from its matrix when a reader first asks, a
+product or a graph among them.  generate validates a fresh copy of the
+matrix, so its certificate ranks what the generator built and never
+reads the generator's hops.
 
 Costs: a cube's hop matrix is n block doublings and its metric one table
 lookup per pair (cube 11 with spec weights generates in about 24 ms on
@@ -61,7 +64,7 @@ _MAX_SIZE = {"hamming_cube": POINT_CAP.bit_length() - 1,  # 2^n points
 # takes the O(n^3) triangle pass, about 0.8 s at 1,024 points on one core
 # and 8x that at 2,048; a cube or torus takes the O(n^2) certificate, but
 # validate_space makes its own copy of the matrix (one copy, 32 MB at
-# 2,048 points) beside the certificate's n x n rank matrix
+# 2,048 points) and grades it, an n x n hop matrix beside it
 _VALIDATE_CAP = 1024
 _GRID_BITS = 50  # a weighted graph's edge unit is 2^-50 of its scale
 
@@ -109,11 +112,11 @@ def _points(spec: FamilySpec) -> int:
 
 def _with_weights(space: FiniteMMSpace, weights) -> FiniteMMSpace:
     """The space with explicit weights, checked at any size (the metric
-    keeps its checks and its grades).  A spec's weights and a document's
-    come this way."""
+    keeps its checks, and the grades the space holds pass on unbuilt).
+    A spec's weights and a document's come this way."""
     w = np.asarray(weights, dtype=np.float64)
     _check_weights(w, space.n)
-    return FiniteMMSpace(space.points, space.dist, w, grades=space.grades)
+    return FiniteMMSpace(space.points, space.dist, w, _grades=space._grades)
 
 
 def _hamming_cube(spec: FamilySpec) -> FiniteMMSpace:
@@ -128,7 +131,7 @@ def _hamming_cube(spec: FamilySpec) -> FiniteMMSpace:
         hops = np.block([[hops, hops + 1], [hops + 1, hops]])
     table = subadditive_table(n, 1.0, float(n)) if spec.normalized else np.arange(n + 1, dtype=np.float64)
     labels = tuple(format(i, f"0{n}b") for i in range(size))
-    return FiniteMMSpace(labels, table[hops], np.full(size, 1.0 / size), grades=(table, hops))
+    return FiniteMMSpace(labels, table[hops], np.full(size, 1.0 / size), _grades=(table, hops))
 
 
 def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
@@ -144,7 +147,7 @@ def _discrete_torus(spec: FamilySpec) -> FiniteMMSpace:
     else:
         table = np.arange(n // 2 + 1, dtype=np.float64)
     labels = tuple(str(i) for i in range(n))
-    return FiniteMMSpace(labels, table[arcs], np.full(n, 1.0 / n), grades=(table, arcs))
+    return FiniteMMSpace(labels, table[arcs], np.full(n, 1.0 / n), _grades=(table, arcs))
 
 
 def _weighted_graph(spec: FamilySpec) -> FiniteMMSpace:

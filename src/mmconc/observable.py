@@ -121,10 +121,11 @@ def pushforward_screen(space: FiniteMMSpace, screen: FiniteMMSpace, indices) -> 
     """The image space on the screen's points: each weight is its fiber's
     weights added in point order (_group_masses), so the image's total
     mass can differ from the source's in the last place.  The image keeps
-    the screen's metric and its grades."""
+    the screen's metric and its grades, so every image of one screen
+    shares the screen's one table and hop matrix."""
     idx = np.asarray(indices, dtype=np.int64)
     weights = _group_masses(space.weights, idx, screen.n)
-    return FiniteMMSpace(screen.points, screen.dist, weights, grades=screen.grades)
+    return FiniteMMSpace(screen.points, screen.dist, weights, _grades=screen.grades)
 
 
 def sep_pushforward_check(

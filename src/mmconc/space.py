@@ -7,15 +7,15 @@ build_net (a greedy epsilon-net).
 The mass conventions live here: ball masses (_ball_mass_blocks) and
 per-label masses (_group_masses), which fibers, groups and components use.
 A ball mass orders its center's row by (distance rank, index) and adds
-the weights sequentially in that order; the ranks are places in a sorted
-table that holds every distance value of the row up to its last entry.
+the weights sequentially in that order.
 
-A generated cube or torus carries its grades, the pair (table, hops)
-with dist == table[hops]: hops is its integer hop matrix and table its
-distinct distances, strictly increasing from 0.  Its distinct distances
-are then table[1:], and a ball mass at a prefix of table reads its ranks
-off the hop rows; every other space, and every other table, takes the
-float path, with the same bytes."""
+Every space ranks its distances in one table, its grades: the pair
+(table, hops) with dist == table[hops], table strictly increasing from 0
+and holding exactly the distinct distances, and hops the integer rank
+matrix.  A generated cube or torus hands over its hop matrix and table;
+every other space has _grade build them from the matrix the first time
+they are read.  Distinct distances, ball masses and the hop certificate
+all read them, so nothing else turns a distance into a rank."""
 
 from __future__ import annotations
 
@@ -114,20 +114,28 @@ class FiniteMMSpace:
     """Points with an exact float64 metric matrix and nonnegative weights.
 
     Construct through validate_space (or a generator in mmconc.families);
-    the arrays are frozen so a space can be shared safely.  grades, when
-    set, is the pair (table, hops) of the module docstring: only the cube
-    and torus generators make one, and a space that reuses their metric
-    with other weights passes it on.
+    the arrays are frozen so a space can be shared safely.  grades is the
+    pair (table, hops) of the module docstring.  The cube and torus
+    generators hand theirs over as _grades, and a space that reuses
+    another's metric passes on what that one holds; otherwise _grade makes
+    them the first time grades is read, and the space keeps them.
     """
 
     points: tuple[str, ...]
     dist: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    grades: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _grades: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for array in (self.dist, self.weights, *(self.grades or ())):
+        for array in (self.dist, self.weights, *(self._grades or ())):
             array.setflags(write=False)
+
+    @property
+    def grades(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._grades is None:
+            object.__setattr__(self, "_grades", _grade(self.dist))
+            self.__post_init__()  # freezes them
+        return self._grades
 
     @property
     def n(self) -> int:
@@ -142,27 +150,33 @@ class FiniteMMSpace:
         return float(self.dist.max())
 
     def distinct_distances(self) -> np.ndarray:
-        """Sorted distinct off-diagonal distances (empty for one point):
-        table[1:] of a graded space, else rows go in blocks, so no
-        n^2-sized index or copy is built."""
-        if self.grades is not None:
-            return self.grades[0][1:]
-        parts = [np.zeros(0)]
-        for lo in range(0, self.n, _ROW_BLOCK):
-            rows = self.dist[lo : lo + _ROW_BLOCK]
-            above = np.triu(np.ones(rows.shape, dtype=bool), k=lo + 1)
-            parts.append(np.unique(rows[above]))
-        return np.unique(np.concatenate(parts))
+        """Sorted distinct off-diagonal distances (empty for one point)."""
+        return self.grades[0][1:]
 
 
-def _hop_certificate(dist: np.ndarray) -> bool:
+def _grade(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grades of a matrix: table is 0 and the distinct values above
+    the diagonal, sorted, and hops the place of each entry in table, in
+    the smallest unsigned type that holds len(table).  Needs a symmetric
+    matrix, as every validated space has, so that each entry is in table.
+    Rows go in blocks of _ROW_BLOCK, so no n^2-sized index or float copy
+    is built."""
+    n = dist.shape[0]
+    parts = [np.zeros(1)]
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = dist[lo : lo + _ROW_BLOCK]
+        parts.append(np.unique(rows[np.triu(np.ones(rows.shape, dtype=bool), k=lo + 1)]))
+    table = np.unique(np.concatenate(parts))
+    hops = np.empty((n, n), dtype=np.min_scalar_type(len(table)))
+    for lo in range(0, n, _ROW_BLOCK):
+        hops[lo : lo + _ROW_BLOCK] = np.searchsorted(table, dist[lo : lo + _ROW_BLOCK])
+    return table, hops
+
+
+def _hop_certificate(space: FiniteMMSpace) -> bool:
     """A sufficient test for the triangle inequality of a metric t o K,
-    with K the hop metric of a graph and t an increasing table.
-
-    t is read as the distinct values 0 = t[0] < ... < t[V] of the row
-    holding the largest entry (for t o K, a shortest path to the
-    farthest point passes every hop count) and K is the rank matrix of
-    dist in t; every entry must be in t.  Accepted when
+    with K the hop metric of a graph and t an increasing table, read as
+    the space's grades (t, K) with t[0] = 0 < ... < t[V].  Accepted when
       (a) t[min(a + b, V)] <= fl(t[a] + t[b]) for all a, b, and
       (b) with N(i) = {j : K[i,j] = 1} nonempty for every i, each
           k != i has min over j in N(i) of K[j,k] == K[i,k] - 1.
@@ -170,39 +184,32 @@ def _hop_certificate(dist: np.ndarray) -> bool:
     K[i,k] <= K[i,j] + K[j,k], and then d[i,k] = t[K[i,k]] <=
     t[min(V, K[i,j] + K[j,k])] <= fl(d[i,j] + d[j,k]) by (a).
 
-    (b) takes the points in blocks of _ROW_BLOCK of like degree, one
-    neighbour row per point at a time, so it costs O(n * (edges +
-    _ROW_BLOCK * max degree)); a graph of more than _ROW_BLOCK edges per
-    point goes to _check_triangle, and the certificate stays
-    O(_ROW_BLOCK * n^2) with buffers of _ROW_BLOCK rows beside an n x n
-    rank matrix.
+    Under (b) a shortest path to the farthest point passes every hop
+    count, so a farthest row that misses a rank is declined first; then
+    V < n and (a) costs O(n^2).  (b) takes the points in blocks of
+    _ROW_BLOCK of like degree, one neighbour row per point at a time, so
+    it costs O(n * (edges + _ROW_BLOCK * max degree)); a graph of more
+    than _ROW_BLOCK edges per point goes to _check_triangle, and the
+    certificate stays O(_ROW_BLOCK * n^2) with buffers of _ROW_BLOCK rows
+    beside the n x n grades.
     """
-    n = dist.shape[0]
+    n = space.n
     if n < 2:  # nothing to certify: _check_triangle answers at once
         return False
-    table = np.unique(dist[np.argmax(dist.max(axis=1))])
+    table, ranks = space.grades
     top = len(table) - 1
-    if table[0] != 0.0:
+    if len(np.unique(ranks[np.argmax(ranks.max(axis=1))])) <= top:
         return False
-    ranks = np.empty((n, n), dtype=np.int16 if top < np.iinfo(np.int16).max else np.int32)
-    degree = np.empty(n, dtype=np.intp)
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = dist[lo : lo + _ROW_BLOCK]
-        rank = np.minimum(np.searchsorted(table, rows), top)
-        if not np.array_equal(table[rank], rows):
-            return False
-        ranks[lo : lo + _ROW_BLOCK] = rank
-        degree[lo : lo + _ROW_BLOCK] = np.count_nonzero(rank == 1, axis=1)
     steps = np.arange(top + 1)
     for lo in range(0, top + 1, _ROW_BLOCK):
         a = steps[lo : lo + _ROW_BLOCK, None]
         if (table[np.minimum(a + steps, top)] > table[a] + table).any():
             return False
-    if ranks.diagonal().any():
-        return False
+    edges = ranks == 1
+    degree = np.count_nonzero(edges, axis=1)
     if not degree.all() or degree.sum() > _ROW_BLOCK * n:
         return False
-    _, hop = np.nonzero(ranks == 1)  # the neighbours of point 0, then of point 1, ...
+    _, hop = np.nonzero(edges)  # the neighbours of point 0, then of point 1, ...
     first = np.cumsum(degree) - degree  # where each point's neighbours start in hop
     order = np.argsort(degree, kind="stable")
     for lo in range(0, n, _ROW_BLOCK):
@@ -308,7 +315,8 @@ def validate_space(
 
     Axioms: labels unique; dist square/finite, exactly symmetric, zero
     diagonal, positive off-diagonal, triangle inequality under float64
-    sums; weights finite, >= 0, with positive total mass.
+    sums; weights finite, >= 0, with positive total mass.  The space
+    returned is the one the triangle certificate read, grades and all.
     """
     points = tuple(str(p) for p in points)
     dist = np.array(dist, dtype=np.float64)  # the returned space's own arrays
@@ -325,6 +333,7 @@ def validate_space(
     if dist.shape != (n, n):
         found.record("shape", [()], f"dist has shape {dist.shape}, expected {(n, n)}")
         found.raise_if_any()
+    space = FiniteMMSpace(points, dist, weights)
 
     if not np.isfinite(dist).all():
         found.record("nonfinite_distance", np.argwhere(~np.isfinite(dist)), "d={}",
@@ -336,50 +345,37 @@ def validate_space(
                      lambda i: (dist[i, i],))
         found.record("nonpositive_distance", nonpositive,
                      "d={} between distinct points", lambda i, j: (dist[i, j],))
-        if not found.counts and not _hop_certificate(dist):
+        if not found.counts and not _hop_certificate(space):
             _check_triangle(dist, found)
 
     _check_weights(weights, n, found)
-    return FiniteMMSpace(points, dist, weights)
+    return space
 
 
-def _ball_mass_blocks(space: FiniteMMSpace, table, centers=None):
-    """Masses of B(x, t) at each entry t of table, one (block, len(table))
-    array per block of centers x (default every point).
+def _ball_mass_blocks(space: FiniteMMSpace, count: int, centers=None):
+    """Masses of B(x, t) at each of the first count entries t of the
+    space's grade table, one (block, count) array per block of centers x
+    (default every point); a caller reads the mass at radius r at the last
+    entry <= r.
 
-    Needs table sorted and holding every distance value of the centers'
-    rows up to table[-1] (more values do no harm); a caller reads the mass
-    at radius r at the last entry <= r.  The one ball-mass convention:
-    each row is ordered by (distance rank, index), the rank of d being its
-    place in table, and B(x, t) weighs the sequential cumulative sum of
-    the weights up to the last d <= t.  By the precondition that is the
-    order by (distance, index) up to table[-1]; distances above it share
-    the last rank and are never read.  The ranks are small integers, so
-    the stable sort is a radix sort up to 65,535 table values.  The ranks
-    come from searchsorted over the float rows, except on a graded space
-    whose grade table begins with table: there the rank of table[h] is the
-    hop count h, so the hop rows are the ranks as they stand, or clamped
-    at len(table) when table stops short of the diameter.  A block
-    has _ROW_BLOCK rows, fewer for a long table, so its arrays stay near
-    _ROW_BLOCK * n entries.  A doubling profile calls it once, at the
-    space's distinct distances, and reads every doubling constant off
+    The one ball-mass convention: each row is ordered by (distance rank,
+    index), the rank of table[h] being h, read off the hop rows and
+    clamped at count, and B(x, t) weighs the sequential cumulative sum of
+    the weights up to the last d <= t.  That is the order by (distance,
+    index) up to table[count - 1]; distances above it share rank count
+    and are never read.  The ranks are small integers, so the stable sort
+    is a radix sort up to 65,535 table values.  A block has _ROW_BLOCK
+    rows, fewer for a long table, so its arrays stay near _ROW_BLOCK * n
+    entries.  A doubling profile calls it once, at the table's prefix up
+    to four times its horizon, and reads every doubling constant off
     those masses."""
-    table = np.asarray(table, dtype=np.float64)
-    width = len(table) + 1  # ranks 0 .. len(table), the last above the table
-    grades = space.grades
-    if grades is not None and not np.array_equal(grades[0][: len(table)], table):
-        grades = None  # a table the hop counts do not index
-    rank_type = np.min_scalar_type(len(table))
+    hops = space.grades[1]
+    width = count + 1  # ranks 0 .. count, the last above the table
+    cap = np.full(space.n, count, dtype=hops.dtype)  # an array: a scalar minimum is not vectorized
     centers = np.arange(space.n) if centers is None else np.asarray(centers, dtype=np.intp)
     step = max(1, min(_ROW_BLOCK, _ROW_BLOCK * space.n // width))
     for lo in range(0, len(centers), step):
-        rows = centers[lo : lo + step]
-        if grades is None:
-            ranks = np.searchsorted(table, space.dist[rows]).astype(rank_type)
-        elif len(table) < len(grades[0]):
-            ranks = np.minimum(grades[1][rows], len(table))
-        else:
-            ranks = grades[1][rows]
+        ranks = np.minimum(hops[centers[lo : lo + step]], cap)
         order = np.argsort(ranks, axis=1, kind="stable")
         cum = np.cumsum(space.weights[order], axis=1)
         keys = np.arange(len(ranks))[:, None] * width + ranks
@@ -400,9 +396,8 @@ def ball_mass(space: FiniteMMSpace, center: int, radius: float) -> float:
         raise IndexError(f"center {center} out of range for {space.n} points")
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
-    table = np.unique(space.dist[center])
-    masses = next(_ball_mass_blocks(space, table, [center]))
-    return float(masses[0, np.searchsorted(table, radius, side="right") - 1])
+    count = int(np.searchsorted(space.grades[0], radius, side="right"))
+    return float(next(_ball_mass_blocks(space, count, [center]))[0, -1])
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,8 @@ class TestProfile:
         spaces += [torus(n, weights=tuple(rng.uniform(0.5, 1.5, n))) for n in range(3, 18)]
         spaces += [random_space(rng, int(rng.integers(2, 30))) for _ in range(10)]
         profiles = [mc.doubling_profile(sp) for sp in spaces]
-        monkeypatch.setattr(mmconc.doubling, "_ball_mass_blocks", float_sorted_ball_mass_blocks)
+        monkeypatch.setattr(mmconc.doubling, "_ball_mass_blocks", lambda sp, count, centers=None:
+                            float_sorted_ball_mass_blocks(sp, sp.grades[0][:count], centers))
         for sp, got in zip(spaces, profiles):
             want = mc.doubling_profile(sp)
             for name in ("radii", "values", "steps", "step_values"):
@@ -270,22 +271,24 @@ class TestOnePassOverTheRows:
     @pytest.mark.parametrize("space", [mc.generate(mc.FamilySpec("hamming_cube", 5)), torus(16)],
                              ids=["cube5", "torus16"])
     def test_the_profile_sorts_once_and_the_bounds_never(self, space, monkeypatch):
+        """One pass of ball masses, ranked by the generator's grades: the
+        profile builds no grades of its own."""
         calls = Counter()
-        blocks, distinct = mmconc.space._ball_mass_blocks, mc.FiniteMMSpace.distinct_distances
+        blocks, grade = mmconc.space._ball_mass_blocks, mmconc.space._grade
 
         def counted_blocks(*args, **kwargs):
             calls["_ball_mass_blocks"] += 1
             return blocks(*args, **kwargs)
 
-        def counted_distinct(self):
-            calls["distinct_distances"] += 1
-            return distinct(self)
+        def counted_grade(dist):
+            calls["_grade"] += 1
+            return grade(dist)
 
         for module in (mmconc.space, mmconc.doubling):
             monkeypatch.setattr(module, "_ball_mass_blocks", counted_blocks)
-        monkeypatch.setattr(mc.FiniteMMSpace, "distinct_distances", counted_distinct)
+        monkeypatch.setattr(mmconc.space, "_grade", counted_grade)
         prof = mc.doubling_profile(space)
-        assert calls == {"_ball_mass_blocks": 1, "distinct_distances": 1}
+        assert calls == {"_ball_mass_blocks": 1}
         calls.clear()
         h = prof.horizon
         net = mc.build_net(space, h / 11.0)
@@ -307,8 +310,37 @@ class TestPacking:
         sp = torus(16)
         prof = mc.doubling_profile(sp)  # horizon 8
         net = mc.build_net(sp, 1.0)
-        with pytest.raises(ValueError):
-            mc.packing_bound_check(prof, net, 1.0)  # 32 > 3*8
+        with pytest.raises(ValueError, match="need 2\\*r2 <= horizon 8.0"):
+            mc.packing_bound_check(prof, net, 1.0)  # 2 * 16/3 > 8
+
+    def test_refuses_exactly_the_scales_its_ladder_refuses(self):
+        """The one scale rule is lemma_constant's, 2*r2 <= horizon for r2 =
+        16*eps/3 as computed: on the normalized 5-point torus, at its own
+        horizon and at 24 others, every eps within 3 ulps of 3*horizon/32
+        is refused by the check exactly when the ladder refuses it."""
+        sp = mc.generate(mc.FamilySpec("discrete_torus", 5))
+        horizons = [None, *np.random.default_rng(95).uniform(0.05, sp.diameter, 24)]
+        verdicts = set()
+        for horizon in horizons:
+            prof = mc.doubling_profile(sp, horizon)
+            eps = 3.0 * prof.horizon / 32.0
+            for _ in range(3):
+                eps = np.nextafter(eps, 0.0)
+            for _ in range(7):
+                net = mc.build_net(sp, float(eps))
+                try:
+                    mc.lemma_constant(prof, eps / 3.0, 16.0 * eps / 3.0)
+                    refused = False
+                except ValueError:
+                    refused = True
+                if refused:
+                    with pytest.raises(ValueError, match="need 2\\*r2 <= horizon"):
+                        mc.packing_bound_check(prof, net, float(eps))
+                else:
+                    assert mc.packing_bound_check(prof, net, float(eps)).holds
+                verdicts.add(refused)
+                eps = np.nextafter(eps, 1.0)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("epsilon", [0.5, 0.0, -0.75, float("nan")])
     def test_epsilon_must_be_the_nets_own(self, epsilon):
@@ -332,7 +364,7 @@ class TestPacking:
         spaces += [torus(64), mc.generate(mc.FamilySpec("hamming_cube", 6))]
         for sp in spaces:
             prof = mc.doubling_profile(sp)
-            eps = prof.horizon / 11.0  # clear of the 32 * eps <= 3 * horizon edge
+            eps = prof.horizon / 11.0  # clear of the ladder's 2 * (16 * eps / 3) <= horizon edge
             net = mc.build_net(sp, eps)
             members = list(net.members)
             per_member = [int((sp.dist[m, members] <= 5.0 * eps).sum()) for m in members]

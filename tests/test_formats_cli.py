@@ -183,9 +183,9 @@ class TestSpaceFiles:
         scans = []
         certify = mmconc.space._hop_certificate
 
-        def counted(dist):
-            scans.append(len(dist))
-            return certify(dist)
+        def counted(space):
+            scans.append(space.n)
+            return certify(space)
 
         monkeypatch.setattr(mmconc.space, "_hop_certificate", counted)
         t8 = tmp_path / "t8.json"
@@ -621,8 +621,9 @@ class TestCli:
         assert err == "mmconc: screen name 's' is given more than once\n"
 
     @pytest.mark.parametrize("family, message", [
-        ("hamming:11,13", "hamming_cube size must be in 1..12, got 13"),
-        ("torus:4,0", "discrete_torus size must be in 1..4096, got 0"),
+        ("hamming:11,13", "--family: hamming_cube size must be in 1..12, got 13"),
+        ("hamming:0..2", "--family: hamming_cube size must be in 1..12, got 0"),
+        ("torus:4,0", "--family: discrete_torus size must be in 1..4096, got 0"),
         ("hamming:5..3", "the family has no members"),
     ])
     def test_levy_run_refuses_a_family_before_any_member_runs(self, family, message, capsys,
@@ -723,16 +724,17 @@ class TestCli:
         assert proc.stderr == "--effort: must be >= 0\n" and not proc.stdout
 
     @pytest.mark.parametrize("argv, message", [
-        (["--max-n", "13"], "hamming_cube size must be in 1..12, got 13"),
+        (["--max-n", "13"], "--min-n/--max-n: hamming_cube size must be in 1..12, got 13"),
         (["--max-n", "0"], "the family has no members"),
-        (["--min-n", "0"], "hamming_cube size must be in 1..12, got 0"),
-        (["--min-n", "-3", "--max-n", "2"], "hamming_cube size must be in 1..12, got -3"),
-        (["--min-n", "13", "--max-n", "13"], "hamming_cube size must be in 1..12, got 13"),
+        (["--min-n", "0"], "--min-n/--max-n: hamming_cube size must be in 1..12, got 0"),
+        (["--min-n", "-3", "--max-n", "2"], "--min-n/--max-n: hamming_cube size must be in 1..12, got -3"),
+        (["--min-n", "13", "--max-n", "13"], "--min-n/--max-n: hamming_cube size must be in 1..12, got 13"),
         (["--min-n", "5", "--max-n", "3"], "the family has no members"),
     ])
     def test_trend_script_refuses_sizes_outside_the_cube_range(self, argv, message):
-        """Refused before any cube is built, by the library's size rule and
-        its empty-family check: no traceback, no empty table."""
+        """Refused before any cube is built, by the library's size rule at
+        the flags that set the sizes and its empty-family check: no
+        traceback, no empty table."""
         proc = subprocess.run(
             [sys.executable, str(TREND_SCRIPT), *argv], capture_output=True, text=True, env=CHILD_ENV,
         )

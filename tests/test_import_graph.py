@@ -239,8 +239,9 @@ def test_ball_masses_have_one_convention_and_three_callers():
 
 class GradeSettings(Constructions):
     """Scopes of every call that can set a space's grades, each with the
-    source of the value: a `grades=` keyword to any call, and a fourth
-    positional or unpacked argument of FiniteMMSpace."""
+    source of the value: a `_grades=` keyword to any call, a fourth
+    positional or unpacked argument of FiniteMMSpace, and an
+    `object.__setattr__` of the `_grades` field."""
 
     def __init__(self, module: str):
         super().__init__(module, set())
@@ -248,29 +249,47 @@ class GradeSettings(Constructions):
     def visit_Call(self, node):
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         values = [kw.value for kw in node.keywords
-                  if kw.arg == "grades" or (kw.arg is None and name == "FiniteMMSpace")]
+                  if kw.arg == "_grades" or (kw.arg is None and name == "FiniteMMSpace")]
         if name == "FiniteMMSpace":
             values += node.args[3:] + [a for a in node.args if isinstance(a, ast.Starred)]
+        if name == "__setattr__" and [getattr(a, "value", None) for a in node.args[1:2]] == ["_grades"]:
+            values += node.args[2:]
         self.found += [(".".join(self.scope), ast.unparse(v)) for v in values]
         self.generic_visit(node)
 
 
-def test_only_the_cube_and_torus_generators_grade_a_space():
-    """Which spaces are graded is decided in one place: the cube and torus
-    generators make the grades from the hop matrix they build, and the two
-    constructions that reuse a metric with other weights pass on the
-    grades of the space they take it from.  No other space is graded."""
-    found = []
+def test_grades_are_made_by_the_builder_and_the_two_generators():
+    """Which ranks a space has is decided in one place: the cube and torus
+    generators hand over the hop matrix they build, every other space has
+    space._grade build its grades from the matrix when they are first read,
+    and the two constructions that reuse a metric with other weights pass
+    on the grades of the space they take it from."""
+    found, builds = [], set()
     for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         visitor = GradeSettings(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        visitor.visit(tree)
         found += visitor.found
+        visitor = Constructions(path.stem, {"_grade"})
+        visitor.visit(tree)
+        builds.update(scope for _, scope in visitor.found)
     assert sorted(found) == [
         ("families._discrete_torus", "(table, arcs)"),
         ("families._hamming_cube", "(table, hops)"),
-        ("families._with_weights", "space.grades"),
+        ("families._with_weights", "space._grades"),
         ("observable.pushforward_screen", "screen.grades"),
+        ("space.FiniteMMSpace.grades", "_grade(self.dist)"),
     ]
+    assert builds == {"space.FiniteMMSpace.grades"}
+
+
+def test_only_the_builder_ranks_a_distance_matrix():
+    """Ball masses and the hop certificate read their ranks off the grades:
+    in space.py only _grade searches a table for the matrix's entries, and
+    ball_mass for its radius."""
+    visitor = Constructions("space", {"searchsorted"})
+    visitor.visit(ast.parse((PACKAGE / "space.py").read_text(encoding="utf-8")))
+    assert {scope for _, scope in visitor.found} == {"space._grade", "space.ball_mass"}
 
 
 def test_no_two_raises_build_the_same_exception():

@@ -177,7 +177,7 @@ class TestValidateSpace:
         """The returned space holds the arrays built from the document's
         lists; no second n x n copy is made.  The triangle check is
         skipped here so that its own buffers do not set the peak."""
-        monkeypatch.setattr(mc.space, "_hop_certificate", lambda dist: True)
+        monkeypatch.setattr(mc.space, "_hop_certificate", lambda space: True)
         n = 256
         rows = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float).tolist()
         tracemalloc.start()
@@ -196,6 +196,12 @@ class TestValidateSpace:
         assert not np.shares_memory(sp.dist, dist) and not np.shares_memory(sp.weights, weights)
 
 
+def certified(dist: np.ndarray) -> bool:
+    """_hop_certificate on a copy of the matrix as a space, graded from it."""
+    n = len(dist)
+    return _hop_certificate(mc.FiniteMMSpace(tuple(map(str, range(n))), np.array(dist), np.ones(n)))
+
+
 def assert_same_triangle_verdict(dist: np.ndarray) -> bool:
     """validate_space accepts iff the hub loop finds nothing, and rejects
     with the hub loop's violations, counts and message.  Returns the
@@ -205,7 +211,7 @@ def assert_same_triangle_verdict(dist: np.ndarray) -> bool:
     weights = np.full(n, 1.0 / n)
     violations, counts = hub_loop_triangle(dist)
     assert check_triangle(dist) == (violations, counts)
-    assert not (_hop_certificate(dist) and counts)
+    assert not (certified(dist) and counts)
     if not counts:
         mc.validate_space(labels, dist, weights)
         return True
@@ -388,7 +394,7 @@ class TestHopCertificate:
             else:
                 value = np.nextafter(dist[i, k], np.inf if how == "ulp up" else 0.0)
             dist[i, k] = dist[k, i] = value
-        if _hop_certificate(dist):
+        if certified(dist):
             assert hub_loop_triangle(dist)[1] == {}
         elif subadditive and not perturbed:
             pytest.fail("a hop metric through a subadditive table was not certified")
@@ -402,7 +408,7 @@ class TestHopCertificate:
         the graph of one-hop pairs is the same, so the counts are no longer
         its hop metric, and the scan decides, as the hub loop does."""
         top = int(hops.max())
-        far = int(np.argmax(hops.max(axis=1)))  # the row the certificate reads its table from
+        far = int(np.argmax(hops.max(axis=1)))  # the row the certificate checks for every rank
         pairs = [(i, k) for i in range(len(hops)) for k in range(i + 1, len(hops))
                  if far not in (i, k) and 2 <= hops[i, k] < top]
         if top < 4 or not pairs:
@@ -412,7 +418,7 @@ class TestHopCertificate:
         moved = hops.copy()
         moved[i, k] = moved[k, i] = count
         dist = mc.subadditive_table(top, 1.0, float(top))[moved]
-        assert not _hop_certificate(dist)
+        assert not certified(dist)
         assert_same_triangle_verdict(dist)
 
     def test_points_past_the_edge_cap_take_the_scan(self):
@@ -420,8 +426,8 @@ class TestHopCertificate:
         _ROW_BLOCK per point, so the certificate declines."""
         n = _ROW_BLOCK + 2
         simplex = np.ones((n, n)) - np.eye(n)
-        assert not _hop_certificate(simplex)
-        assert _hop_certificate(simplex[1:, 1:])  # _ROW_BLOCK edges per point
+        assert not certified(simplex)
+        assert certified(simplex[1:, 1:])  # _ROW_BLOCK edges per point
         assert check_triangle(simplex) == ([], {})
 
 
@@ -490,32 +496,35 @@ class TestBallMassRanks:
 
     @given(spaces_with_ties(), st.data())
     def test_rank_order_gives_the_float_order_sums(self, sp, data):
-        table = np.concatenate(([0.0], sp.distinct_distances()))
-        extra = data.draw(st.lists(st.floats(0.0, 2.0 * sp.diameter + 1.0), max_size=30))
-        table = np.unique(np.concatenate((table, extra)))
-        table = table[: data.draw(st.integers(1, len(table)))]  # may stop below the diameter
+        table = sp.grades[0]
+        count = data.draw(st.integers(1, len(table)))  # may stop below the diameter
         centers = data.draw(st.none() | st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=1)
                             | st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=2 * sp.n))
-        assert same_bytes(_ball_mass_blocks(sp, table, centers),
-                          float_sorted_ball_mass_blocks(sp, table, centers))
+        assert same_bytes(_ball_mass_blocks(sp, count, centers),
+                          float_sorted_ball_mass_blocks(sp, table[:count], centers))
 
-    def test_a_table_too_long_for_16_bit_ranks(self):
-        sp = random_space(np.random.default_rng(23), 9)
-        grid = np.linspace(0.0, 2.0 * sp.diameter, 70_000)
-        table = np.unique(np.concatenate(([0.0], sp.distinct_distances(), grid)))
-        assert np.min_scalar_type(len(table)) == np.uint32
-        for centers in (None, [4]):
-            assert same_bytes(_ball_mass_blocks(sp, table, centers),
-                              float_sorted_ball_mass_blocks(sp, table, centers))
+    def test_more_distances_than_16_bit_ranks_hold(self):
+        """370 dyadic L1 points have more than 65,535 distinct distances,
+        so their hops are uint32 and the stable sort is not a radix sort."""
+        rng = np.random.default_rng(23)
+        pts = rng.integers(0, 1 << 20, (370, 3)) / float(1 << 20)
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)  # dyadic, so every sum is exact
+        sp = mc.validate_space([f"p{i}" for i in range(370)], dist, rng.uniform(0.5, 1.5, 370))
+        table, hops = sp.grades
+        assert len(sp.distinct_distances()) > 65_535 and hops.dtype == np.uint32
+        assert np.array_equal(table[hops], sp.dist)
+        centers = rng.integers(0, sp.n, 12)
+        for count in (len(table), len(table) // 3):
+            assert same_bytes(_ball_mass_blocks(sp, count, centers),
+                              float_sorted_ball_mass_blocks(sp, table[:count], centers))
 
     def test_blocks_shrink_as_the_table_grows(self):
         cube = mc.generate(mc.FamilySpec("hamming_cube", 7))
-        table = np.concatenate(([0.0], cube.distinct_distances()))
-        assert [len(b) for b in _ball_mass_blocks(cube, table)] == [_ROW_BLOCK] * 2
+        assert [len(b) for b in _ball_mass_blocks(cube, len(cube.grades[0]))] == [_ROW_BLOCK] * 2
         sp = random_space(np.random.default_rng(24), 30)
-        table = np.concatenate(([0.0], sp.distinct_distances()))
-        rows = _ROW_BLOCK * sp.n // (len(table) + 1)
-        assert [len(b) for b in _ball_mass_blocks(sp, table)] == [rows] * (30 // rows) + [30 % rows]
+        count = len(sp.grades[0])
+        rows = _ROW_BLOCK * sp.n // (count + 1)
+        assert [len(b) for b in _ball_mass_blocks(sp, count)] == [rows] * (30 // rows) + [30 % rows]
 
 
 class TestNets:
