@@ -9,8 +9,9 @@ supremum column should never increase with the dimension.
 
 Deterministic for a fixed seed, regardless of --workers.  The flags get
 the CLI's count checks, the report paths its writability check before
-the run, and the cube sizes the library's size rule at --min-n/--max-n,
-so an input `mmconc levy-run` refuses is refused here with the same words.
+the run, and the cube sizes the library's size and member rules at
+--min-n/--max-n (cli.family_of), so an input `mmconc levy-run` refuses
+is refused here with the same words.
 
 Usage:
   python3 scripts/levy_trend.py
@@ -22,8 +23,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from mmconc import FamilySpec, SpaceFileError, report_csv, report_json, run_levy_experiment
-from mmconc.cli import check_flags, check_writable, write_report
+from mmconc import report_csv, report_json, run_levy_experiment
+from mmconc.cli import check_flags, check_writable, family_of, write_report
 
 
 def parse_args():
@@ -55,10 +56,7 @@ def main():
         for flag, path in (("--out", args.out), ("--csv", args.csv)):
             if path is not None:
                 check_writable(path, flag)
-        try:
-            family = [FamilySpec("hamming_cube", n) for n in range(args.min_n, args.max_n + 1)]
-        except ValueError as err:
-            raise SpaceFileError("--min-n/--max-n", str(err)) from None
+        family = family_of("hamming_cube", range(args.min_n, args.max_n + 1), "--min-n/--max-n")
         report = run_levy_experiment(
             family,
             kappa_grid=kappas,

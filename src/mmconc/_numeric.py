@@ -96,6 +96,12 @@ def check_counts(**counts: int | None) -> None:
             raise ValueError(f"{name} must be >= {COUNT_FLOORS[name]}, got {value}")
 
 
+def check_family(family) -> None:
+    """Refuse a family with no members, for the library and the CLI's flags."""
+    if not family:
+        raise ValueError("the family has no members")
+
+
 def stable_seed(*parts) -> int:
     """Deterministic 64-bit seed from a tuple of strings/numbers.
 

@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from ._numeric import COUNT_FLOORS, check_counts
+from ._numeric import COUNT_FLOORS, check_counts, check_family
 from .doubling import color_net, doubling_profile
 from .families import FamilySpec, run_levy_experiment
 from .formats import (
@@ -142,10 +142,19 @@ def _parse_family(text: str) -> list[FamilySpec]:
             f"expected kind:lo..hi or kind:a,b,c with kind in "
             f"{sorted(_FAMILY_KINDS)}; got {text!r} ({err})",
         ) from err
+    return family_of(kind, sizes, "--family")
+
+
+def family_of(kind: str, sizes, flag: str) -> list[FamilySpec]:
+    """The specs of one kind at the sizes a flag gave, refused at that
+    flag when a size breaks the library's size rule or there is none (the
+    trend script too)."""
     try:
-        return [FamilySpec(kind, n) for n in sizes]
+        family = [FamilySpec(kind, n) for n in sizes]
+        check_family(family)
     except ValueError as err:
-        raise SpaceFileError("--family", str(err)) from None
+        raise SpaceFileError(flag, str(err)) from None
+    return family
 
 
 def _labels(space, indices) -> list[str]:

@@ -92,11 +92,11 @@ def doubling_profile(space: FiniteMMSpace, horizon: float | None = None) -> Doub
     zero = np.flatnonzero(space.weights <= 0.0)
     if len(zero):
         raise ValueError(f"doubling needs positive weights; zero at indices {zero[:10].tolist()}")
+    dists = space.grades[0]
     if horizon is None:
-        horizon = space.diameter if space.diameter > 0.0 else 1.0
+        horizon = float(dists[-1]) if dists[-1] > 0.0 else 1.0  # the diameter
     if not horizon > 0.0:
         raise ValueError("horizon must be > 0")
-    dists = space.grades[0]
     dists = dists[dists <= 4.0 * horizon]
     steps, step_values = _step_table(space, dists, horizon)
     halves = dists / 2.0
@@ -183,34 +183,41 @@ def color_net(space: FiniteMMSpace, net: Net) -> Coloring:
     members, seeded with beta_i and barred from beta_{i+1}..beta_k.  The
     classes exhaust the net: an unassigned point would conflict with one
     distinct point per class, putting k+1 members in its own 5*eps ball.
+
+    Only the members' block of the matrix is read.  Sets of members are
+    Python ints, bit i for the i-th member: each member's row of members
+    5*eps or more away, the unassigned and the barred.  A class admits
+    the lowest member left in ok & remaining & ~barred, ok being the
+    members 5*eps from every chosen one, which is the next one the greedy
+    scan in index order would admit.
     """
     members = np.array(net.members.indices)
     scale = 5.0 * net.epsilon
-    close = space.dist[np.ix_(members, members)] <= scale
-    counts = close.sum(axis=1)
-    a = int(np.argmax(counts))  # first max = lowest point index (sorted)
-    betas = members[close[a]]
-    k = len(betas)
-    remaining = set(int(p) for p in members)
+    block = space.dist[np.ix_(members, members)]
+    close = block <= scale
+    a = int(np.argmax(close.sum(axis=1)))  # first max = lowest point index (sorted)
+    betas = np.flatnonzero(close[a]).tolist()
+    apart = block >= scale
+    np.fill_diagonal(apart, False)  # a chosen member leaves ok
+    rows = np.packbits(apart, axis=1, bitorder="little")
+    far = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    remaining = (1 << len(members)) - 1
+    barred = sum(1 << b for b in betas)
     classes = []
-    barred = set(int(b) for b in betas)
-    for i in range(k):
-        chosen = [int(betas[i])]
-        barred.discard(chosen[0])
-        remaining.discard(chosen[0])
-        ok = space.dist[chosen[0]] >= scale  # 5*eps from every chosen point
-        for p in sorted(remaining):
-            if p in barred:
-                continue
-            if ok[p]:
-                chosen.append(p)
-                ok &= space.dist[p] >= scale
-        remaining.difference_update(chosen)
-        classes.append(PointSet.of(chosen))
+    for b in betas:
+        chosen, taken = [b], 1 << b
+        barred &= ~taken
+        ok = far[b] & remaining & ~barred
+        while ok:
+            low = ok & -ok
+            chosen.append(low.bit_length() - 1)
+            taken |= low
+            ok &= far[chosen[-1]]
+        remaining &= ~taken
+        classes.append(PointSet.of(members[chosen]))
     if remaining:
-        raise RuntimeError(
-            f"net coloring left {sorted(remaining)} unassigned; this is a bug"
-        )
+        left = [int(p) for i, p in enumerate(members) if remaining >> i & 1]
+        raise RuntimeError(f"net coloring left {left} unassigned; this is a bug")
     return Coloring(net, int(members[a]), tuple(classes))
 
 

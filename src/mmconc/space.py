@@ -12,9 +12,9 @@ the weights sequentially in that order.
 Every space ranks its distances in one table, its grades: the pair
 (table, hops) with dist == table[hops], table strictly increasing from 0
 and holding exactly the distinct distances, and hops the integer rank
-matrix.  A generated cube or torus hands over its hop matrix and table;
-every other space has _grade build them from the matrix the first time
-they are read.  Distinct distances, ball masses and the hop certificate
+matrix.  A generated cube or torus hands over its hop matrix and table,
+and a product of them the ranks of its closed table; every other space
+has _grade build them from the matrix the first time they are read.  Distinct distances, ball masses and the hop certificate
 all read them, so nothing else turns a distance into a rank."""
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ class FiniteMMSpace:
     Construct through validate_space (or a generator in mmconc.families);
     the arrays are frozen so a space can be shared safely.  grades is the
     pair (table, hops) of the module docstring.  The cube and torus
-    generators hand theirs over as _grades, and a space that reuses
-    another's metric passes on what that one holds; otherwise _grade makes
-    them the first time grades is read, and the space keeps them.
+    generators and their products hand theirs over as _grades, and a
+    space that reuses another's metric passes on what that one holds;
+    otherwise _grade makes them the first time grades is read, and the
+    space keeps them.
     """
 
     points: tuple[str, ...]

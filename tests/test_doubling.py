@@ -112,6 +112,13 @@ class TestProfile:
                 # minimal constant, attained at the argmax (up to summation order)
                 assert max(ratios) == pytest.approx(c, rel=1e-12)
 
+    @given(small_spaces())
+    @example(ONE_POINT)
+    def test_the_default_horizon_is_the_diameter_read_off_the_table(self, sp):
+        """The grade table's last entry is the largest distance: the same
+        float as a pass over the matrix, and 1.0 on a single point."""
+        assert mc.doubling_profile(sp).horizon == (sp.diameter if sp.n > 1 else 1.0)
+
     def test_default_grid_is_half_distances_within_horizon(self):
         sp = torus(8)
         prof = mc.doubling_profile(sp)
@@ -487,6 +494,93 @@ class TestScansMatchTheRescanningLoops:
             assert (col.anchor, tuple(c.indices for c in col.classes)) == rebarring_coloring(sp, net)
             sizes.append((len(net.members), col.k))
         assert sizes[-2] == (256, 219)
+
+
+def running_mask_coloring(space, net):
+    """Reference: color_net as a loop over the sorted unassigned points,
+    with one barred set and a running mask over whole rows of the matrix."""
+    members = np.array(net.members.indices)
+    scale = 5.0 * net.epsilon
+    close = space.dist[np.ix_(members, members)] <= scale
+    a = int(np.argmax(close.sum(axis=1)))
+    betas = members[close[a]]
+    remaining = set(int(p) for p in members)
+    barred = set(int(b) for b in betas)
+    classes = []
+    for beta in betas:
+        chosen = [int(beta)]
+        barred.discard(chosen[0])
+        remaining.discard(chosen[0])
+        ok = space.dist[chosen[0]] >= scale
+        for p in sorted(remaining):
+            if p not in barred and ok[p]:
+                chosen.append(p)
+                ok &= space.dist[p] >= scale
+        remaining.difference_update(chosen)
+        classes.append(tuple(sorted(chosen)))
+    if remaining:
+        raise RuntimeError(f"net coloring left {sorted(remaining)} unassigned; this is a bug")
+    return int(members[a]), tuple(classes)
+
+
+def bench_spaces():
+    """The geometry bench's five spaces, whose nets it colors at
+    3 * diameter / 32 (their weights do not enter a coloring)."""
+    tori = (mc.FamilySpec("discrete_torus", 8), mc.FamilySpec("discrete_torus", 12))
+    specs = [mc.FamilySpec("hamming_cube", 9), mc.FamilySpec("hamming_cube", 11),
+             mc.FamilySpec("discrete_torus", 512), mc.FamilySpec("discrete_torus", 1536),
+             mc.FamilySpec("product", factors=tori)]
+    return [pytest.param(spec, id=f"{spec.kind}{spec.n or ''}") for spec in specs]
+
+
+class TestBitsetColoring:
+    """color_net keeps its sets as bits of Python ints and reads only the
+    members' block of the matrix; it colors as the running-mask loop."""
+
+    @pytest.mark.parametrize("spec", bench_spaces())
+    def test_the_bench_nets_color_as_the_loop(self, spec):
+        sp = mc.generate(spec)
+        net = mc.build_net(sp, 3.0 * sp.diameter / 32.0)
+        col = mc.color_net(sp, net)
+        assert (col.anchor, tuple(c.indices for c in col.classes)) == running_mask_coloring(sp, net)
+
+    @given(small_spaces(), st.floats(0.01, 0.7))
+    def test_random_spaces_color_as_the_loop(self, sp, share):
+        net = mc.build_net(sp, share * sp.diameter)
+        col = mc.color_net(sp, net)
+        assert (col.anchor, tuple(c.indices for c in col.classes)) == running_mask_coloring(sp, net)
+
+    def test_only_the_members_block_is_read(self):
+        sp = torus(40, normalized=True)
+        net = mc.build_net(sp, 0.06)
+        outside = np.setdiff1d(np.arange(sp.n), net.members.indices)
+        dist = sp.dist.copy()
+        dist[outside] = np.nan
+        dist[:, outside] = np.nan
+        blank = mc.FiniteMMSpace(sp.points, dist, sp.weights)
+        assert mc.color_net(blank, net) == mc.color_net(sp, net)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1.0])
+    def test_a_net_left_uncolored_is_refused_in_the_loop_words(self, epsilon):
+        """No member is within a 5*eps ball of another, not even its own:
+        no class is seeded, and every member is left over."""
+        sp = torus(8)
+        net = mc.Net(epsilon, mc.PointSet.of(range(0, 8, 2)))
+        with pytest.raises(RuntimeError) as got:
+            mc.color_net(sp, net)
+        with pytest.raises(RuntimeError) as want:
+            running_mask_coloring(sp, net)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "net coloring left [0, 2, 4, 6] unassigned; this is a bug"
+
+    def test_a_zero_scale_admits_members_in_index_order(self):
+        """At eps = 0 every member is 5*eps from every other and from
+        itself; the one class is every member, the anchor first."""
+        sp = torus(12)
+        net = mc.Net(0.0, mc.PointSet.of(range(0, 12, 3)))
+        col = mc.color_net(sp, net)
+        assert (col.anchor, tuple(c.indices for c in col.classes)) == running_mask_coloring(sp, net)
+        assert tuple(c.indices for c in col.classes) == ((0, 3, 6, 9),)
 
 
 class TestConcentrationWitness:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, fsum
@@ -292,6 +293,90 @@ class TestProduct:
         with pytest.raises(ValueError, match=r"product labels collide: 'a\|b\|c'"):
             mc.generate(mc.FamilySpec("product", factors=(left, right)))
         assert closures == []
+
+
+@st.composite
+def hop_products(draw, most: int = 96):
+    """Two or three cube or torus specs, normalized or not, with at most
+    `most` points in all, so that the matrix closure stays quick."""
+    factors, points = [], 1
+    for _ in range(draw(st.integers(2, 3))):
+        room = most // points
+        kinds = ["discrete_torus"] + (["hamming_cube"] if room >= 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        top = room.bit_length() - 1 if kind == "hamming_cube" else room
+        n = draw(st.integers(1, max(1, min(top, 12))))
+        factors.append(mc.FamilySpec(kind, n, draw(st.booleans())))
+        points *= 1 << n if kind == "hamming_cube" else n
+    return tuple(factors)
+
+
+class TestHopProduct:
+    """A product of cubes and tori closes its table on the grid of hop
+    counts (families._table_fold) instead of its matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hop_products())
+    def test_the_table_fold_is_the_matrix_closure_to_the_byte(self, factors):
+        sp = mc.generate(mc.FamilySpec("product", factors=factors))
+        parts = tuple(mc.generate(f) for f in factors)  # prebuilt spaces take the matrix path
+        want = families._product(mc.FamilySpec("product", factors=parts))
+        assert sp.points == want.points and sp.weights.tobytes() == want.weights.tobytes()
+        assert sp.dist.dtype == want.dist.dtype and sp.dist.tobytes() == want.dist.tobytes()
+        table, hops = sp._grades  # handed over by the fold, not built from the matrix
+        assert hops.dtype == np.min_scalar_type(len(table))
+        assert np.array_equal(table[hops], sp.dist)
+        assert table.tobytes() == np.unique(np.append(want.dist, 0.0)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(hop_products(most=1024))
+    def test_the_closed_table_is_monotone_and_closed_under_clamped_splits(self, factors):
+        """The lemma of _product's proof: the closed grid T is monotone, so
+        a split c1 + c2 past a factor's top hop count m, clamped to it,
+        lowers nothing: T[min(c1 + c2, m)] <= floor_sum(T[c1], T[c2])."""
+        tables = [mc.generate(f).grades[0] for f in factors]
+        grid = tables[0]
+        for t in tables[1:]:
+            grid = families._close_table(floor_sum(grid[..., None], t))
+        for axis in range(grid.ndim):
+            assert (np.diff(grid, axis=axis) >= 0.0).all()
+        top = (np.array(grid.shape) - 1).reshape((-1,) + (1,) * grid.ndim)
+        cells = np.indices(grid.shape)
+        for c1 in np.ndindex(grid.shape):
+            clamped = np.minimum(cells + np.reshape(c1, top.shape), top)
+            assert (grid[tuple(clamped)] <= floor_sum(grid[c1], grid)).all()
+
+    def test_two_64_cycles_generate_in_under_a_second(self):
+        """4,096 points, the size cap; the matrix closure would take hours."""
+        spec = mc.FamilySpec("product", factors=(mc.FamilySpec("discrete_torus", 64),) * 2)
+        start = time.perf_counter()
+        sp = mc.generate(spec)
+        elapsed = time.perf_counter() - start
+        assert sp.n == 4096 and elapsed < 1.0
+        table, hops = sp._grades
+        assert np.array_equal(table[hops], sp.dist)
+        arcs = np.arange(64)
+        arcs = np.minimum(np.abs(arcs[:, None] - arcs), 64 - np.abs(arcs[:, None] - arcs))
+        for p in range(64):  # the rows of points (p, .), against the closed form (a + b) / 64
+            rows = sp.dist[64 * p : 64 * (p + 1)].reshape(64, 64, 64)
+            want = (arcs[p][None, :, None] + arcs[:, None, :]) / 64.0
+            off = want > 0.0
+            assert (rows[~off] == 0.0).all()
+            assert (np.abs(rows[off] - want[off]) <= 1e-12 * want[off]).all()
+
+    def test_a_factor_that_is_not_a_hop_spec_takes_the_matrix_path(self, monkeypatch):
+        """A space built elsewhere, a graph, or a nested product: only the
+        nested product of two tori folds a table."""
+        folds, fold = [], families._table_fold
+        monkeypatch.setattr(families, "_table_fold",
+                            lambda grades: folds.append(len(grades)) or fold(grades))
+        torus = mc.FamilySpec("discrete_torus", 4)
+        others = (mc.generate(torus), mc.FamilySpec("weighted_graph", 2, edges=((0, 1, 1.0),)),
+                  mc.FamilySpec("product", factors=(torus, torus)))
+        for other in others:
+            sp = mc.generate(mc.FamilySpec("product", factors=(torus, other)))
+            assert np.array_equal(sp.grades[0][sp.grades[1]], sp.dist)
+        assert folds == [2]
 
 
 def bit_loop_hamming(n: int) -> np.ndarray:

@@ -624,7 +624,7 @@ class TestCli:
         ("hamming:11,13", "--family: hamming_cube size must be in 1..12, got 13"),
         ("hamming:0..2", "--family: hamming_cube size must be in 1..12, got 0"),
         ("torus:4,0", "--family: discrete_torus size must be in 1..4096, got 0"),
-        ("hamming:5..3", "the family has no members"),
+        ("hamming:5..3", "--family: the family has no members"),
     ])
     def test_levy_run_refuses_a_family_before_any_member_runs(self, family, message, capsys,
                                                                 monkeypatch):
@@ -725,11 +725,11 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["--max-n", "13"], "--min-n/--max-n: hamming_cube size must be in 1..12, got 13"),
-        (["--max-n", "0"], "the family has no members"),
+        (["--max-n", "0"], "--min-n/--max-n: the family has no members"),
         (["--min-n", "0"], "--min-n/--max-n: hamming_cube size must be in 1..12, got 0"),
         (["--min-n", "-3", "--max-n", "2"], "--min-n/--max-n: hamming_cube size must be in 1..12, got -3"),
         (["--min-n", "13", "--max-n", "13"], "--min-n/--max-n: hamming_cube size must be in 1..12, got 13"),
-        (["--min-n", "5", "--max-n", "3"], "the family has no members"),
+        (["--min-n", "5", "--max-n", "3"], "--min-n/--max-n: the family has no members"),
     ])
     def test_trend_script_refuses_sizes_outside_the_cube_range(self, argv, message):
         """Refused before any cube is built, by the library's size rule at

@@ -1,5 +1,6 @@
-"""Grades: the cube and torus generators hand theirs over, every other
-space gets them from space._grade when first read, spaces that reuse a
+"""Grades: the cube and torus generators and a product of theirs hand
+theirs over, every other space gets them from space._grade (when
+generate validates it, or when first read), spaces that reuse a
 metric pass them on, and every ball mass, profile, packing check and
 concentration witness has the same bytes from either source."""
 
@@ -136,9 +137,9 @@ class TestGeneratedGrades:
         assert image.grades is torus6.grades
 
     def test_every_other_space_is_graded_from_its_matrix(self):
-        tori = (mc.FamilySpec("discrete_torus", 3), mc.FamilySpec("discrete_torus", 4))
+        tori = (mc.FamilySpec("discrete_torus", 3), mc.generate(mc.FamilySpec("discrete_torus", 4)))
         graph = mc.FamilySpec("weighted_graph", 3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        for spec in (mc.FamilySpec("product", factors=tori), graph):
+        for spec in (mc.FamilySpec("product", factors=tori), graph):  # a built factor: no table fold
             sp = mc.generate(spec)
             table, hops = sp.grades
             assert np.array_equal(table[hops], sp.dist)
@@ -172,20 +173,30 @@ class TestBuiltGrades:
             assert np.array_equal(sp.grades[1], torus8.grades[1])
 
     def test_nothing_is_graded_until_a_reader_asks(self, monkeypatch):
-        """_with_weights and a generated product build no grades; the first
-        read builds them once, and a pushforward image shares its screen's."""
-        built = []
-        grade = mmconc.space._grade
+        """generate grades each space it builds once, on the copy its
+        validation reads, and returns grades, so a first read of what it
+        returns builds none; _with_weights builds none until a reader
+        asks, and a pushforward image shares its screen's."""
+        built, generated = [], []
+        grade, generate = mmconc.space._grade, families.generate
         monkeypatch.setattr(mmconc.space, "_grade", lambda dist: built.append(dist) or grade(dist))
+        monkeypatch.setattr(families, "generate", lambda spec: generated.append(spec) or generate(spec))
         tori = (mc.FamilySpec("discrete_torus", 3), mc.FamilySpec("discrete_torus", 4))
-        product = mc.generate(mc.FamilySpec("product", factors=tori))
-        weighted = families._with_weights(rebuilt(product), np.linspace(0.5, 1.5, 12))
-        assert not [d for d in built if d is product.dist]
-        built.clear()
-        for sp in (product, weighted):
-            assert sp.grades is sp.grades
-            assert len(built) == 1 and built.pop() is sp.dist
         square = mc.default_screen_roster()[1][1]
-        built.clear()  # the roster's torus6 was validated
+        specs = (mc.FamilySpec("product", factors=tori),  # the table fold's grades
+                 mc.FamilySpec("product", factors=(tori[0], square)),  # the copy's
+                 mc.FamilySpec("weighted_graph", 3, edges=((0, 1, 1.0), (1, 2, 2.0))))  # the copy's
+        for spec in specs:
+            built.clear()
+            generated.clear()
+            sp = families.generate(spec)
+            factors = sum(isinstance(f, mc.FamilySpec) for f in spec.factors)
+            assert len(built) == len(generated) == 1 + factors
+            assert sp.grades is sp.grades and len(built) == len(generated)
+        product = families.generate(specs[0])
+        weighted = families._with_weights(rebuilt(product), np.linspace(0.5, 1.5, 12))
+        built.clear()
+        assert weighted.grades is weighted.grades
+        assert len(built) == 1 and built.pop() is weighted.dist
         images = [mc.pushforward_screen(product, square, np.arange(12) % k) for k in (1, 4)]
         assert all(image.grades is square.grades for image in images) and len(built) == 1

@@ -260,10 +260,12 @@ class GradeSettings(Constructions):
 
 def test_grades_are_made_by_the_builder_and_the_two_generators():
     """Which ranks a space has is decided in one place: the cube and torus
-    generators hand over the hop matrix they build, every other space has
-    space._grade build its grades from the matrix when they are first read,
-    and the two constructions that reuse a metric with other weights pass
-    on the grades of the space they take it from."""
+    generators hand over the hop matrix they build, a product of those
+    hands over the ranks of its closed table at the factors' hop matrices,
+    every other space has space._grade build its grades from the matrix
+    when they are first read, and the two constructions that reuse a
+    metric with other weights pass on the grades of the space they take
+    it from."""
     found, builds = [], set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -276,11 +278,32 @@ def test_grades_are_made_by_the_builder_and_the_two_generators():
     assert sorted(found) == [
         ("families._discrete_torus", "(table, arcs)"),
         ("families._hamming_cube", "(table, hops)"),
+        ("families._product", "(table, hops)"),
         ("families._with_weights", "space._grades"),
         ("observable.pushforward_screen", "screen.grades"),
         ("space.FiniteMMSpace.grades", "_grade(self.dist)"),
     ]
     assert builds == {"space.FiniteMMSpace.grades"}
+
+
+def test_only_a_product_with_a_matrix_factor_closes_a_matrix():
+    """A product of cubes and tori closes its table on the grid of hop
+    counts and never reads a factor's matrix; exact_triangle_closure runs
+    in families only on the matrix path, for a product with another
+    factor."""
+    tree = ast.parse((PACKAGE / "families.py").read_text(encoding="utf-8"))
+    visitor = Constructions("families", {"exact_triangle_closure", "_matrix_fold", "_table_fold"})
+    visitor.visit(tree)
+    assert sorted(visitor.found) == [
+        ("_matrix_fold", "families._product"),
+        ("_table_fold", "families._product"),
+        ("exact_triangle_closure", "families._matrix_fold"),
+    ]
+    table_path = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  and node.name in ("_table_fold", "_close_table")]
+    assert len(table_path) == 2
+    assert not [node for func in table_path for node in ast.walk(func)
+                if isinstance(node, ast.Attribute) and node.attr == "dist"]
 
 
 def test_only_the_builder_ranks_a_distance_matrix():
