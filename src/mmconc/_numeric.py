@@ -13,6 +13,7 @@ a relative ~1e-13 of the intended rational targets.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -36,22 +37,29 @@ def subadditive_table(count: int, numerator_step: float = 1.0, denominator: floa
 
         t[i + j] <= t[i] + t[j]   as exact reals, for all i, j,
 
-    and t is strictly increasing.  A metric of the form d(x, y) =
-    t[K(x, y)] with an integer metric K then satisfies the triangle
-    inequality exactly, and any distance function derived from it passes
-    a tolerance-free Lipschitz check.
+    and t is strictly increasing: close_table of the targets.  A metric
+    of the form d(x, y) = t[K(x, y)] with an integer metric K then
+    satisfies the triangle inequality exactly, and any distance function
+    derived from it passes a tolerance-free Lipschitz check.
     """
-    t = np.zeros(count + 1)
-    for h in range(1, count + 1):
-        target = (h * numerator_step) / denominator
-        half = h // 2
-        if half >= 1:
-            left = t[1 : half + 1]
-            right = t[h - 1 : h - half - 1 : -1]
-            cap = floor_sum(left, right).min()
-            target = min(target, cap)
-        t[h] = target
-    return t
+    return close_table(np.arange(count + 1) * numerator_step / denominator)
+
+
+def close_table(grid: np.ndarray) -> np.ndarray:
+    """The greatest table S <= grid with S[c1 + c2] <= floor_sum(S[c1],
+    S[c2]) for every split on the grid, written over grid (finite entries
+    >= 0, grid[0] = 0) and returned.  One pass in C order: cell c falls to
+    the least floor_sum over its splits a + (c - a), split a = 0 keeping
+    its own value; every other a and c - a come before c, already final
+    (the proof is in families._product).  In the box of cells a <= c,
+    flattened, the mirror c - a of index i is index size - 1 - i, so one
+    floor_sum of the first half against the reversed box takes every
+    split at once."""
+    for c in itertools.product(*map(range, grid.shape)):
+        box = grid[tuple([slice(i + 1) for i in c])].ravel()
+        half = box.size - box.size // 2
+        grid[c] = floor_sum(box[:half], box[::-1][:half]).min()
+    return grid
 
 
 def exact_triangle_closure(dist: np.ndarray) -> np.ndarray:
@@ -60,8 +68,8 @@ def exact_triangle_closure(dist: np.ndarray) -> np.ndarray:
     passes until a pass changes nothing; every change lowers an entry, so
     the passes end.  The input is expected to be triangle-consistent up
     to rounding already: one or two passes usually suffice, but shortest
-    paths over many uneven hops can take ten.  Its callers are the product
-    metric and separation.real_measure_as_space.
+    paths over many uneven hops can take ten.  Its callers are
+    families._matrix_fold and separation.real_measure_as_space.
 
     Hub j can lower an entry only if an entry of row j or column j fell
     since j last ran, so a pass visits only those dirty hubs.  The hubs

@@ -24,18 +24,18 @@ lookup per pair (cube 11 with spec weights generates in about 24 ms on
 one core of a 2-vCPU Xeon, 39 ms with the popcount table it replaced); a
 torus's arcs are turned in place in one int16 array; a weighted graph
 takes two dijkstra runs.  A product of cubes and tori closes a table on
-the grid of hop counts, O(cells^2) per pass, and gathers its ranks in
-one broadcast: on the same core, the weighted 8 x 12 torus product
-generates in 3 ms and the 32 x 32 one in 0.04 s, where the matrix
-closure took 25 ms and 9.2 s, and the 64 x 64 one, 4,096 points, in
-0.15 s.  A product with any other factor keeps the exact matrix closure,
-O(n^3) per pass.  generate re-validates every space of up to
-_VALIDATE_CAP points.  Cubes, tori, unit-length graphs and products
-whose distance ranks are hop counts (two equal normalized tori) pass the
-validator's O(n^2) hop-metric certificate (about 15 ms at 1,024 points
-on one core of a 2-vCPU Xeon); other products and graphs take its one
-O(n^3) triangle pass, about 0.8 s at 1,024 points, which also lists the
-violations of a broken metric.
+the grid of hop counts in one pass (_numeric.close_table, O(cells^2)),
+and gathers its ranks in one broadcast: on the same core, the weighted
+8 x 12 torus product generates in 3 ms and the 32 x 32 one in 0.04 s,
+where the matrix closure took 25 ms and 9.2 s, and the 64 x 64 one,
+4,096 points, in 0.15 s.  A product with any other factor keeps the
+exact matrix closure, O(n^3) per pass.  generate re-validates every
+space of up to _VALIDATE_CAP points.  Cubes, tori, unit-length graphs
+and products whose distance ranks are hop counts (two equal normalized
+tori) pass the validator's O(n^2) hop-metric certificate (about 15 ms at
+1,024 points on one core of a 2-vCPU Xeon); other products and graphs
+take its one O(n^3) triangle pass, about 0.8 s at 1,024 points, which
+also lists the violations of a broken metric.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from functools import partial
 
 import numpy as np
 
-from ._numeric import (check_counts, check_family, exact_triangle_closure, floor_sum, stable_seed,
-                       subadditive_table)
+from ._numeric import (check_counts, check_family, close_table, exact_triangle_closure, floor_sum,
+                       stable_seed, subadditive_table)
 from .doubling import concentration_witness, doubling_profile
 from .observable import obsdiam_screen_estimate, pushforward_screen
 from .separation import DEFAULT_ASSIGNMENT_BUDGET, RealMeasure, sep
@@ -206,22 +206,25 @@ def _product(spec: FamilySpec) -> FiniteMMSpace:
     the vector K = (K1, ..., Kk) of the factors' hop metrics and a table
     T on the grid of hop vectors c <= m (m_l the top hop count of factor
     l), and _table_fold closes T instead of the matrix: at each step T =
-    floor_sum(T[..., None], t), lowered to floor_sum(T[c1], T[c2]) at c =
-    c1 + c2 until nothing changes.  A product with any other factor (a
-    document or other space built elsewhere, a graph, a nested product)
-    takes _matrix_fold, which closes the matrix by exact_triangle_closure.
-    The two give the same bytes:
+    floor_sum(T[..., None], t), closed by _numeric.close_table.  A product
+    with any other factor (a document or other space built elsewhere, a
+    graph, a nested product) takes _matrix_fold, which closes the matrix
+    by exact_triangle_closure.  The two give the same bytes:
 
-    Both loops only lower entries to round-down sums of other entries,
-    and stop at a fixpoint.  For the matrix D, the feasible matrices M <=
-    D with M[i,k] <= fl(M[i,j] + M[j,k]) for all i, j, k (fl rounding
-    down, which is monotone) are closed under entrywise max, so there is a
-    greatest one, G.  Each pass keeps the iterate >= G (if d >= G then
-    fl(d[i,j] + d[j,k]) >= fl(G[i,j] + G[j,k]) >= G[i,k]), and the last
-    iterate is feasible, so the loop returns G, symmetric with a zero
-    diagonal.  The same holds on the grid: from the step's input T0, with
-    D = T0 o K, the table loop returns the greatest table S <= T0 with
-    S[c1 + c2] <= fl(S[c1] + S[c2]).
+    The matrix loop only lowers entries to round-down sums of other
+    entries, and stops at a fixpoint.  For the matrix D, the feasible
+    matrices M <= D with M[i,k] <= fl(M[i,j] + M[j,k]) for all i, j, k
+    (fl rounding down, which is monotone) are closed under entrywise max,
+    so there is a greatest one, G.  Each pass keeps the iterate >= G (if
+    d >= G then fl(d[i,j] + d[j,k]) >= fl(G[i,j] + G[j,k]) >= G[i,k]),
+    and the last iterate is feasible, so the loop returns G, symmetric
+    with a zero diagonal.  On the grid, from the step's input T0 with D =
+    T0 o K, close_table takes the cells in C order and sets S[c] = the
+    least of T0[c] and fl(S[a] + S[c - a]) over the splits of c into two
+    nonzero cells.  Both lie before c, already set, so by induction over
+    the cells S is feasible, and any feasible U <= T0 has U[c] <= fl(U[a]
+    + U[c - a]) <= fl(S[a] + S[c - a]), so U <= S: S is the greatest
+    table <= T0 with S[c1 + c2] <= fl(S[c1] + S[c2]).
       S is monotone: the table U[c] = max of S over c' <= c is <= T0,
     which is monotone, and feasible, since each c' <= c1 + c2 splits as
     a + b with a <= c1, b <= c2, so U[c1 + c2] = S[c'] <= fl(S[a] + S[b])
@@ -232,12 +235,14 @@ def _product(spec: FamilySpec) -> FiniteMMSpace:
     K_l is a graph metric), so c = a' + b' with a' <= a, b' <= b, and
     S[c] <= fl(S[a'] + S[b']) <= fl(S[a] + S[b]) by monotonicity.  This
     covers the hubs off every geodesic, where a + b > c.
-      G <= S o K: a hop metric realizes every split c = c1 + c2 along a
-    geodesic, so every pair (i, k) at c has a hub j with K(i,j) = c1 and
-    K(j,k) = c2.  If G <= T o K, as it is at T0, then G[i,k] <= fl(G[i,j]
-    + G[j,k]) <= fl(T[c1] + T[c2]), so each lowering keeps G <= T o K.
-    After a step, T is monotone again and the next factor's table too, so
-    the next step's input is again monotone and the argument repeats.
+      G <= S o K, by the same induction: at c = 0 both are 0.  A hop
+    metric realizes every split c = c1 + c2 along a geodesic, so every
+    pair (i, k) at c has a hub j with K(i,j) = c1 and K(j,k) = c2, for
+    nonzero c1 and c2 cells before c.  So G[i,k] <= D[i,k] = T0[c], and
+    G[i,k] <= fl(G[i,j] + G[j,k]) <= fl(S[c1] + S[c2]) for every split:
+    G[i,k] <= S[c].
+    After a step, S is monotone and the next factor's table too, so the
+    next step's input is again monotone and the argument repeats.
     """
     parts = [f if isinstance(f, FiniteMMSpace) else generate(f) for f in spec.factors]
     labels, weights = parts[0].points, parts[0].weights
@@ -274,7 +279,7 @@ def _table_fold(grades: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
     that holds len(table)."""
     closed = grades[0][0]
     for table, _ in grades[1:]:
-        closed = _close_table(floor_sum(closed[..., None], table))
+        closed = close_table(floor_sum(closed[..., None], table))
     table = np.unique(closed)
     ranks = np.searchsorted(table, closed).astype(np.min_scalar_type(len(table)))
     k = len(grades)
@@ -285,25 +290,6 @@ def _table_fold(grades: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
         index.append(hops.reshape(shape))
     n = math.prod(len(hops) for _, hops in grades)
     return table, ranks[tuple(index)].reshape(n, n)
-
-
-def _close_table(grid: np.ndarray) -> np.ndarray:
-    """Lower grid[c1 + c2] to floor_sum(grid[c1], grid[c2]) for every
-    split on the grid, in place and in passes until a pass changes
-    nothing.  One step per cell c1 other than 0 takes every c2 at once:
-    the box of cells from c1 on against the box of as many cells from 0.
-    A pass costs O(cells^2), against O(points^3) for the matrix."""
-    cells = [c for c in np.ndindex(grid.shape) if any(c)]
-    changed = True
-    while changed:
-        changed = False
-        for c in cells:
-            ahead = grid[tuple(slice(i, None) for i in c)]
-            via = floor_sum(grid[c], grid[tuple(slice(None, m - i) for m, i in zip(grid.shape, c))])
-            if (via < ahead).any():
-                np.minimum(ahead, via, out=ahead)
-                changed = True
-    return grid
 
 
 def generate(spec: FamilySpec) -> FiniteMMSpace:
@@ -343,7 +329,7 @@ def binomial_mean_measure(n: int) -> RealMeasure:
     for k in range(n + 1):
         weights[k] = count / points
         count = count * (n - k) // (k + 1)
-    return RealMeasure.from_atoms(table[: n + 1].copy(), weights)
+    return RealMeasure.from_atoms(table, weights)
 
 
 def default_screen_roster() -> tuple[tuple[str, FiniteMMSpace], ...]:

@@ -14,8 +14,9 @@ Every space ranks its distances in one table, its grades: the pair
 and holding exactly the distinct distances, and hops the integer rank
 matrix.  A generated cube or torus hands over its hop matrix and table,
 and a product of them the ranks of its closed table; every other space
-has _grade build them from the matrix the first time they are read.  Distinct distances, ball masses and the hop certificate
-all read them, so nothing else turns a distance into a rank."""
+has _grade build them from the matrix the first time they are read.
+Distinct distances, ball masses and the hop certificate all read them,
+so nothing else turns a distance into a rank."""
 
 from __future__ import annotations
 

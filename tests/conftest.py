@@ -18,6 +18,7 @@ from mmconc import (
     RealMeasure,
     Violation,
     exact_triangle_closure,
+    floor_sum,
     validate_space,
 )
 from mmconc.space import _check_triangle, _Findings
@@ -146,3 +147,37 @@ def check_triangle(dist: np.ndarray):
     found = _Findings()
     _check_triangle(np.asarray(dist, dtype=np.float64), found)
     return found.violations, found.counts
+
+
+def push_table_closure(grid: np.ndarray) -> np.ndarray:
+    """Reference for _numeric.close_table: lower grid[c1 + c2] to
+    floor_sum(grid[c1], grid[c2]) for every split on the grid, in place
+    and in passes until a pass changes nothing.  One step per cell c1
+    other than 0 takes every c2 at once: the box of cells from c1 on
+    against the box of as many cells from 0."""
+    cells = [c for c in np.ndindex(grid.shape) if any(c)]
+    changed = True
+    while changed:
+        changed = False
+        for c in cells:
+            ahead = grid[tuple(slice(i, None) for i in c)]
+            via = floor_sum(grid[c], grid[tuple(slice(None, m - i) for m, i in zip(grid.shape, c))])
+            if (via < ahead).any():
+                np.minimum(ahead, via, out=ahead)
+                changed = True
+    return grid
+
+
+def forward_subadditive_table(count: int, numerator_step: float, denominator: float) -> np.ndarray:
+    """Reference for subadditive_table: t[h] is its target h * step /
+    denominator, lowered to the least floor_sum(t[i], t[h - i]) over
+    1 <= i <= h // 2, one entry after another."""
+    t = np.zeros(count + 1)
+    for h in range(1, count + 1):
+        target = (h * numerator_step) / denominator
+        half = h // 2
+        if half >= 1:
+            cap = floor_sum(t[1 : half + 1], t[h - 1 : h - half - 1 : -1]).min()
+            target = min(target, cap)
+        t[h] = target
+    return t

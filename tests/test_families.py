@@ -18,8 +18,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import mmconc as mc
 from mmconc import families, space
-from mmconc._numeric import floor_sum
-from conftest import check_triangle
+from mmconc._numeric import close_table, floor_sum
+from conftest import check_triangle, forward_subadditive_table, push_table_closure
 
 SPACES = Path(__file__).resolve().parent.parent / "spaces"
 
@@ -337,7 +337,7 @@ class TestHopProduct:
         tables = [mc.generate(f).grades[0] for f in factors]
         grid = tables[0]
         for t in tables[1:]:
-            grid = families._close_table(floor_sum(grid[..., None], t))
+            grid = close_table(floor_sum(grid[..., None], t))
         for axis in range(grid.ndim):
             assert (np.diff(grid, axis=axis) >= 0.0).all()
         top = (np.array(grid.shape) - 1).reshape((-1,) + (1,) * grid.ndim)
@@ -409,6 +409,42 @@ class TestFloorSum:
             assert Fraction(got[i, j]) <= exact < Fraction(np.nextafter(got[i, j], np.inf))
             scalar = floor_sum(float(a[i]), float(b[j]))
             assert scalar.shape == () and scalar == got[i, j]
+
+
+@st.composite
+def table_grids(draw):
+    """A 1-3-D grid of finite entries >= 0 with grid[0] = 0: fractions
+    k / 7 (near misses of subadditivity by an ulp) or any float up to
+    1e300, made monotone along every axis or left as drawn."""
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+    entry = st.one_of(st.integers(0, 60).map(lambda k: k / 7), st.floats(0.0, 1e300))
+    grid = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+    grid[(0,) * len(shape)] = 0.0
+    if draw(st.booleans()):
+        for axis in range(grid.ndim):
+            np.maximum.accumulate(grid, axis=axis, out=grid)
+    return grid
+
+
+class TestCloseTable:
+    """_numeric.close_table, one pass in C order, against the push loop
+    that lowers every split until nothing changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_grids())
+    def test_one_pass_is_the_push_fixpoint_to_the_byte(self, grid):
+        want = push_table_closure(grid.copy())
+        got = close_table(grid)
+        assert got is grid and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step, denominator", [(1.0, 7.0), (0.1, 1.0), (3.0, 11.0), (1.0, 300.0)])
+    def test_subadditive_table_is_the_forward_loop_to_the_byte(self, step, denominator):
+        """Entry h of the forward loop reads only entries below h, so the
+        table for count 300 holds every shorter one as a prefix."""
+        want = forward_subadditive_table(300, step, denominator)
+        for count in range(301):
+            assert mc.subadditive_table(count, step, denominator).tobytes() == want[: count + 1].tobytes()
 
 
 def reference_triangle_closure(dist):

@@ -288,9 +288,9 @@ def test_grades_are_made_by_the_builder_and_the_two_generators():
 
 def test_only_a_product_with_a_matrix_factor_closes_a_matrix():
     """A product of cubes and tori closes its table on the grid of hop
-    counts and never reads a factor's matrix; exact_triangle_closure runs
-    in families only on the matrix path, for a product with another
-    factor."""
+    counts (_numeric.close_table) and never reads a factor's matrix;
+    exact_triangle_closure runs in families only on the matrix path, for
+    a product with another factor."""
     tree = ast.parse((PACKAGE / "families.py").read_text(encoding="utf-8"))
     visitor = Constructions("families", {"exact_triangle_closure", "_matrix_fold", "_table_fold"})
     visitor.visit(tree)
@@ -299,11 +299,26 @@ def test_only_a_product_with_a_matrix_factor_closes_a_matrix():
         ("_table_fold", "families._product"),
         ("exact_triangle_closure", "families._matrix_fold"),
     ]
-    table_path = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                  and node.name in ("_table_fold", "_close_table")]
+    table_path = [node for module, name in (("families", "_table_fold"), ("_numeric", "close_table"))
+                  for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
     assert len(table_path) == 2
     assert not [node for func in table_path for node in ast.walk(func)
                 if isinstance(node, ast.Attribute) and node.attr == "dist"]
+
+
+def test_the_package_holds_one_table_closure():
+    """Round-down sums are taken by the two closures, _numeric.close_table
+    for tables (a fraction table, a product's grid) and
+    exact_triangle_closure for matrices, and by the two product folds
+    that feed them; no other function closes a table its own way."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        visitor = Constructions(path.stem, {"floor_sum"})
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.update(scope for _, scope in visitor.found)
+    assert found == {"_numeric.close_table", "_numeric.exact_triangle_closure",
+                     "families._table_fold", "families._matrix_fold"}
 
 
 def test_only_the_builder_ranks_a_distance_matrix():
