@@ -92,12 +92,12 @@ def doubling_profile(space: FiniteMMSpace, horizon: float | None = None) -> Doub
     zero = np.flatnonzero(space.weights <= 0.0)
     if len(zero):
         raise ValueError(f"doubling needs positive weights; zero at indices {zero[:10].tolist()}")
-    dists = space.grades[0]
     if horizon is None:
-        horizon = float(dists[-1]) if dists[-1] > 0.0 else 1.0  # the diameter
+        horizon = space.diameter or 1.0
     if not horizon > 0.0:
         raise ValueError("horizon must be > 0")
-    dists = dists[dists <= 4.0 * horizon]
+    table = space.grades[0]
+    dists = table[table <= 4.0 * horizon]
     steps, step_values = _step_table(space, dists, horizon)
     halves = dists / 2.0
     grid = halves[(halves > 0.0) & (halves <= horizon)]  # every one a step

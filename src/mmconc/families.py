@@ -14,10 +14,11 @@ Cubes and tori hand over their hop matrix and table as their grades
 (uint8 hops for a cube, int16 for a torus, beside the float64 matrix), a
 product of cubes and tori the ranks of its closed table at the factors'
 hop matrices, and a spec's own weights pass on what the space holds.
-generate validates a fresh copy of the matrix, so its certificate ranks
-what the generator built and never reads the generator's hops; a space
-the generator did not grade, such as a graph or a product with another
-factor, is returned as that copy, with the grades the certificate built.
+generate validates a space on the grades it was built with: validate_space
+proves the pair against the matrix before its certificate reads it, and
+the space it returns keeps the pair, so nothing ranks the matrix again.
+A space the generator did not grade, such as a graph or a product with
+another factor, comes back with the grades the certificate built.
 
 Costs: a cube's hop matrix is n block doublings and its metric one table
 lookup per pair (cube 11 with spec weights generates in about 24 ms on
@@ -29,13 +30,16 @@ and gathers its ranks in one broadcast: on the same core, the weighted
 8 x 12 torus product generates in 3 ms and the 32 x 32 one in 0.04 s,
 where the matrix closure took 25 ms and 9.2 s, and the 64 x 64 one,
 4,096 points, in 0.15 s.  A product with any other factor keeps the
-exact matrix closure, O(n^3) per pass.  generate re-validates every
-space of up to _VALIDATE_CAP points.  Cubes, tori, unit-length graphs
-and products whose distance ranks are hop counts (two equal normalized
-tori) pass the validator's O(n^2) hop-metric certificate (about 15 ms at
-1,024 points on one core of a 2-vCPU Xeon); other products and graphs
-take its one O(n^3) triangle pass, about 0.8 s at 1,024 points, which
-also lists the violations of a broken metric.
+exact matrix closure, O(n^3) per pass.  generate validates every space
+of up to _VALIDATE_CAP points.  The proof of a generator's grades is
+O(n^2) (about 6 ms at 1,024 points on one core of a 2-vCPU Xeon); cubes,
+tori, unit-length graphs and products whose distance ranks are hop
+counts (two equal normalized tori) pass the validator's O(n^2) hop-metric
+certificate (about 5 ms more), so validating cube 10 or the 1,024-point
+torus takes about 22 ms in all, where ranking a copy again took 29 ms
+and 38 ms.  Other products and graphs take the validator's one O(n^3)
+triangle pass, about 0.8 s at 1,024 points, which also lists the
+violations of a broken metric.
 """
 
 from __future__ import annotations
@@ -67,11 +71,11 @@ POINT_CAP = 4096
 # the largest size n of each kind with at most POINT_CAP points
 _MAX_SIZE = {"hamming_cube": POINT_CAP.bit_length() - 1,  # 2^n points
              "discrete_torus": POINT_CAP, "weighted_graph": POINT_CAP}
-# generate re-validates up to this size.  A product or a general graph
+# generate validates up to this size.  A product or a general graph
 # takes the O(n^3) triangle pass, about 0.8 s at 1,024 points on one core
-# and 8x that at 2,048; a cube or torus takes the O(n^2) certificate, but
-# validate_space makes its own copy of the matrix (one copy, 32 MB at
-# 2,048 points) and grades it, an n x n hop matrix beside it
+# and 8x that at 2,048; a cube or torus takes the proof of its grades and
+# the O(n^2) certificate, but validate_space makes its own copy of the
+# matrix (32 MB at 2,048 points), which the returned space keeps
 _VALIDATE_CAP = 1024
 _GRID_BITS = 50  # a weighted graph's edge unit is 2^-50 of its scale
 _HOP_KINDS = ("hamming_cube", "discrete_torus")  # whose generators hand over a hop metric
@@ -295,9 +299,10 @@ def _table_fold(grades: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
 def generate(spec: FamilySpec) -> FiniteMMSpace:
     """Build the space a FamilySpec describes (deterministic); explicit
     weights replace the kind's own (_with_weights).  A space of up to
-    _VALIDATE_CAP points is validated from a fresh copy of its matrix;
-    when the generator handed over no grades, the copy is returned, with
-    the grades its certificate built."""
+    _VALIDATE_CAP points is validated on the grades its generator handed
+    over, if any, and the validated space is returned: with those grades,
+    proven against its matrix, or else with the ones its certificate
+    built."""
     makers = {
         "hamming_cube": _hamming_cube,
         "discrete_torus": _discrete_torus,
@@ -308,9 +313,7 @@ def generate(spec: FamilySpec) -> FiniteMMSpace:
     if spec.weights is not None:
         space = _with_weights(space, spec.weights)
     if space.n <= _VALIDATE_CAP:
-        checked = validate_space(space.points, space.dist, space.weights)
-        if space._grades is None:
-            space = checked
+        space = validate_space(space.points, space.dist, space.weights, grades=space._grades)
     return space
 
 

@@ -13,10 +13,13 @@ Every space ranks its distances in one table, its grades: the pair
 (table, hops) with dist == table[hops], table strictly increasing from 0
 and holding exactly the distinct distances, and hops the integer rank
 matrix.  A generated cube or torus hands over its hop matrix and table,
-and a product of them the ranks of its closed table; every other space
-has _grade build them from the matrix the first time they are read.
-Distinct distances, ball masses and the hop certificate all read them,
-so nothing else turns a distance into a rank."""
+and a product of them the ranks of its closed table; validate_space
+proves such a pair against the matrix (_prove_grades, which raises
+RuntimeError on a pair that fails: a bug in its generator) and keeps it.
+Every other space has _grade build them from the matrix the first time
+they are read.  Distinct distances, the diameter, ball masses and the
+hop certificate all read them, so nothing else turns a distance into a
+rank."""
 
 from __future__ import annotations
 
@@ -117,10 +120,11 @@ class FiniteMMSpace:
     Construct through validate_space (or a generator in mmconc.families);
     the arrays are frozen so a space can be shared safely.  grades is the
     pair (table, hops) of the module docstring.  The cube and torus
-    generators and their products hand theirs over as _grades, and a
-    space that reuses another's metric passes on what that one holds;
-    otherwise _grade makes them the first time grades is read, and the
-    space keeps them.
+    generators and their products hand theirs over as _grades, which
+    validate_space proves and keeps, and a space that reuses another's
+    metric passes on what that one holds; otherwise _grade makes them the
+    first time grades is read, and the space keeps them.  The diameter is
+    the table's last entry.
     """
 
     points: tuple[str, ...]
@@ -149,7 +153,7 @@ class FiniteMMSpace:
 
     @property
     def diameter(self) -> float:
-        return float(self.dist.max())
+        return float(self.grades[0][-1])
 
     def distinct_distances(self) -> np.ndarray:
         """Sorted distinct off-diagonal distances (empty for one point)."""
@@ -173,6 +177,35 @@ def _grade(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n, _ROW_BLOCK):
         hops[lo : lo + _ROW_BLOCK] = np.searchsorted(table, dist[lo : lo + _ROW_BLOCK])
     return table, hops
+
+
+def _prove_grades(dist: np.ndarray, table: np.ndarray, hops: np.ndarray) -> None:
+    """Prove that (table, hops), the grades a generator claims for dist,
+    are its grades: table[0] == 0, table strictly increasing, hops an
+    integer n x n matrix with dist == table[hops], and every rank some
+    entry's, so that table holds exactly the distinct distances.  Rows go
+    in blocks of _ROW_BLOCK, and np.bincount of each block's ranks marks
+    the ranks it uses.  A pair that fails is the generator's bug: raises
+    RuntimeError naming the first rule it breaks."""
+    n = dist.shape[0]
+    fault = None
+    if not (table.ndim == 1 and len(table) and table[0] == 0.0 and (np.diff(table) > 0.0).all()):
+        fault = "the table does not increase strictly from 0"
+    elif hops.shape != (n, n) or hops.dtype.kind not in "iu":
+        fault = f"the hop matrix is not an integer {n} x {n} matrix"
+    used = np.zeros(len(table), dtype=bool)
+    for lo in range(0, n if fault is None else 0, _ROW_BLOCK):
+        ranks = hops[lo : lo + _ROW_BLOCK].ravel()
+        if not (0 <= ranks.min() and ranks.max() < len(table)
+                and np.array_equal(table[ranks], dist[lo : lo + _ROW_BLOCK].ravel())):
+            fault = f"dist != table[hops] in rows {lo} to {min(lo + _ROW_BLOCK, n) - 1}"
+            break
+        used |= np.bincount(ranks, minlength=len(table)) > 0
+    if fault is None and not used.all():
+        unused = int(np.argmin(used))
+        fault = f"no distance is table[{unused}] = {float(table[unused])!r}"
+    if fault is not None:
+        raise RuntimeError(f"grades do not describe the metric: {fault}; this is a bug")
 
 
 def _hop_certificate(space: FiniteMMSpace) -> bool:
@@ -310,6 +343,8 @@ def validate_space(
     points: Sequence[str],
     dist: np.ndarray | Sequence[Sequence[float]],
     weights: np.ndarray | Sequence[float],
+    *,
+    grades: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FiniteMMSpace:
     """Check every finite-mm-space axiom and return the space, or raise
     SpaceValidationError listing the first _MAX_REPORTED offending index
@@ -319,6 +354,13 @@ def validate_space(
     diagonal, positive off-diagonal, triangle inequality under float64
     sums; weights finite, >= 0, with positive total mass.  The space
     returned is the one the triangle certificate read, grades and all.
+
+    grades is the (table, hops) pair a generator claims for dist.  Once
+    dist is finite, symmetric, zero on the diagonal and positive off it,
+    _prove_grades proves the pair against it before the certificate
+    reads it, and the space keeps it, so nothing ranks dist again; a pair
+    that fails the proof is a bug and raises RuntimeError.  Without
+    grades the certificate has _grade rank dist.
     """
     points = tuple(str(p) for p in points)
     dist = np.array(dist, dtype=np.float64)  # the returned space's own arrays
@@ -347,8 +389,12 @@ def validate_space(
                      lambda i: (dist[i, i],))
         found.record("nonpositive_distance", nonpositive,
                      "d={} between distinct points", lambda i, j: (dist[i, j],))
-        if not found.counts and not _hop_certificate(space):
-            _check_triangle(dist, found)
+        if not found.counts:
+            if grades is not None:
+                _prove_grades(dist, *grades)
+                space = FiniteMMSpace(points, dist, weights, _grades=grades)
+            if not _hop_certificate(space):
+                _check_triangle(dist, found)
 
     _check_weights(weights, n, found)
     return space

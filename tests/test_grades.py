@@ -1,8 +1,9 @@
 """Grades: the cube and torus generators and a product of theirs hand
-theirs over, every other space gets them from space._grade (when
-generate validates it, or when first read), spaces that reuse a
-metric pass them on, and every ball mass, profile, packing check and
-concentration witness has the same bytes from either source."""
+theirs over, which validate_space proves against the matrix and keeps,
+every other space gets them from space._grade (when generate validates
+it, or when first read), spaces that reuse a metric pass them on, and
+every ball mass, profile, packing check and concentration witness has
+the same bytes from either source."""
 
 from __future__ import annotations
 
@@ -106,21 +107,32 @@ class TestSameAnswersFromEitherGrades:
             assert same_bytes(blocks(blank, count, None), blocks(sp, count, None))
 
 
+small_factor = st.one_of(
+    st.builds(mc.FamilySpec, st.just("hamming_cube"), st.integers(1, 3), st.booleans()),
+    st.builds(mc.FamilySpec, st.just("discrete_torus"), st.integers(1, 10), st.booleans()),
+)
 every_graded_spec = st.one_of(
     st.builds(mc.FamilySpec, st.just("hamming_cube"), st.integers(1, 11), st.booleans()),
     st.builds(mc.FamilySpec, st.just("discrete_torus"), st.integers(1, 2048), st.booleans()),
+    st.builds(mc.FamilySpec, st.just("product"),
+              factors=st.lists(small_factor, min_size=2, max_size=3).map(tuple)),
 )
 
 
 class TestGeneratedGrades:
     @given(every_graded_spec)
     def test_grades_describe_the_metric(self, spec):
+        """Every graded spec's grades describe its metric and pass the
+        validator's proof at any size, which keeps them as handed over."""
         sp = mc.generate(spec)
         table, hops = sp.grades
-        assert hops.dtype == (np.uint8 if spec.kind == "hamming_cube" else np.int16)
+        kinds = {"hamming_cube": np.uint8, "discrete_torus": np.int16}
+        assert hops.dtype == kinds.get(spec.kind, np.min_scalar_type(len(table)))
         assert np.array_equal(table[hops], sp.dist)
         assert table[0] == 0.0 and (np.diff(table) > 0.0).all()
         assert not table.flags.writeable and not hops.flags.writeable
+        kept = mc.validate_space(sp.points, sp.dist, sp.weights, grades=sp.grades)
+        assert kept.grades[0] is table and kept.grades[1] is hops
         if sp.n <= 1024:
             assert same_bytes(sp.distinct_distances(), rebuilt(sp).distinct_distances())
 
@@ -151,6 +163,81 @@ class TestGeneratedGrades:
         assert np.array_equal(checked.grades[1], cube.grades[1])
 
 
+class TestProvenGrades:
+    """validate_space proves the grades a generator claims against the
+    matrix and keeps a pair that passes; a pair that fails is a bug."""
+
+    @staticmethod
+    def claim(sp, table, hops):
+        return mc.validate_space(sp.points, sp.dist, sp.weights, grades=(table, hops))
+
+    @pytest.mark.parametrize("spec", [mc.FamilySpec("hamming_cube", 7), mc.FamilySpec("discrete_torus", 150),
+                                      mc.FamilySpec("product", factors=(mc.FamilySpec("discrete_torus", 8),
+                                                                        mc.FamilySpec("discrete_torus", 12)))],
+                             ids=["cube7", "torus150", "product8x12"])
+    def test_a_correct_pair_is_kept_and_a_changed_one_refused(self, spec):
+        sp = mc.generate(spec)
+        table, hops = sp.grades
+        kept = self.claim(sp, table, hops)
+        assert kept.grades[0] is table and kept.grades[1] is hops
+        assert same_bytes(kept.dist, sp.dist) and kept.points == sp.points
+        top = len(table) - 1
+        for i, j in ((0, 1), (sp.n - 1, 3), (70 % sp.n, 70 % sp.n)):  # the last block, a diagonal
+            changed = hops.copy()
+            changed[i, j] = hops[i, j] + 1 if hops[i, j] < top else hops[i, j] - 1
+            with pytest.raises(RuntimeError, match=r"dist != table\[hops\].*this is a bug"):
+                self.claim(sp, table, changed)
+
+    def test_a_negative_rank_is_refused(self):
+        """table[-1] is the diameter, so a rank of -1 at a farthest pair
+        would pass the comparison alone."""
+        sp = mc.generate(mc.FamilySpec("discrete_torus", 10))
+        table, hops = sp.grades
+        changed = hops.copy()
+        changed[0, 5] = -1
+        assert np.array_equal(table[changed], sp.dist)
+        with pytest.raises(RuntimeError, match=r"dist != table\[hops\].*this is a bug"):
+            self.claim(sp, table, changed)
+
+    def test_a_table_that_does_not_increase_strictly_is_refused(self):
+        """A repeated value, table[0] moved off 0, and a swapped pair."""
+        sp = mc.generate(mc.FamilySpec("hamming_cube", 4))
+        table, hops = sp.grades
+        swapped = table.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        for bad, ranks in ((np.insert(table, 1, table[1]), hops + (hops >= 1)),
+                           (table - table[1] / 2.0, hops), (swapped, hops)):
+            with pytest.raises(RuntimeError, match="does not increase strictly from 0; this is a bug"):
+                self.claim(sp, bad, ranks)
+
+    @pytest.mark.parametrize("at", [1, 3, 5], ids=["first", "inner", "last"])
+    def test_a_table_value_no_pair_uses_is_refused(self, at):
+        """table[at] inserted between two distances (or past the last),
+        the ranks moved up to match: dist == table[hops] still holds."""
+        sp = mc.generate(mc.FamilySpec("hamming_cube", 4))
+        table, hops = sp.grades
+        extra = (table[at - 1] + table[at]) / 2.0 if at < len(table) else table[-1] + 1.0
+        bad, ranks = np.insert(table, at, extra), hops + (hops >= at)
+        assert np.array_equal(bad[ranks], sp.dist) and (np.diff(bad) > 0.0).all()
+        with pytest.raises(RuntimeError, match=rf"no distance is table\[{at}\] = .*this is a bug"):
+            self.claim(sp, bad, ranks)
+
+    def test_a_hop_matrix_of_another_shape_or_type_is_refused(self):
+        sp = mc.generate(mc.FamilySpec("discrete_torus", 6))
+        table, hops = sp.grades
+        for bad in (hops[:5], hops.astype(np.float64), hops[:, :, None]):
+            with pytest.raises(RuntimeError, match="not an integer 6 x 6 matrix; this is a bug"):
+                self.claim(sp, table, bad)
+
+    def test_a_broken_metric_is_refused_as_a_metric_first(self):
+        """The proof reads a matrix that already passed the pair axioms."""
+        sp = mc.generate(mc.FamilySpec("discrete_torus", 6))
+        dist = sp.dist.copy()
+        dist[0, 1] = 0.0
+        with pytest.raises(mc.SpaceValidationError):
+            mc.validate_space(sp.points, dist, sp.weights, grades=sp.grades)
+
+
 class TestBuiltGrades:
     def test_one_point(self):
         sp = mc.validate_space(["o"], [[0.0]], [1.0])
@@ -173,27 +260,31 @@ class TestBuiltGrades:
             assert np.array_equal(sp.grades[1], torus8.grades[1])
 
     def test_nothing_is_graded_until_a_reader_asks(self, monkeypatch):
-        """generate grades each space it builds once, on the copy its
-        validation reads, and returns grades, so a first read of what it
-        returns builds none; _with_weights builds none until a reader
-        asks, and a pushforward image shares its screen's."""
+        """generate proves the grades of a cube, a torus or a product of
+        their specs and ranks nothing; a graph or a product with a built
+        factor is ranked once, on the space generate returns, so a first
+        read of what it returns builds none; _with_weights builds none
+        until a reader asks, and a pushforward image shares its screen's."""
         built, generated = [], []
         grade, generate = mmconc.space._grade, families.generate
         monkeypatch.setattr(mmconc.space, "_grade", lambda dist: built.append(dist) or grade(dist))
         monkeypatch.setattr(families, "generate", lambda spec: generated.append(spec) or generate(spec))
-        tori = (mc.FamilySpec("discrete_torus", 3), mc.FamilySpec("discrete_torus", 4))
+        cube, tori = mc.FamilySpec("hamming_cube", 3), (mc.FamilySpec("discrete_torus", 3),
+                                                         mc.FamilySpec("discrete_torus", 4))
         square = mc.default_screen_roster()[1][1]
-        specs = (mc.FamilySpec("product", factors=tori),  # the table fold's grades
-                 mc.FamilySpec("product", factors=(tori[0], square)),  # the copy's
-                 mc.FamilySpec("weighted_graph", 3, edges=((0, 1, 1.0), (1, 2, 2.0))))  # the copy's
-        for spec in specs:
+        cases = ((cube, 0), (tori[1], 0),
+                 (mc.FamilySpec("product", factors=tori), 0),  # the table fold's grades
+                 (mc.FamilySpec("product", factors=(cube, *tori)), 0),
+                 (mc.FamilySpec("product", factors=(tori[0], square)), 1),  # the certificate's
+                 (mc.FamilySpec("weighted_graph", 3, edges=((0, 1, 1.0), (1, 2, 2.0))), 1))
+        for spec, ranked in cases:
             built.clear()
             generated.clear()
             sp = families.generate(spec)
-            factors = sum(isinstance(f, mc.FamilySpec) for f in spec.factors)
-            assert len(built) == len(generated) == 1 + factors
-            assert sp.grades is sp.grades and len(built) == len(generated)
-        product = families.generate(specs[0])
+            assert len(generated) == 1 + sum(isinstance(f, mc.FamilySpec) for f in spec.factors)
+            assert len(built) == ranked and all(dist is sp.dist for dist in built)
+            assert sp.grades is sp.grades and len(built) == ranked
+        product = families.generate(cases[2][0])
         weighted = families._with_weights(rebuilt(product), np.linspace(0.5, 1.5, 12))
         built.clear()
         assert weighted.grades is weighted.grades

@@ -262,10 +262,11 @@ def test_grades_are_made_by_the_builder_and_the_two_generators():
     """Which ranks a space has is decided in one place: the cube and torus
     generators hand over the hop matrix they build, a product of those
     hands over the ranks of its closed table at the factors' hop matrices,
-    every other space has space._grade build its grades from the matrix
-    when they are first read, and the two constructions that reuse a
-    metric with other weights pass on the grades of the space they take
-    it from."""
+    validate_space keeps such a pair, passed to it as its grades, once
+    it has proven the pair against the matrix, every other space has
+    space._grade build its grades from the matrix when they are first
+    read, and the two constructions that reuse a metric with other
+    weights pass on the grades of the space they take it from."""
     found, builds = [], set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -282,8 +283,27 @@ def test_grades_are_made_by_the_builder_and_the_two_generators():
         ("families._with_weights", "space._grades"),
         ("observable.pushforward_screen", "screen.grades"),
         ("space.FiniteMMSpace.grades", "_grade(self.dist)"),
+        ("space.validate_space", "grades"),
     ]
     assert builds == {"space.FiniteMMSpace.grades"}
+
+
+def test_generate_validates_on_the_grades_it_was_built_with():
+    """Inside the package only the document parser and generate call
+    validate_space, and generate passes the generator's grades, so the
+    validator proves and keeps them instead of ranking the matrix again."""
+    calls = []
+    for path in PACKAGE.glob("*.py"):
+        visitor = Constructions(path.stem, {"validate_space"})
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        calls += [scope for _, scope in visitor.found]
+    assert sorted(calls) == ["families.generate", "formats._parse_space_doc"]
+    tree = ast.parse((PACKAGE / "families.py").read_text(encoding="utf-8"))
+    generate = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "generate")
+    call = next(node for node in ast.walk(generate)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "validate_space")
+    assert [(kw.arg, ast.unparse(kw.value)) for kw in call.keywords] == [("grades", "space._grades")]
 
 
 def test_only_a_product_with_a_matrix_factor_closes_a_matrix():
